@@ -22,7 +22,7 @@ __all__ = [
     "masked_select", "take_flat", "gather_time", "embedding",
     "causal_conv1d", "layer_norm", "dropout",
     "softmax_cross_entropy", "frobenius_norm",
-    "scan_step", "sequential_scan",
+    "einsum", "scan_step", "sequential_scan",
     "backward", "grad", "finite_diff_check", "FiniteDiffReport",
 ]
 
@@ -238,6 +238,62 @@ def matmul(a, b):
     return _node(out_data, (a, b), bw)
 
 
+def _parse_einsum(spec, operands):
+    """Split an explicit einsum spec into (input terms, output term) and
+    check it against the operands; every failure is a ShapeError."""
+    if spec.count("->") != 1:
+        raise ShapeError(f"einsum: spec {spec!r} needs exactly one '->'")
+    lhs, out = spec.split("->")
+    terms = lhs.split(",")
+    if len(terms) != len(operands):
+        raise ShapeError(
+            f"einsum: spec {spec!r} names {len(terms)} operands, got {len(operands)}")
+    sizes = {}
+    for term, op in zip(terms, operands):
+        if not term.isalpha() or len(set(term)) != len(term):
+            raise ShapeError(
+                f"einsum: term {term!r} in {spec!r} must be distinct letters")
+        if len(term) != op.data.ndim:
+            raise ShapeError(f"einsum: term {term!r} does not match shape {op.shape}")
+        for idx, n in zip(term, op.data.shape):
+            if sizes.setdefault(idx, n) != n:
+                raise ShapeError(f"einsum: index {idx!r} has sizes {sizes[idx]} and {n}")
+    if len(set(out)) != len(out) or not set(out) <= set(sizes):
+        raise ShapeError(f"einsum: output {out!r} in {spec!r} must be distinct input indices")
+    for i, term in enumerate(terms):
+        seen = set(out).union(*(t for j, t in enumerate(terms) if j != i))
+        lone = set(term) - seen
+        if lone:
+            raise ShapeError(
+                f"einsum: index {''.join(sorted(lone))!r} of term {term!r} is summed "
+                f"within one operand; reduce_sum it first")
+    return terms, out
+
+
+def einsum(spec, *operands):
+    """Tensor contraction in explicit einsum notation, e.g. "mts,mks->mtk".
+
+    Each index is one letter, appears at most once per term, and every index
+    of an operand also appears in the output or in another operand. Under
+    those rules the gradient of each operand is again an einsum: the other
+    operands and the output gradient contracted back to its own term.
+    """
+    operands = tuple(_as_tensor(o) for o in operands)
+    terms, out = _parse_einsum(spec, operands)
+    out_data = np.einsum(spec, *(o.data for o in operands), optimize=True)
+
+    def bw(g, acc):
+        for i, op in enumerate(operands):
+            if not op.requires_grad:
+                continue
+            others = terms[:i] + terms[i + 1:]
+            back = ",".join(others + [out]) + "->" + terms[i]
+            acc(op, np.einsum(back, *(o.data for j, o in enumerate(operands) if j != i),
+                              g, optimize=True))
+
+    return _node(out_data, operands, bw)
+
+
 def exp(a):
     a = _as_tensor(a)
     out_data = np.exp(a.data)
@@ -321,15 +377,10 @@ def relu(a):
 def outer(u, v):
     """Batched outer product: (..., p) x (..., q) -> (..., p, q)."""
     u, v = _as_tensor(u), _as_tensor(v)
-    if u.data.shape[:-1] != v.data.shape[:-1]:
+    if u.data.ndim < 1 or u.data.shape[:-1] != v.data.shape[:-1]:
         raise ShapeError(f"outer: incompatible shapes {u.shape} vs {v.shape}")
-    out_data = u.data[..., :, None] * v.data[..., None, :]
-
-    def bw(g, acc):
-        acc(u, np.sum(g * v.data[..., None, :], axis=-1))
-        acc(v, np.sum(g * u.data[..., :, None], axis=-2))
-
-    return _node(out_data, (u, v), bw)
+    batch = "abcdefghijklmn"[:u.data.ndim - 1]
+    return einsum(f"{batch}p,{batch}q->{batch}pq", u, v)
 
 
 def concat(tensors, axis):
@@ -592,17 +643,50 @@ def frobenius_norm(a, axis):
 # the selective-scan recurrence
 
 
+def _decay_kernel(abar, mask):
+    """W[m, t, k] = mask[m, k] * prod_{k<j<=t} abar'[m, j] on the lower
+    triangle (t >= k) and 0 above it, where abar' is abar with masked steps
+    set to 1.
+
+    This is exp of the segment sum of log abar', formed as a running product
+    inside each segment rather than as a ratio of prefix products, so exact
+    zeros in abar need no logarithm and produce no 0/0. The gradient needs no
+    division either: the derivative of W[t, k] by abar_j (k < j <= t) is the
+    product over the segment with j left out, W[t, j] * W[j-1, k].
+    """
+    mask = np.asarray(mask, dtype=bool)
+    L = abar.data.shape[1]
+    a = np.where(mask, abar.data, 1.0).astype(abar.data.dtype, copy=False)
+    below = np.tri(L, L, -1, dtype=bool)            # t > k
+    seg = np.cumprod(np.where(below, a[:, :, None], 1.0), axis=1)
+    W = np.where(np.tri(L, L, dtype=bool), seg, 0.0) * mask[:, None, :]
+
+    def bw(g, acc):
+        # P[j, k] = W[j-1, k]: the segment product up to just before step j
+        P = np.zeros_like(W)
+        P[:, 1:] = W[:, :-1]
+        ga = np.einsum("mtj,mtj->mj", W, np.einsum("mtk,mjk->mtj", g, P, optimize=True))
+        acc(abar, np.where(mask, ga, 0.0))
+
+    return _node(W, (abar,), bw)
+
+
 def sequential_scan(abar, bbar, x, C, mask):
-    """Fused recurrence + readout: h_t = abar_t h_{t-1} + bbar_t (x) x_t,
-    y_t = h_t^T c_t; masked steps carry the state unchanged.
+    """The masked recurrence h_t = abar_t h_{t-1} + bbar_t (x) x_t with
+    readout y_t = h_t^T c_t, in its quadratic (state-space-dual) form.
 
     abar: (m, L); bbar: (m, L, s); x: (m, L, d); C: (m, L, s);
-    mask: (m, L) bool. Returns (Y, h_final, H) where Y is (m, L, d),
-    h_final is (m, s, d) and H is the full non-differentiable state stack
-    (m, L, s, d) retained for inspection.
+    mask: (m, L) bool. A masked step leaves the state unchanged: its decay
+    counts as 1 and it injects nothing, though y_t still reads the carried
+    state. With the decay kernel W[t, k] = prod_{k<j<=t} abar_j (lower
+    triangle, masked columns zero):
 
-    Y and h_final are separate graph nodes over the same cached forward;
-    their backward sweeps add up to the full gradient.
+        Y       = (W o C bbar^T) x                      (m, L, d)
+        h_final = sum_k W[L-1, k] bbar_k (x) x_k        (m, s, d)
+
+    Returns (Y, h_final, W), W being a non-differentiable copy of the
+    (m, L, L) kernel. Memory is O(m L^2) beside the inputs: no (m, L, s, d)
+    state stack is formed, and the gradient is composed from einsum.
     """
     abar, bbar, x, C = (_as_tensor(v) for v in (abar, bbar, x, C))
     mask = np.asarray(mask, dtype=bool)
@@ -615,63 +699,11 @@ def sequential_scan(abar, bbar, x, C, mask):
             f"sequential_scan: inconsistent shapes abar {abar.shape}, "
             f"bbar {bbar.shape}, x {x.shape}, C {C.shape}, mask {mask.shape}")
 
-    H = np.empty((m, L, s, d), dtype=x.data.dtype)
-    h = np.zeros((m, s, d), dtype=x.data.dtype)
-    BX = bbar.data[..., None] * x.data[:, :, None, :]
-    col_full = mask.all(axis=0)
-    for t in range(L):
-        step = abar.data[:, t, None, None] * h + BX[:, t]
-        h = step if col_full[t] else np.where(mask[:, t, None, None], step, h)
-        H[:, t] = h
-    Y = np.einsum("mtsd,mts->mtd", H, C.data)
-
-    # h_final is modelled as a child of the Y node; its backward deposits
-    # the incoming state gradient here and the single reverse sweep on the
-    # Y node consumes both streams at once
-    pending = {"gh": None}
-
-    def sweep(gY, acc):
-        use_y = np.any(gY)
-        ga = np.zeros_like(abar.data)
-        gb = np.zeros_like(bbar.data)
-        gx = np.zeros_like(x.data)
-        if use_y:
-            acc(C, np.einsum("mtsd,mtd->mts", H, gY))
-            CgY = C.data[..., None] * gY[:, :, None, :]  # injected per step
-        gh = pending["gh"] if pending["gh"] is not None \
-            else np.zeros((m, s, d), dtype=x.data.dtype)
-        pending["gh"] = None
-        zero_h = np.zeros((m, s, d), dtype=x.data.dtype)
-        for t in range(L - 1, -1, -1):
-            if use_y:
-                gh = gh + CgY[:, t]
-            h_prev = H[:, t - 1] if t > 0 else zero_h
-            mt = mask[:, t]
-            if col_full[t]:
-                ga[:, t] = np.einsum("msd,msd->m", gh, h_prev)
-                gb[:, t] = np.einsum("msd,md->ms", gh, x.data[:, t])
-                gx[:, t] = np.einsum("msd,ms->md", gh, bbar.data[:, t])
-                gh = gh * abar.data[:, t, None, None]
-            else:
-                ga[:, t] = np.where(mt, np.einsum("msd,msd->m", gh, h_prev), 0.0)
-                gb[:, t] = np.where(mt[:, None],
-                                    np.einsum("msd,md->ms", gh, x.data[:, t]), 0.0)
-                gx[:, t] = np.where(mt[:, None],
-                                    np.einsum("msd,ms->md", gh, bbar.data[:, t]), 0.0)
-                gh = np.where(mt[:, None, None], gh * abar.data[:, t, None, None], gh)
-        acc(abar, ga)
-        acc(bbar, gb)
-        acc(x, gx)
-
-    y_node = _node(Y, (abar, bbar, x, C), sweep)
-
-    def h_backward(g, acc):
-        gh = g.astype(x.data.dtype, copy=True)
-        pending["gh"] = gh if pending["gh"] is None else pending["gh"] + gh
-        acc(y_node, np.zeros_like(Y))  # force the shared sweep to run
-
-    h_node = _node(H[:, -1].copy(), (y_node,), h_backward)
-    return y_node, h_node, Tensor(H)
+    W = _decay_kernel(abar, mask)
+    scores = mul(W, einsum("mts,mks->mtk", C, bbar))
+    Y = einsum("mtk,mkd->mtd", scores, x)
+    h_final = einsum("mk,mks,mkd->msd", W[:, -1], bbar, x)
+    return Y, h_final, Tensor(W.data)
 
 
 def scan_step(h_prev, abar, bbar, x):
@@ -735,6 +767,10 @@ def grad(loss, params):
     """
     if loss.data.size != 1:
         raise ShapeError(f"grad: loss must be scalar, got shape {loss.shape}")
+    # backward() only resets the nodes it reaches; a parameter outside this
+    # graph would otherwise report the gradient of an earlier loss
+    for p in params.values():
+        p.grad = None
     backward(loss)
     store = {}
     for name, p in params.items():

@@ -127,14 +127,12 @@ class StepExtension:
 @dataclass
 class ForwardTrace:
     """Intermediates retained for the losses and for verification."""
-    emb: Tensor           # (m, L, d) embedded input
     X: Tensor             # (m, L, d) scan input (masked)
     B: Tensor             # (m, L, d_s)
     C: Tensor             # (m, L, d_s)
     delta: Tensor         # (m, L)
     abar: Tensor          # (m, L)
     bbar: Tensor          # (m, L, d_s)
-    H: Tensor             # (m, L, d_s, d) state stack
     h_final: Tensor       # (m, d_s, d)
     Y: Tensor             # (m, L, d)
     O: Tensor             # (m, L, d)
@@ -143,7 +141,6 @@ class ForwardTrace:
     logits: Tensor        # (m, |V|)
     A: Tensor             # scalar decay of the alignment block
     extension: StepExtension
-    conv_input: Tensor    # (m, L, d + 2 d_s) masked pre-conv channels
 
 
 def embed(params, items, rng=None, training=False, block=None):
@@ -187,11 +184,12 @@ def discretize(delta, A, B):
 
 
 def scan(abar, bbar, X, C, mask):
-    """Run the recurrence; returns per-step outputs Y, the (non-
-    differentiable) state stack, and the final state. Masked steps carry
-    the state unchanged."""
-    Y, h_final, H = ag.sequential_scan(abar, bbar, X, C, mask)
-    return Y, H, h_final
+    """Run the recurrence in its quadratic (state-space-dual) form; returns
+    per-step outputs Y, the non-differentiable (m, L, L) decay kernel, and
+    the final state. Masked steps carry the state unchanged. Memory is
+    O(m L^2); no per-step state stack is built."""
+    Y, h_final, W = ag.sequential_scan(abar, bbar, X, C, mask)
+    return Y, W, h_final
 
 
 def ffn_and_norm(params, Y, rng=None, training=False, block=0):
@@ -262,22 +260,21 @@ def forward_full(params, batch, rng=None, training=False, need_logits=True,
     mask = batch.mask
     maskf = ag.constant(np.asarray(mask, dtype=cfg.np_dtype))
 
-    emb = embed(params, batch.items, rng=rng, training=training)
-    seq = emb
+    seq = embed(params, batch.items, rng=rng, training=training)
     last = None
     for b in range(cfg.n_blocks):
         X, B, C, delta, chan = transform(params, seq, mask=mask, block=b)
         A = params.decay(b)
         abar, bbar = discretize(delta, A, B)
         Xz = ag.mul(X, ag.reshape(maskf, maskf.shape + (1,)))
-        Y, H, h_final = scan(abar, bbar, Xz, C, mask)
+        Y, _, h_final = scan(abar, bbar, Xz, C, mask)
         wrapped = ag.layer_norm(ag.add(seq, Y), params[f"block{b}.ln_block_g"],
                                 params[f"block{b}.ln_block_b"])
         O = ffn_and_norm(params, wrapped, rng=rng, training=training, block=b)
-        last = (X, B, C, delta, abar, bbar, H, h_final, Y, O, A, Xz, chan)
+        last = (X, B, C, delta, abar, bbar, h_final, Y, O, A, Xz, chan)
         seq = O
 
-    X, B, C, delta, abar, bbar, H, h_final, Y, O, A, Xz, chan = last
+    X, B, C, delta, abar, bbar, h_final, Y, O, A, Xz, chan = last
     align_block = cfg.n_blocks - 1
     o_last = ag.gather_time(O, batch.last_index)
     x_last = ag.gather_time(Xz, batch.last_index)
@@ -293,10 +290,9 @@ def forward_full(params, batch, rng=None, training=False, need_logits=True,
     else:
         ext = None
 
-    return ForwardTrace(emb=emb, X=X, B=B, C=C, delta=delta, abar=abar,
-                        bbar=bbar, H=H, h_final=h_final, Y=Y, O=O,
-                        o_last=o_last, x_last=x_last, logits=logits, A=A,
-                        extension=ext, conv_input=chan)
+    return ForwardTrace(X=X, B=B, C=C, delta=delta, abar=abar, bbar=bbar,
+                        h_final=h_final, Y=Y, O=O, o_last=o_last,
+                        x_last=x_last, logits=logits, A=A, extension=ext)
 
 
 def _trailing_window(chan, last_index, width, dtype):

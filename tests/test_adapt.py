@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from alignrec import adapt, ingest, model
+from alignrec import adapt, ingest, model, pipeline
 from alignrec.adapt import AdaptConfig
+from alignrec.config import load_config
 from alignrec.losses import LossWeights
 from conftest import random_examples, tiny_params
 
@@ -140,3 +141,25 @@ class TestAdaptConfig:
             AdaptConfig(lr=-0.1)
         with pytest.raises(ValueError):
             AdaptConfig(batch_policy="sometimes")
+
+
+def test_trained_and_reloaded_parameters_adapt_alike(tmp_path):
+    # adaptation must depend on the parameter values only, not on gradients
+    # left on the tensors by training
+    cfg = load_config({
+        "seed": 5,
+        "data": {"generator": {"n_users": 40, "n_items": 30, "n_clusters": 3,
+                               "min_events": 8, "max_events": 12},
+                 "max_len": 8, "min_interactions": 0},
+        "model": {"d": 8, "d_s": 4, "conv_width": 3, "dropout": 0.0},
+        "train": {"lr": 0.02, "epochs": 2, "batch_size": 16, "eval_every": 2},
+        "adapt": {"steps": 2, "lr": 0.1, "batch_policy": "whole"},
+    })
+    params, weights, split, _ = pipeline.train_model(cfg)
+    path = str(tmp_path / "ck.bin")
+    model.save_checkpoint(path, params)
+    loaded, _ = model.load_checkpoint(path)
+    batch = pipeline.test_batches(cfg, split)[0]
+    trained = adapt.adapt_and_predict(params, batch, cfg.adapt, weights)[0]
+    reloaded = adapt.adapt_and_predict(loaded, batch, cfg.adapt, weights)[0]
+    assert np.array_equal(trained, reloaded)

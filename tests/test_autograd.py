@@ -121,17 +121,31 @@ def naive_scan(abar, bbar, x, C, mask):
 
 
 def test_sequential_scan_matches_naive_oracle(rng):
+    cases = []
     for _ in range(20):
         m = int(rng.integers(1, 5))
         L = int(rng.integers(1, 65))
+        cases.append((rng.uniform(0.0, 1.0, (m, L)), rng.random((m, L)) > 0.3))
+    zeros = rng.uniform(0.0, 1.0, (3, 40))
+    zeros[rng.random((3, 40)) < 0.25] = 0.0
+    zeros[:, 0] = 0.0
+    masked_rows = rng.random((4, 30)) > 0.3
+    masked_rows[[0, 2]] = False
+    cases += [
+        (zeros, rng.random((3, 40)) > 0.3),                     # exact zeros
+        (np.ones((2, 50)), rng.random((2, 50)) > 0.2),          # no decay
+        (rng.uniform(0.0, 1.0, (4, 30)), masked_rows),          # fully masked rows
+        (rng.uniform(0.0, 1.0, (3, 1)), np.array([[True], [False], [True]])),  # L = 1
+        (rng.uniform(1e-4, 1e-2, (3, 64)), rng.random((3, 64)) > 0.1),  # strong decay
+    ]
+    for abar, mask in cases:
+        m, L = abar.shape
         s = int(rng.integers(1, 5))
         d = int(rng.integers(1, 7))
-        abar = rng.uniform(0.0, 1.0, (m, L))
         bbar = rng.normal(size=(m, L, s))
         x = rng.normal(size=(m, L, d))
         C = rng.normal(size=(m, L, s))
-        mask = rng.random((m, L)) > 0.3
-        Y, hf, H = ag.sequential_scan(ag.constant(abar), ag.constant(bbar),
+        Y, hf, _ = ag.sequential_scan(ag.constant(abar), ag.constant(bbar),
                                       ag.constant(x), ag.constant(C), mask)
         Yn, hn = naive_scan(abar, bbar, x, C, mask)
         assert np.allclose(Y.data, Yn, atol=1e-12, rtol=0)
@@ -161,6 +175,77 @@ def test_scan_gradients_all_paths(rng):
         rep = ag.finite_diff_check(f, {"a": abar, "b": bbar, "x": x, "C": C},
                                    eps=1e-6, tol=1e-6, n_samples=32, rng=rng)
         assert rep.ok, rep.failures[:3]
+
+
+def test_scan_gradient_exact_at_zero_decay(rng):
+    # the kernel's gradient uses no logarithm or division, so an abar that
+    # underflowed to 0 still gets the recurrence's finite gradient
+    m, L, s, d = 2, 6, 3, 2
+    a0 = rng.uniform(0.1, 0.9, (m, L))
+    a0[:, [1, 4]] = 0.0
+    abar = ag.parameter(a0)
+    bbar = ag.parameter(rng.normal(size=(m, L, s)))
+    x = ag.constant(rng.normal(size=(m, L, d)))
+    C = ag.constant(rng.normal(size=(m, L, s)))
+    mask = np.ones((m, L), bool)
+    wY = ag.constant(rng.normal(size=(m, L, d)))
+
+    def f():
+        Y, hf, _ = ag.sequential_scan(abar, bbar, x, C, mask)
+        return ag.add(ag.reduce_sum(ag.mul(Y, wY)), ag.reduce_sum(hf))
+
+    g = ag.grad(f(), {"a": abar})["a"]
+    assert np.all(np.isfinite(g)) and np.all(g[:, [1, 4]] != 0.0)
+    rep = ag.finite_diff_check(f, {"a": abar, "b": bbar}, eps=1e-6, tol=1e-6,
+                               n_samples=24, rng=rng)
+    assert rep.ok, rep.failures[:3]
+
+
+def test_einsum_gradients_with_batch_index(rng):
+    a = ag.parameter(rng.normal(size=(2, 3, 4)))    # m t s
+    b = ag.parameter(rng.normal(size=(2, 5, 4)))    # m k s
+    c = ag.parameter(rng.normal(size=(2, 5)))       # m k
+    w2 = ag.constant(rng.normal(size=(2, 3, 5)))
+    w3 = ag.constant(rng.normal(size=(2, 3)))
+    out2 = ag.einsum("mts,mks->mtk", a, b)
+    assert np.allclose(out2.data, a.data @ b.data.transpose(0, 2, 1), atol=1e-14)
+    cases = [
+        lambda: ag.reduce_sum(ag.mul(ag.einsum("mts,mks->mtk", a, b), w2)),
+        lambda: ag.reduce_sum(ag.mul(ag.einsum("mk,mks,mts->mt", c, b, a), w3)),
+    ]
+    for f in cases:
+        rep = ag.finite_diff_check(f, {"a": a, "b": b, "c": c}, eps=1e-6,
+                                   tol=1e-6, n_samples=24, rng=rng)
+        assert rep.ok, rep.failures[:3]
+
+
+def test_einsum_rejects_specs_without_an_einsum_gradient():
+    x = ag.parameter(np.ones((2, 3)))
+    y = ag.parameter(np.ones((3, 4)))
+    bad = [
+        ("ij->i", (x,)),             # j is summed inside one operand
+        ("ij,jk->i", (x, y)),        # so is k
+        ("ii->i", (ag.constant(np.ones((3, 3))),)),   # repeated index
+        ("ij,jk", (x, y)),           # implicit output
+        ("ij,jk->ik", (x, x)),       # j is 3 in one operand, 2 in the other
+        ("ij,jk->ik", (x,)),         # operand count
+        ("ijk->ik", (x,)),           # rank
+        ("ij,jk->ikk", (x, y)),      # repeated output index
+        ("ij,jk->iz", (x, y)),       # output index from nowhere
+    ]
+    for spec, ops in bad:
+        with pytest.raises(ag.ShapeError, match="einsum"):
+            ag.einsum(spec, *ops)
+
+
+def test_grad_zeroes_parameters_an_earlier_loss_reached():
+    p = ag.parameter(np.array([1.0, 2.0]))
+    q = ag.parameter(np.array([3.0]))
+    ag.grad(ag.reduce_sum(ag.mul(p, q)), {"p": p, "q": q})
+    assert np.all(q.grad != 0.0)
+    g = ag.grad(ag.reduce_sum(ag.mul(p, p)), {"p": p, "q": q})
+    assert np.array_equal(g["q"], [0.0])
+    assert np.allclose(g["p"], 2.0 * p.data)
 
 
 def test_scan_step_matches_recurrence(rng):

@@ -139,6 +139,15 @@ class TestDiscretize:
                              ag.constant(np.ones((1, 1, 2))))
 
 
+def prefix_states(abar, bbar, X, C, mask):
+    """(m, L, s, d) state after every step: h_final of the scan over each
+    prefix [:, :t+1]."""
+    L = mask.shape[1]
+    return np.stack([model.scan(abar[:, :t + 1], bbar[:, :t + 1], X[:, :t + 1],
+                                C[:, :t + 1], mask[:, :t + 1])[2].data
+                     for t in range(L)], axis=1)
+
+
 class TestScan:
     def test_hand_case_one_dimensional(self):
         abar = ag.constant(np.array([[0.5, 0.5]]))
@@ -146,8 +155,9 @@ class TestScan:
         X = ag.constant(np.array([[[2.0], [3.0]]]))
         C = ag.constant(np.ones((1, 2, 1)))
         mask = np.ones((1, 2), bool)
-        Y, H, hf = model.scan(abar, bbar, X, C, mask)
-        assert np.allclose(H.data[0, :, 0, 0], [2.0, 4.0])
+        Y, _, hf = model.scan(abar, bbar, X, C, mask)
+        H = prefix_states(abar, bbar, X, C, mask)
+        assert np.allclose(H[0, :, 0, 0], [2.0, 4.0])
         assert np.allclose(Y.data[0, :, 0], [2.0, 4.0])
 
     def test_fully_masked_rows_stay_zero(self):
@@ -348,7 +358,8 @@ class TestForwardFull:
         params = tiny_params(seed=9)
         batch = random_batch(rng, n_examples=3, max_len=6)
         tr = model.forward_full(params, batch, training=False)
-        H = tr.H.data
+        Xz = ag.constant(tr.X.data * batch.mask[..., None])
+        H = prefix_states(tr.abar, tr.bbar, Xz, tr.C, batch.mask)
         for i in range(batch.size):
             prev = 0.0
             for t in range(batch.seq_len):
