@@ -11,8 +11,10 @@ by re-feeding the final output embedding through the same transform.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -109,6 +111,19 @@ class ModelParams:
 
     def n_parameters(self):
         return sum(t.data.size for t in self.tensors.values())
+
+    def overlay(self):
+        """Same config, fresh differentiable tensors over read-only views of
+        these arrays (no copy). Updates that rebind `.data` on the overlay
+        leave this object untouched; an in-place write through it raises."""
+        over = copy.copy(self)
+        over.tensors = {}
+        for name, t in self.tensors.items():
+            # np.asarray: after Adam a 0-d parameter holds a numpy scalar
+            view = np.asarray(t.data).view()
+            view.flags.writeable = False
+            over.tensors[name] = ag.Tensor(view, requires_grad=True, name=name)
+        return over
 
     def decay(self, block=0):
         """The negative scalar A for a block."""
@@ -344,14 +359,23 @@ def save_checkpoint(path, params, extra=None):
 def load_checkpoint(path):
     """Read a checkpoint; returns (ModelParams, extra dict)."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise ModelError(f"{path}: bad magic bytes")
-        (version,) = struct.unpack("<I", fh.read(4))
+        header = fh.read(12)
+        if len(header) < 12:
+            raise ModelError(f"{path}: truncated checkpoint header")
+        version, mlen = struct.unpack("<IQ", header)
         if version != CHECKPOINT_VERSION:
             raise ModelError(f"{path}: unsupported checkpoint version {version}")
-        (mlen,) = struct.unpack("<Q", fh.read(8))
-        manifest = json.loads(fh.read(mlen).decode("utf-8"))
+        if 16 + mlen > size:
+            raise ModelError(f"{path}: truncated checkpoint manifest")
+        blob = fh.read(mlen)
         payload = fh.read()
+    try:
+        manifest = json.loads(blob.decode("utf-8"))
+    except ValueError as e:   # UnicodeDecodeError and JSONDecodeError
+        raise ModelError(f"{path}: unreadable checkpoint manifest ({e})") from None
 
     cfg = ModelConfig(**manifest["config"])
     params = ModelParams(cfg, rng=np.random.default_rng(0))
@@ -363,8 +387,12 @@ def load_checkpoint(path):
         dtype = np.dtype(ent["dtype"]).newbyteorder("<")
         shape = tuple(ent["shape"])
         count = int(np.prod(shape)) if shape else 1
+        offset = ent["offset"]
+        if offset < 0 or offset + count * dtype.itemsize > len(payload):
+            raise ModelError(f"{path}: tensor {name!r} runs past the end of the "
+                             f"payload (truncated checkpoint)")
         arr = np.frombuffer(payload, dtype=dtype, count=count,
-                            offset=ent["offset"]).reshape(shape)
+                            offset=offset).reshape(shape)
         if arr.shape != params[name].data.shape:
             raise ModelError(f"{path}: shape mismatch for {name!r} "
                              f"{arr.shape} vs {params[name].data.shape}")

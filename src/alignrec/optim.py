@@ -81,10 +81,6 @@ def snapshot(params):
     return Snapshot(params)
 
 
-def restore(params, snap):
-    snap.restore(params)
-
-
 def _digest(arrays):
     h = hashlib.sha256()
     for name in sorted(arrays):

@@ -24,23 +24,26 @@ def frozen_logits(params, batch):
 class TestAdaptAndPredict:
     def test_zero_steps_is_identity(self, setup):
         params, _, batches, weights = setup
+        digest = model.checkpoint_digest(params)
         cfg = AdaptConfig(steps=0, lr=0.5)
         logits, items, rep = adapt.adapt_and_predict(params, batches[0], cfg, weights)
         assert np.array_equal(logits, frozen_logits(params, batches[0]))
-        assert rep.restore_ok and not rep.aborted
+        assert model.checkpoint_digest(params) == digest and not rep.aborted
 
     def test_zero_learning_rate_is_identity(self, setup):
         params, _, batches, weights = setup
+        digest = model.checkpoint_digest(params)
         cfg = AdaptConfig(steps=3, lr=0.0)
         logits, _, rep = adapt.adapt_and_predict(params, batches[0], cfg, weights)
         assert np.array_equal(logits, frozen_logits(params, batches[0]))
-        assert rep.restore_ok
+        assert model.checkpoint_digest(params) == digest
 
     def test_published_preset_accepted(self, setup):
         params, _, batches, weights = setup
+        digest = model.checkpoint_digest(params)
         cfg = AdaptConfig(steps=1, lr=0.05, mu1_test=1e-3, mu2_test=1e-2)
         logits, items, rep = adapt.adapt_and_predict(params, batches[0], cfg, weights)
-        assert rep.restore_ok and not rep.aborted
+        assert model.checkpoint_digest(params) == digest and not rep.aborted
         assert len(rep.time_losses) == 1 and len(rep.state_losses) == 1
 
     def test_parameters_restored_bit_exactly(self, setup):
@@ -64,7 +67,7 @@ class TestAdaptAndPredict:
         cfg = AdaptConfig(steps=1, lr=0.1)
         with np.errstate(over="ignore", invalid="ignore"):
             logits, _, rep = adapt.adapt_and_predict(params, batches[0], cfg, weights)
-        assert rep.aborted and rep.restore_ok
+        assert rep.aborted
         assert model.checkpoint_digest(params) == digest
         assert np.array_equal(logits, frozen_logits(params, batches[0]),
                               equal_nan=True)
@@ -108,10 +111,11 @@ class TestEvaluateWithAdaptation:
         params, exs, _, weights = setup
         batches = ingest.make_batches(exs, max_len=6, batch_size=len(exs))
         assert len(batches) == 1
+        digest = model.checkpoint_digest(params)
         cfg = AdaptConfig(steps=1, lr=0.1, batch_policy="whole")
         rows, reports = adapt.evaluate_with_adaptation(params, batches, cfg, weights)
-        assert rows.shape == (len(exs), 4)
-        assert reports[0].restore_ok
+        assert rows.shape == (len(exs), 4) and len(reports) == 1
+        assert model.checkpoint_digest(params) == digest
 
     def test_labels_never_influence_adaptation(self, setup, rng):
         # poisoning the targets changes metrics but not the adapted logits
@@ -131,6 +135,31 @@ class TestEvaluateWithAdaptation:
                     AdaptConfig(steps=2, lr=0.5, mu1_test=0.0, mu2_test=0.0)):
             rows, _ = adapt.evaluate_with_adaptation(params, batches, cfg, weights)
             assert np.array_equal(rows, frozen)
+
+
+class TestBaseParametersUntouched:
+    """Adaptation runs on a read-only overlay: the base tensors keep their
+    very arrays and never receive a gradient."""
+
+    def _assert_untouched(self, params, before):
+        for name in params.names():
+            assert params[name].data is before[name], name
+            assert params[name].grad is None, name
+
+    def test_adapt_and_predict(self, setup):
+        params, _, batches, weights = setup
+        before = {n: params[n].data for n in params.names()}
+        _, items, rep = adapt.adapt_and_predict(
+            params, batches[0], AdaptConfig(steps=2, lr=0.2), weights, top_k=None)
+        assert items is None and not rep.aborted
+        self._assert_untouched(params, before)
+
+    def test_evaluate_with_adaptation(self, setup):
+        params, _, batches, weights = setup
+        before = {n: params[n].data for n in params.names()}
+        adapt.evaluate_with_adaptation(params, batches, AdaptConfig(steps=2, lr=0.2),
+                                       weights)
+        self._assert_untouched(params, before)
 
 
 class TestAdaptConfig:

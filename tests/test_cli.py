@@ -169,6 +169,22 @@ class TestEvalCommand:
         assert cli.main(["eval", "--config", path_bad, "--checkpoint", ck,
                          "--ttt", "off"]) == 2
 
+    @pytest.mark.parametrize("damage", [
+        lambda raw: raw[:-100],                      # payload cut short
+        lambda raw: raw[:10],                        # header cut short
+        lambda raw: raw[:16] + b"\xff" * 8 + raw[24:],   # manifest not UTF-8
+    ], ids=["cut-100-bytes", "ten-bytes", "manifest-undecodable"])
+    def test_damaged_checkpoint_is_numeric_error(self, trained, damage, capsys):
+        path, ck, tmp = trained
+        bad = tmp / "damaged.bin"
+        bad.write_bytes(damage(open(ck, "rb").read()))
+        capsys.readouterr()
+        assert cli.main(["eval", "--config", path, "--checkpoint", str(bad),
+                         "--ttt", "off"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestExitCodes:
     def test_config_error_is_two(self, tmp_path):

@@ -269,6 +269,20 @@ class TestExtension:
         assert np.allclose(trace.extension.delta_next.data[0],
                            np.logaddexp(0.0, proj[inner]), atol=1e-11)
 
+    def test_zeros_history_drops_the_batch_context(self, rng):
+        batch = random_batch(rng, n_examples=3, max_len=6)
+        zeros = tiny_params(seed=7, extension_history="zeros")
+        trace = model.forward_full(zeros, batch, training=False)
+        ext = trace.extension
+        ref = model.extend_step(zeros, trace.o_last, conv_history=None)
+        for f in ("x_next", "B_next", "C_next", "delta_next"):
+            assert np.array_equal(getattr(ext, f).data, getattr(ref, f).data), f
+        assert zeros.config.conv_width > 1
+        with_batch = model.forward_full(tiny_params(seed=7), batch, training=False)
+        assert not np.array_equal(with_batch.extension.x_next.data, ext.x_next.data)
+        # the step size reads no convolution context
+        assert np.array_equal(with_batch.extension.delta_next.data, ext.delta_next.data)
+
 
 class TestForwardFull:
     def test_eval_mode_deterministic(self, rng):
@@ -422,3 +436,29 @@ class TestCheckpoint:
         a = model.forward_full(params, batch, training=False).logits.data
         b = model.forward_full(loaded, batch, training=False).logits.data
         assert np.array_equal(a, b)
+
+
+class TestOverlay:
+    def test_views_share_memory_and_reject_writes(self):
+        params = tiny_params(seed=23)
+        over = params.overlay()
+        assert over.config is params.config and over.names() == params.names()
+        for name in params.names():
+            t = over[name]
+            assert t.requires_grad and t.grad is None and t is not params[name]
+            assert np.shares_memory(t.data, params[name].data)
+            with pytest.raises(ValueError, match="read-only"):
+                t.data[...] = 0.0
+        # an update rebinds the overlay's array and leaves the base alone
+        base = params["E"].data.copy()
+        over["E"].data = over["E"].data - 1.0
+        assert np.array_equal(params["E"].data, base)
+
+    def test_scalar_parameter_after_adam(self):
+        # Adam leaves a 0-d parameter holding a numpy scalar
+        params = tiny_params(seed=24)
+        params["block0.a_raw"].data = np.float64(0.25)
+        t = params.overlay()["block0.a_raw"]
+        assert t.data.shape == () and float(t.data) == 0.25
+        with pytest.raises(ValueError, match="read-only"):
+            t.data[...] = 0.0
