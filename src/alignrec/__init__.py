@@ -1,31 +1,4 @@
 """Selective state-space sequential recommender with per-batch test-time
 adaptation driven by two self-supervised alignment losses."""
 
-import ctypes
-
 __version__ = "0.1.0"
-
-
-def _keep_freed_heap():
-    """Keep the memory numpy frees on the C heap for the next request.
-
-    Each forward, backward and adaptation step allocates and frees tens of MB
-    of temporaries, and adaptation keeps nothing alive between batches. With
-    glibc's adaptive defaults the top of the heap then goes back to the
-    kernel after every batch and the next batch faults the same pages in
-    again: up to ~14k minor faults and a third of a frozen request's time at
-    the config-default shape on a 2-core machine. Fixed thresholds keep
-    arrays up to 32 MB on the heap and trim it only past 256 MB of free top.
-    Does nothing where the C library has no mallopt.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(-3, 32 << 20)     # M_MMAP_THRESHOLD
-    mallopt(-1, 256 << 20)    # M_TRIM_THRESHOLD
-
-
-_keep_freed_heap()

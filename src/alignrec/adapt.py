@@ -18,7 +18,9 @@ import numpy as np
 from . import autograd as ag
 from . import losses as L
 from . import optim
-from .evaluation import batch_rank_metrics, ranked_items
+# ranked_items is unused here but stays importable: perfbench/tracing.py
+# wraps adapt.ranked_items by name.
+from .evaluation import batch_rank_metrics, ranked_items  # noqa: F401
 from .model import forward_full
 
 
@@ -81,10 +83,9 @@ def _ssl_losses(params, batch, weights, cfg):
     return trace, t_loss, s_loss, warned
 
 
-def adapt_and_predict(params, batch, cfg, weights, top_k=10):
+def adapt_and_predict(params, batch, cfg, weights):
     """Algorithm: M self-supervised gradient steps on `params.overlay()`,
-    then predict. Returns (logits, top item lists, AdaptReport); the item
-    lists are None when top_k is None.
+    then predict. Returns (logits, AdaptReport).
 
     A non-finite loss aborts adaptation: the prediction comes from the
     unadapted parameters, with the report flagged.
@@ -113,13 +114,12 @@ def adapt_and_predict(params, batch, cfg, weights, top_k=10):
     report.seconds_adapt = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    logits = forward_full(live, batch, training=False,
-                          need_extension=False).logits.data
+    with ag.no_grad():
+        logits = forward_full(live, batch, training=False,
+                              need_extension=False).logits.data
     report.seconds_predict = time.perf_counter() - t1
     report.post_logits_checksum = _logits_digest(logits)
-
-    items = ranked_items(logits, top_k=top_k) if top_k is not None else None
-    return logits, items, report
+    return logits, report
 
 
 def evaluate_with_adaptation(params, batches, cfg, weights, k=10):
@@ -128,7 +128,7 @@ def evaluate_with_adaptation(params, batches, cfg, weights, k=10):
     rows = []
     reports = []
     for batch in batches:
-        logits, _, report = adapt_and_predict(params, batch, cfg, weights, top_k=None)
+        logits, report = adapt_and_predict(params, batch, cfg, weights)
         rows.append(batch_rank_metrics(logits, batch.target_item, k))
         reports.append(report)
     per_example = np.concatenate(rows, axis=0) if rows else np.zeros((0, 3))
@@ -137,7 +137,8 @@ def evaluate_with_adaptation(params, batches, cfg, weights, k=10):
 
 def evaluate_frozen(params, batches, k=10):
     """Plain evaluation without adaptation; per-example metric rows."""
-    rows = [batch_rank_metrics(
-        forward_full(params, b, training=False, need_extension=False).logits.data,
-        b.target_item, k) for b in batches]
+    with ag.no_grad():
+        rows = [batch_rank_metrics(
+            forward_full(params, b, training=False, need_extension=False).logits.data,
+            b.target_item, k) for b in batches]
     return np.concatenate(rows, axis=0) if rows else np.zeros((0, 3))

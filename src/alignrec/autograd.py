@@ -11,6 +11,8 @@ accepted for throughput runs (ops preserve the input dtype).
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 __all__ = [
@@ -23,7 +25,7 @@ __all__ = [
     "causal_conv1d", "layer_norm", "dropout",
     "softmax_cross_entropy", "frobenius_norm",
     "einsum", "scan_step", "sequential_scan",
-    "backward", "grad", "finite_diff_check", "FiniteDiffReport",
+    "backward", "grad", "no_grad", "finite_diff_check", "FiniteDiffReport",
 ]
 
 
@@ -153,9 +155,26 @@ def _check_broadcast(opname, a, b):
         raise ShapeError(f"{opname}: incompatible shapes {a.shape} vs {b.shape}")
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph inside the block: results hold neither parents nor a
+    backward closure, so each intermediate is freed as soon as nothing else
+    refers to it. For passes whose output is only read."""
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
+
 def _node(data, parents, backward_fn, name=None):
-    req = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=req, _parents=tuple(parents),
+    # backward() never visits the parents of a node that needs no gradient
+    req = _grad_enabled and any(p.requires_grad for p in parents)
+    return Tensor(data, requires_grad=req, _parents=tuple(parents) if req else (),
                   _backward=backward_fn if req else None, name=name)
 
 

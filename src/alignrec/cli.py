@@ -163,7 +163,8 @@ def cmd_eval(args):
         batches = pipeline.test_batches(cfg, split)
 
         def frozen_fn(b):
-            return model.forward_full(params, b, training=False).logits.data
+            with ag.no_grad():
+                return model.forward_full(params, b, training=False).logits.data
 
         def adapted_fn(b):
             return adapt_mod.adapt_and_predict(params, b, cfg.adapt, weights)[0]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -377,31 +378,36 @@ def load_checkpoint(path):
     except ValueError as e:   # UnicodeDecodeError and JSONDecodeError
         raise ModelError(f"{path}: unreadable checkpoint manifest ({e})") from None
 
-    cfg = ModelConfig(**manifest["config"])
+    try:
+        cfg = ModelConfig(**manifest["config"])
+        entries = [(ent["name"], np.dtype(ent["dtype"]),
+                    tuple(operator.index(n) for n in ent["shape"]),
+                    operator.index(ent["offset"])) for ent in manifest["tensors"]]
+        extra = manifest.get("extra", {})
+    except (KeyError, TypeError, ValueError) as e:
+        raise ModelError(f"{path}: malformed checkpoint manifest "
+                         f"({type(e).__name__}: {e})") from None
+
     params = ModelParams(cfg, rng=np.random.default_rng(0))
     seen = set()
-    for ent in manifest["tensors"]:
-        name = ent["name"]
+    for name, dtype, shape, offset in entries:
         if name not in params.tensors:
             raise ModelError(f"{path}: unknown tensor {name!r} (architecture mismatch)")
-        dtype = np.dtype(ent["dtype"]).newbyteorder("<")
-        shape = tuple(ent["shape"])
+        if shape != params[name].data.shape:
+            raise ModelError(f"{path}: shape mismatch for {name!r} "
+                             f"{shape} vs {params[name].data.shape}")
         count = int(np.prod(shape)) if shape else 1
-        offset = ent["offset"]
         if offset < 0 or offset + count * dtype.itemsize > len(payload):
             raise ModelError(f"{path}: tensor {name!r} runs past the end of the "
                              f"payload (truncated checkpoint)")
-        arr = np.frombuffer(payload, dtype=dtype, count=count,
+        arr = np.frombuffer(payload, dtype=dtype.newbyteorder("<"), count=count,
                             offset=offset).reshape(shape)
-        if arr.shape != params[name].data.shape:
-            raise ModelError(f"{path}: shape mismatch for {name!r} "
-                             f"{arr.shape} vs {params[name].data.shape}")
-        params[name].data = arr.astype(np.dtype(ent["dtype"]).newbyteorder("=")).copy()
+        params[name].data = arr.astype(dtype.newbyteorder("=")).copy()
         seen.add(name)
     missing = set(params.names()) - seen
     if missing:
         raise ModelError(f"{path}: missing tensors {sorted(missing)} (architecture mismatch)")
-    return params, manifest.get("extra", {})
+    return params, extra
 
 
 def checkpoint_digest(params):

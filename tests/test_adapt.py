@@ -26,7 +26,7 @@ class TestAdaptAndPredict:
         params, _, batches, weights = setup
         digest = model.checkpoint_digest(params)
         cfg = AdaptConfig(steps=0, lr=0.5)
-        logits, items, rep = adapt.adapt_and_predict(params, batches[0], cfg, weights)
+        logits, rep = adapt.adapt_and_predict(params, batches[0], cfg, weights)
         assert np.array_equal(logits, frozen_logits(params, batches[0]))
         assert model.checkpoint_digest(params) == digest and not rep.aborted
 
@@ -34,7 +34,7 @@ class TestAdaptAndPredict:
         params, _, batches, weights = setup
         digest = model.checkpoint_digest(params)
         cfg = AdaptConfig(steps=3, lr=0.0)
-        logits, _, rep = adapt.adapt_and_predict(params, batches[0], cfg, weights)
+        logits, rep = adapt.adapt_and_predict(params, batches[0], cfg, weights)
         assert np.array_equal(logits, frozen_logits(params, batches[0]))
         assert model.checkpoint_digest(params) == digest
 
@@ -42,7 +42,7 @@ class TestAdaptAndPredict:
         params, _, batches, weights = setup
         digest = model.checkpoint_digest(params)
         cfg = AdaptConfig(steps=1, lr=0.05, mu1_test=1e-3, mu2_test=1e-2)
-        logits, items, rep = adapt.adapt_and_predict(params, batches[0], cfg, weights)
+        logits, rep = adapt.adapt_and_predict(params, batches[0], cfg, weights)
         assert model.checkpoint_digest(params) == digest and not rep.aborted
         assert len(rep.time_losses) == 1 and len(rep.state_losses) == 1
 
@@ -56,7 +56,7 @@ class TestAdaptAndPredict:
     def test_adaptation_changes_predictions(self, setup):
         params, _, batches, weights = setup
         cfg = AdaptConfig(steps=2, lr=0.2)
-        logits, _, _ = adapt.adapt_and_predict(params, batches[0], cfg, weights)
+        logits, _ = adapt.adapt_and_predict(params, batches[0], cfg, weights)
         assert not np.array_equal(logits, frozen_logits(params, batches[0]))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -66,7 +66,7 @@ class TestAdaptAndPredict:
         digest = model.checkpoint_digest(params)
         cfg = AdaptConfig(steps=1, lr=0.1)
         with np.errstate(over="ignore", invalid="ignore"):
-            logits, _, rep = adapt.adapt_and_predict(params, batches[0], cfg, weights)
+            logits, rep = adapt.adapt_and_predict(params, batches[0], cfg, weights)
         assert rep.aborted
         assert model.checkpoint_digest(params) == digest
         assert np.array_equal(logits, frozen_logits(params, batches[0]),
@@ -76,8 +76,8 @@ class TestAdaptAndPredict:
         params, _, batches, weights = setup
         only_time = AdaptConfig(steps=1, lr=0.1, use_state_loss=False)
         only_state = AdaptConfig(steps=1, lr=0.1, use_time_loss=False)
-        _, _, rt = adapt.adapt_and_predict(params, batches[0], only_time, weights)
-        _, _, rs = adapt.adapt_and_predict(params, batches[0], only_state, weights)
+        _, rt = adapt.adapt_and_predict(params, batches[0], only_time, weights)
+        _, rs = adapt.adapt_and_predict(params, batches[0], only_state, weights)
         assert rt.state_losses == [0.0] and rt.time_losses[0] > 0.0
         assert rs.time_losses == [0.0]
 
@@ -104,7 +104,7 @@ class TestEvaluateWithAdaptation:
         in_order = [adapt.adapt_and_predict(params, b, cfg, weights)[0]
                     for b in batches]
         for k in reversed(range(len(batches))):
-            again, _, _ = adapt.adapt_and_predict(params, batches[k], cfg, weights)
+            again, _ = adapt.adapt_and_predict(params, batches[k], cfg, weights)
             assert np.array_equal(again, in_order[k])
 
     def test_whole_test_set_as_one_batch(self, setup):
@@ -122,9 +122,9 @@ class TestEvaluateWithAdaptation:
         params, exs, _, weights = setup
         cfg = AdaptConfig(steps=2, lr=0.2)
         batch = ingest.make_batches(exs, max_len=6, batch_size=len(exs))[0]
-        ref, _, _ = adapt.adapt_and_predict(params, batch, cfg, weights)
+        ref, _ = adapt.adapt_and_predict(params, batch, cfg, weights)
         batch.target_item = rng.integers(1, 21, batch.size)
-        poisoned, _, _ = adapt.adapt_and_predict(params, batch, cfg, weights)
+        poisoned, _ = adapt.adapt_and_predict(params, batch, cfg, weights)
         assert np.array_equal(ref, poisoned)
 
     def test_noop_config_reproduces_frozen_metrics(self, setup):
@@ -149,9 +149,9 @@ class TestBaseParametersUntouched:
     def test_adapt_and_predict(self, setup):
         params, _, batches, weights = setup
         before = {n: params[n].data for n in params.names()}
-        _, items, rep = adapt.adapt_and_predict(
-            params, batches[0], AdaptConfig(steps=2, lr=0.2), weights, top_k=None)
-        assert items is None and not rep.aborted
+        _, rep = adapt.adapt_and_predict(
+            params, batches[0], AdaptConfig(steps=2, lr=0.2), weights)
+        assert not rep.aborted
         self._assert_untouched(params, before)
 
     def test_evaluate_with_adaptation(self, setup):

@@ -44,6 +44,17 @@ def test_stop_gradient_blocks_flow():
     assert np.all(g["p"] == 0.0)
 
 
+def test_no_grad_records_no_graph_and_restores():
+    p = ag.parameter(np.array([2.0, 3.0]))
+    with ag.no_grad():
+        y = ag.mul(p, p)
+    assert not y.requires_grad and y._parents == () and y._backward is None
+    assert np.array_equal(y.data, ag.mul(p, p).data)
+    with pytest.raises(ag.ShapeError), ag.no_grad():
+        ag.add(p, ag.constant(np.ones(3)))
+    assert ag.mul(p, p).requires_grad   # recording resumes after an error
+
+
 def test_unreachable_parameter_gets_zero_gradient():
     p = ag.parameter(np.array([1.0]))
     q = ag.parameter(np.array([5.0]))

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import pytest
 
@@ -27,6 +28,15 @@ def base_config(tmp_path, **over):
         else:
             cfg[key] = val
     return cfg
+
+
+def rewrite_manifest(raw, edit):
+    """Checkpoint bytes with the JSON manifest replaced by its edited copy."""
+    (mlen,) = struct.unpack("<Q", raw[8:16])
+    manifest = json.loads(raw[16:16 + mlen])
+    edit(manifest)
+    blob = json.dumps(manifest).encode()
+    return raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + mlen:]
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -173,7 +183,11 @@ class TestEvalCommand:
         lambda raw: raw[:-100],                      # payload cut short
         lambda raw: raw[:10],                        # header cut short
         lambda raw: raw[:16] + b"\xff" * 8 + raw[24:],   # manifest not UTF-8
-    ], ids=["cut-100-bytes", "ten-bytes", "manifest-undecodable"])
+        lambda raw: rewrite_manifest(raw, lambda m: m["config"].update(bogus=1)),
+        lambda raw: rewrite_manifest(raw, lambda m: m.pop("tensors")),
+        lambda raw: rewrite_manifest(raw, lambda m: m["tensors"][0].update(offset=1.5)),
+    ], ids=["cut-100-bytes", "ten-bytes", "manifest-undecodable",
+            "unknown-config-key", "no-tensor-list", "float-offset"])
     def test_damaged_checkpoint_is_numeric_error(self, trained, damage, capsys):
         path, ck, tmp = trained
         bad = tmp / "damaged.bin"
