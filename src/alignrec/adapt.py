@@ -1,10 +1,12 @@
 """Per-batch test-time adaptation.
 
 For each test batch: take M plain gradient steps on the weighted
-self-supervised alignment losses (no labels are touched) over a read-only
-overlay of the parameters, then predict with the adapted overlay. The
-checkpoint arrays are never written, so batches are completely independent
-of each other and need no snapshot or restore.
+self-supervised alignment losses, mu1_test * L_time + mu2_test * L_state
+(no labels are touched), over a read-only overlay of the parameters, then
+predict with the adapted overlay. A term with weight zero is not computed,
+and with both weights zero no step is taken, so prediction equals the
+frozen model's. The checkpoint arrays are never written, so batches are
+completely independent of each other and need no snapshot or restore.
 """
 
 from __future__ import annotations
@@ -32,10 +34,8 @@ class AdaptError(RuntimeError):
 class AdaptConfig:
     steps: int = 1                   # M
     lr: float = 0.005                # alpha
-    mu1_test: float = 1e-2
-    mu2_test: float = 1e-1
-    use_time_loss: bool = True
-    use_state_loss: bool = True
+    mu1_test: float = 1e-2           # time-loss weight; 0 leaves the term out
+    mu2_test: float = 1e-1           # state-loss weight; 0 leaves the term out
     batch_policy: str = "whole"      # "whole" | "fixed"
     batch_size: int = 256            # used by the "fixed" policy
 
@@ -44,6 +44,9 @@ class AdaptConfig:
             raise ValueError(f"AdaptConfig: steps must be >= 0, got {self.steps}")
         if self.lr < 0:
             raise ValueError(f"AdaptConfig: lr must be >= 0, got {self.lr}")
+        for n in ("mu1_test", "mu2_test"):
+            if not getattr(self, n) >= 0:  # also rejects NaN
+                raise ValueError(f"AdaptConfig: {n} must be >= 0, got {getattr(self, n)}")
         if self.batch_policy not in ("whole", "fixed"):
             raise ValueError(f"AdaptConfig: unknown batch_policy {self.batch_policy!r}")
 
@@ -69,20 +72,6 @@ def _logits_digest(logits):
     return hashlib.sha256(np.ascontiguousarray(logits).tobytes()).hexdigest()[:16]
 
 
-def _ssl_losses(params, batch, weights, cfg):
-    """Forward pass plus whichever alignment losses are enabled."""
-    trace = forward_full(params, batch, training=False, need_logits=False)
-    t_loss = s_loss = None
-    warned = 0
-    if cfg.use_time_loss:
-        t_loss, _ = L.batch_time_loss(params, trace, batch, weights)
-    if cfg.use_state_loss:
-        s_loss, inter = L.state_alignment_loss(
-            params, trace, dilution_power=weights.dilution_power)
-        warned = inter.clamp_warnings
-    return trace, t_loss, s_loss, warned
-
-
 def adapt_and_predict(params, batch, cfg, weights):
     """Algorithm: M self-supervised gradient steps on `params.overlay()`,
     then predict. Returns (logits, AdaptReport).
@@ -92,18 +81,18 @@ def adapt_and_predict(params, batch, cfg, weights):
     """
     report = AdaptReport()
     live = params.overlay()
-    w = L.LossWeights(mu1_test=cfg.mu1_test, mu2_test=cfg.mu2_test,
-                      lam=weights.lam, block_size=weights.block_size,
-                      dilution_power=weights.dilution_power)
+    steps = cfg.steps if (cfg.mu1_test or cfg.mu2_test) else 0
 
     t0 = time.perf_counter()
     try:
-        for _ in range(cfg.steps):
-            trace, t_loss, s_loss, warned = _ssl_losses(live, batch, weights, cfg)
+        for _ in range(steps):
+            trace = forward_full(live, batch, training=False, need_logits=False)
+            t_loss, s_loss, warned = L.alignment_losses(
+                live, trace, batch, weights, cfg.mu1_test, cfg.mu2_test)
             report.clamp_warnings += warned
             report.time_losses.append(float(t_loss.data) if t_loss is not None else 0.0)
             report.state_losses.append(float(s_loss.data) if s_loss is not None else 0.0)
-            total = L.total_loss(None, t_loss, s_loss, w, phase="test")
+            total = L.total_loss(None, t_loss, s_loss, cfg, phase="test")
             if not np.isfinite(total.data):
                 raise AdaptError("non-finite adaptation loss")
             grads = ag.grad(total, live.as_dict())

@@ -16,7 +16,7 @@ import contextlib
 import numpy as np
 
 __all__ = [
-    "Tensor", "ShapeError", "DomainError", "GradStore",
+    "Tensor", "ShapeError", "DomainError",
     "constant", "parameter",
     "add", "sub", "neg", "mul", "div", "matmul", "exp", "log", "sqrt",
     "softplus", "sigmoid", "silu", "relu", "outer", "concat", "reshape",
@@ -35,10 +35,6 @@ class ShapeError(ValueError):
 
 class DomainError(ValueError):
     """Raised when an input leaves the mathematical domain of a primitive."""
-
-
-# map parameter name -> gradient ndarray
-GradStore = dict
 
 
 class Tensor:
@@ -476,10 +472,18 @@ def reshape(a, shape):
 def _getitem(a, key):
     a = _as_tensor(a)
     out_data = a.data[key]
+    # an integer index array may repeat an entry, whose gradients must add
+    # up; np.add.at does that but is several times slower on plain slices
+    parts = key if isinstance(key, tuple) else (key,)
+    scatter = any(isinstance(p, (list, np.ndarray)) and np.asarray(p).dtype.kind in "iu"
+                  for p in parts)
 
     def bw(g, acc):
         full = np.zeros_like(a.data)
-        full[key] += g
+        if scatter:
+            np.add.at(full, key, g)
+        else:
+            full[key] += g
         acc(a, full)
 
     return _node(np.array(out_data, copy=True), (a,), bw)

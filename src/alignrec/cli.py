@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -136,7 +137,12 @@ def cmd_eval(args):
     split = ingest.leave_one_out_split(ds)
     weights = pipeline.resolve_weights(cfg, split.train)
     if "lam" in extra:
-        weights.lam = float(extra["lam"])
+        lam = extra["lam"]
+        if (isinstance(lam, bool) or not isinstance(lam, (int, float))
+                or not math.isfinite(lam) or lam <= 0):
+            raise model.ModelError(
+                f"checkpoint lam must be a positive finite number, got {lam!r}")
+        weights.lam = float(lam)
 
     ttt = args.ttt == "on"
     report, adapt_reports, per_example = pipeline.evaluate_run(

@@ -17,7 +17,7 @@ from .ingest import GeneratorSpec
 class ConfigError(ValueError):
     def __init__(self, problems):
         self.problems = list(problems)
-        super().__init__("invalid configuration:\n  - " + "\n  - ".join(self.problems))
+        super().__init__("invalid configuration: " + "; ".join(self.problems))
 
 
 @dataclass
@@ -141,9 +141,9 @@ def load_config(source=None, preset=None, overrides=None, ablate=()):
         if flag in ("state", "both"):
             merged["losses"]["mu2_train"] = 0.0
         if flag in ("time-test", "both-test"):
-            merged["adapt"]["use_time_loss"] = False
+            merged["adapt"]["mu1_test"] = 0.0
         if flag in ("state-test", "both-test"):
-            merged["adapt"]["use_state_loss"] = False
+            merged["adapt"]["mu2_test"] = 0.0
 
     problems = []
     cfg = None

@@ -87,9 +87,8 @@ def batch_rank_metrics(logits, targets, k, mask_pad=True):
     m = z.shape[0]
     zt = z[np.arange(m), t]
     greater = np.sum(z > zt[:, None], axis=1)
-    ties_before = np.zeros(m, dtype=np.int64)
-    for i in range(m):
-        ties_before[i] = np.sum(z[i, :t[i]] == zt[i])
+    ties_before = np.sum((z == zt[:, None]) & (np.arange(z.shape[1]) < t[:, None]),
+                         axis=1)
     r = 1 + greater + ties_before
     hit = r <= k
     out = np.zeros((m, 4), dtype=np.float64)
@@ -118,19 +117,19 @@ def aggregate(per_example, k, segments=None):
                          k=k, segments=segments or [])
 
 
-def segment_analysis(examples, eval_fn, k_segments=4, k=10, baseline_fn=None):
-    """Evaluate examples once, then break the metrics down by target-time
-    segment. With a baseline_fn, each segment also reports the delta.
+def segment_analysis(examples, rows, k_segments=4, k=10, baseline_rows=None):
+    """Break per-example metric rows down by target-time segment. With
+    baseline_rows, each segment also reports the NDCG delta to them.
 
-    eval_fn(examples) must return per-example metric rows (n, 3) in input
-    order.
+    rows (and baseline_rows) hold one metric row [recall, rr, ndcg, ...]
+    per example, in the order of `examples`.
     """
     from .ingest import segment_indices_by_time
 
-    rows = np.asarray(eval_fn(examples), dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.float64)
     base_rows = None
-    if baseline_fn is not None:
-        base_rows = np.asarray(baseline_fn(examples), dtype=np.float64)
+    if baseline_rows is not None:
+        base_rows = np.asarray(baseline_rows, dtype=np.float64)
     groups = segment_indices_by_time(examples, k_segments)
 
     segments = []

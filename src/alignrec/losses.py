@@ -23,8 +23,6 @@ class LossError(ValueError):
 class LossWeights:
     mu1_train: float = 0.1
     mu2_train: float = 1.0
-    mu1_test: float = 1e-2
-    mu2_test: float = 1e-1
     lam: float = 1.0            # seconds; scale for time-gap differences
     block_size: int = 10
     dilution_power: int = 2     # exponent of the delta divisor in the state loss
@@ -34,7 +32,7 @@ class LossWeights:
             raise LossError(f"lam must be positive, got {self.lam}")
         if self.block_size < 2:
             raise LossError(f"block_size must be >= 2, got {self.block_size}")
-        for n in ("mu1_train", "mu2_train", "mu1_test", "mu2_test"):
+        for n in ("mu1_train", "mu2_train"):
             if getattr(self, n) < 0:
                 raise LossError(f"{n} must be non-negative")
 
@@ -186,25 +184,42 @@ def state_loss_bound(trace, ext, inter):
 
 
 def total_loss(rec, time, state, weights, phase):
-    """Combine the three objectives for a phase; the test phase drops rec."""
+    """Combine the objectives for a phase; the test phase drops rec.
+
+    `weights` carries mu1_train/mu2_train for "train" (LossWeights) and
+    mu1_test/mu2_test for "test" (AdaptConfig). A term with weight zero or
+    value None is left out.
+    """
     if phase == "train":
-        out = rec
-        if weights.mu1_train != 0.0 and time is not None:
-            out = ag.add(out, ag.mul(time, weights.mu1_train))
-        if weights.mu2_train != 0.0 and state is not None:
-            out = ag.add(out, ag.mul(state, weights.mu2_train))
-        return out
-    if phase == "test":
-        out = None
-        if time is not None:
-            out = ag.mul(time, weights.mu1_test)
-        if state is not None:
-            term = ag.mul(state, weights.mu2_test)
+        out, mu1, mu2 = rec, weights.mu1_train, weights.mu2_train
+    elif phase == "test":
+        out, mu1, mu2 = None, weights.mu1_test, weights.mu2_test
+    else:
+        raise LossError(f"total_loss: unknown phase {phase!r}")
+    for term, mu in ((time, mu1), (state, mu2)):
+        if mu != 0.0 and term is not None:
+            term = ag.mul(term, mu)
             out = term if out is None else ag.add(out, term)
-        if out is None:
-            raise LossError("total_loss: test phase needs at least one alignment loss")
-        return out
-    raise LossError(f"total_loss: unknown phase {phase!r}")
+    if out is None:
+        raise LossError("total_loss: test phase needs at least one alignment loss")
+    return out
+
+
+def alignment_losses(params, trace, batch, weights, mu_time, mu_state):
+    """The time and state alignment losses whose weight is non-zero.
+
+    Returns (time loss or None, state loss or None, clamp warnings); a term
+    with weight zero is not computed.
+    """
+    t_loss = s_loss = None
+    clamp_warnings = 0
+    if mu_time:
+        t_loss, _ = batch_time_loss(params, trace, batch, weights)
+    if mu_state:
+        s_loss, inter = state_alignment_loss(
+            params, trace, dilution_power=weights.dilution_power)
+        clamp_warnings = inter.clamp_warnings
+    return t_loss, s_loss, clamp_warnings
 
 
 def batch_time_loss(params, trace, batch, weights):

@@ -144,14 +144,11 @@ class StepExtension:
 class ForwardTrace:
     """Intermediates retained for the losses and for verification."""
     X: Tensor             # (m, L, d) scan input (masked)
-    B: Tensor             # (m, L, d_s)
     C: Tensor             # (m, L, d_s)
     delta: Tensor         # (m, L)
     abar: Tensor          # (m, L)
     bbar: Tensor          # (m, L, d_s)
     h_final: Tensor       # (m, d_s, d)
-    Y: Tensor             # (m, L, d)
-    O: Tensor             # (m, L, d)
     o_last: Tensor        # (m, d)
     x_last: Tensor        # (m, d) last valid scan input
     logits: Tensor        # (m, |V|)
@@ -287,10 +284,10 @@ def forward_full(params, batch, rng=None, training=False, need_logits=True,
         wrapped = ag.layer_norm(ag.add(seq, Y), params[f"block{b}.ln_block_g"],
                                 params[f"block{b}.ln_block_b"])
         O = ffn_and_norm(params, wrapped, rng=rng, training=training, block=b)
-        last = (X, B, C, delta, abar, bbar, h_final, Y, O, A, Xz, chan)
+        last = (X, C, delta, abar, bbar, h_final, O, A, Xz, chan)
         seq = O
 
-    X, B, C, delta, abar, bbar, h_final, Y, O, A, Xz, chan = last
+    X, C, delta, abar, bbar, h_final, O, A, Xz, chan = last
     align_block = cfg.n_blocks - 1
     o_last = ag.gather_time(O, batch.last_index)
     x_last = ag.gather_time(Xz, batch.last_index)
@@ -306,8 +303,8 @@ def forward_full(params, batch, rng=None, training=False, need_logits=True,
     else:
         ext = None
 
-    return ForwardTrace(X=X, B=B, C=C, delta=delta, abar=abar, bbar=bbar,
-                        h_final=h_final, Y=Y, O=O, o_last=o_last,
+    return ForwardTrace(X=X, C=C, delta=delta, abar=abar, bbar=bbar,
+                        h_final=h_final, o_last=o_last,
                         x_last=x_last, logits=logits, A=A, extension=ext)
 
 

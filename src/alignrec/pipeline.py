@@ -42,7 +42,6 @@ def resolve_weights(cfg, train_examples):
         lam = ingest.median_positive_interval(train_examples)
     return L.LossWeights(
         mu1_train=cfg.losses.mu1_train, mu2_train=cfg.losses.mu2_train,
-        mu1_test=cfg.adapt.mu1_test, mu2_test=cfg.adapt.mu2_test,
         lam=float(lam), block_size=cfg.losses.block_size,
         dilution_power=cfg.losses.dilution_power)
 
@@ -92,12 +91,8 @@ def train_model(cfg, log_lines=None, progress=None):
         for batch in batches:
             trace = model.forward_full(params, batch, rng=rng, training=True)
             rec = L.rec_loss(trace.logits, batch.target_item)
-            tl = sl = None
-            if weights.mu1_train:
-                tl, _ = L.batch_time_loss(params, trace, batch, weights)
-            if weights.mu2_train:
-                sl, _ = L.state_alignment_loss(
-                    params, trace, dilution_power=weights.dilution_power)
+            tl, sl, _ = L.alignment_losses(params, trace, batch, weights,
+                                           weights.mu1_train, weights.mu2_train)
             total = L.total_loss(rec, tl, sl, weights, phase="train")
             if not np.isfinite(total.data):
                 raise PipelineError(
@@ -146,40 +141,24 @@ def test_batches(cfg, split):
 
 def evaluate_run(cfg, params, weights, split, ttt=True, k=10, k_segments=4,
                  with_baseline_delta=False):
-    """Metrics + segment breakdown for the test split, frozen or adapted."""
+    """Metrics + segment breakdown for the test split, frozen or adapted.
+
+    Returns (MetricsReport, AdaptReports, per-example rows); with ttt and
+    with_baseline_delta each segment also reports the delta to frozen.
+    """
     batches = test_batches(cfg, split)
-
-    def frozen_fn(examples):
-        ebatches = ingest.make_batches(examples, cfg.data.max_len,
-                                       batches[0].size if batches else 1,
-                                       cfg.data.pad_side)
-        return adapt_mod.evaluate_frozen(params, ebatches, k=k)
-
     reports = []
-
-    def adapted_fn(examples):
-        ebatches = ingest.make_batches(examples, cfg.data.max_len,
-                                       batches[0].size if batches else 1,
-                                       cfg.data.pad_side)
-        rows, reps = adapt_mod.evaluate_with_adaptation(
-            params, ebatches, cfg.adapt, weights, k=k)
-        reports.extend(reps)
-        return rows
-
-    main_fn = adapted_fn if ttt else frozen_fn
-    captured = []
-
-    def capturing_fn(examples):
-        rows = main_fn(examples)
-        captured.append(np.asarray(rows))
-        return rows
-
-    baseline = frozen_fn if (ttt and with_baseline_delta) else None
-    report = evaluation.segment_analysis(split.test, capturing_fn,
-                                         k_segments=k_segments, k=k,
-                                         baseline_fn=baseline)
-    per_example = captured[0] if captured else np.zeros((0, 4))
-    return report, reports, per_example
+    baseline = None
+    if ttt:
+        rows, reports = adapt_mod.evaluate_with_adaptation(
+            params, batches, cfg.adapt, weights, k=k)
+        if with_baseline_delta:
+            baseline = adapt_mod.evaluate_frozen(params, batches, k=k)
+    else:
+        rows = adapt_mod.evaluate_frozen(params, batches, k=k)
+    report = evaluation.segment_analysis(split.test, rows, k_segments=k_segments,
+                                         k=k, baseline_rows=baseline)
+    return report, reports, rows
 
 
 # desk-scale interest-shift benchmark: staggered user windows over a global

@@ -72,14 +72,18 @@ class TestAdaptAndPredict:
         assert np.array_equal(logits, frozen_logits(params, batches[0]),
                               equal_nan=True)
 
-    def test_loss_subset_flags(self, setup):
+    def test_zero_weight_skips_its_loss(self, setup):
         params, _, batches, weights = setup
-        only_time = AdaptConfig(steps=1, lr=0.1, use_state_loss=False)
-        only_state = AdaptConfig(steps=1, lr=0.1, use_time_loss=False)
+        only_time = AdaptConfig(steps=1, lr=0.1, mu2_test=0.0)
+        only_state = AdaptConfig(steps=1, lr=0.1, mu1_test=0.0)
         _, rt = adapt.adapt_and_predict(params, batches[0], only_time, weights)
         _, rs = adapt.adapt_and_predict(params, batches[0], only_state, weights)
         assert rt.state_losses == [0.0] and rt.time_losses[0] > 0.0
-        assert rs.time_losses == [0.0]
+        assert rs.time_losses == [0.0] and rs.state_losses[0] > 0.0
+        neither = AdaptConfig(steps=2, lr=0.1, mu1_test=0.0, mu2_test=0.0)
+        logits, rn = adapt.adapt_and_predict(params, batches[0], neither, weights)
+        assert rn.time_losses == [] and rn.state_losses == []   # no step taken
+        assert np.array_equal(logits, frozen_logits(params, batches[0]))
 
 
 class TestEvaluateWithAdaptation:

@@ -63,6 +63,17 @@ def test_unreachable_parameter_gets_zero_gradient():
     assert np.all(g["q"] == 0.0)
 
 
+def test_getitem_gradient_adds_repeated_indices():
+    x = ag.parameter(np.array([1.0, 2.0, 3.0]))
+    g = ag.grad(ag.reduce_sum(x[[0, 0, 2]]), {"x": x})
+    assert np.array_equal(g["x"], [2.0, 0.0, 1.0])
+    y = ag.parameter(np.ones((3, 4)))
+    g = ag.grad(ag.reduce_sum(y[np.array([1, 1, 0]), 1:3]), {"y": y})
+    assert np.array_equal(g["y"], [[0, 1, 1, 0], [0, 2, 2, 0], [0, 0, 0, 0]])
+    g = ag.grad(ag.reduce_sum(y[..., 1:3]), {"y": y})   # basic slice
+    assert np.array_equal(g["y"], np.tile([0.0, 1.0, 1.0, 0.0], (3, 1)))
+
+
 def test_grad_rejects_non_scalar_loss():
     p = ag.parameter(np.array([1.0, 2.0]))
     with pytest.raises(ag.ShapeError):

@@ -78,9 +78,9 @@ class TestConfig:
         cfg = load_config(src, ablate=["time"])
         assert cfg.losses.mu1_train == 0.0 and cfg.losses.mu2_train != 0.0
         cfg = load_config(src, ablate=["state-test"])
-        assert cfg.adapt.use_state_loss is False and cfg.adapt.use_time_loss is True
+        assert cfg.adapt.mu2_test == 0.0 and cfg.adapt.mu1_test == 1e-2
         cfg = load_config(src, ablate=["both-test"])
-        assert not cfg.adapt.use_state_loss and not cfg.adapt.use_time_loss
+        assert cfg.adapt.mu1_test == 0.0 and cfg.adapt.mu2_test == 0.0
         with pytest.raises(ConfigError):
             load_config(src, ablate=["everything"])
 
@@ -171,6 +171,29 @@ class TestEvalCommand:
         assert cli.main(["eval", "--config", path, "--checkpoint", ck,
                          "--ttt", "on", "--ablate", "state-test"]) == 0
 
+    def test_both_test_ablation_equals_frozen(self, trained, capsys):
+        path, ck, tmp = trained
+        assert cli.main(["eval", "--config", path, "--checkpoint", ck,
+                         "--ttt", "off"]) == 0
+        frozen = json.load(open(tmp / "run" / "metrics_frozen.json"))
+        assert cli.main(["eval", "--config", path, "--checkpoint", ck,
+                         "--ttt", "on", "--ablate", "both-test"]) == 0
+        ttt = json.load(open(tmp / "run" / "metrics_ttt.json"))
+        for key in ("recall_at_k", "mrr_at_k", "ndcg_at_k"):
+            assert ttt[key] == frozen[key]
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_negative_test_weight_is_config_error(self, trained, tmp_path, capsys):
+        path, ck, tmp = trained
+        bad = base_config(tmp_path, adapt={"mu1_test": -1})
+        path_bad = write_config(tmp_path, bad, name="bad_mu.json")
+        capsys.readouterr()
+        assert cli.main(["eval", "--config", path_bad, "--checkpoint", ck,
+                         "--ttt", "on"]) == 2
+        err = capsys.readouterr().err
+        assert "mu1_test" in err and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_architecture_mismatch_is_config_error(self, trained, tmp_path):
         path, ck, tmp = trained
         bad = base_config(tmp_path, model={"d": 16, "d_s": 8, "conv_width": 3,
@@ -186,8 +209,12 @@ class TestEvalCommand:
         lambda raw: rewrite_manifest(raw, lambda m: m["config"].update(bogus=1)),
         lambda raw: rewrite_manifest(raw, lambda m: m.pop("tensors")),
         lambda raw: rewrite_manifest(raw, lambda m: m["tensors"][0].update(offset=1.5)),
+        lambda raw: rewrite_manifest(raw, lambda m: m["extra"].update(lam="abc")),
+        lambda raw: rewrite_manifest(raw, lambda m: m["extra"].update(lam=None)),
+        lambda raw: rewrite_manifest(raw, lambda m: m["extra"].update(lam=-5)),
     ], ids=["cut-100-bytes", "ten-bytes", "manifest-undecodable",
-            "unknown-config-key", "no-tensor-list", "float-offset"])
+            "unknown-config-key", "no-tensor-list", "float-offset",
+            "lam-string", "lam-null", "lam-negative"])
     def test_damaged_checkpoint_is_numeric_error(self, trained, damage, capsys):
         path, ck, tmp = trained
         bad = tmp / "damaged.bin"

@@ -56,14 +56,15 @@ class TestRankMetrics:
 
 class TestBatchMetrics:
     def test_matches_scalar_path(self, rng):
-        z = rng.normal(size=(20, 15))
         t = rng.integers(1, 15, 20)
-        rows = batch_rank_metrics(z, t, 10)
-        for i in range(20):
-            zi = z[i].copy()
-            zi[0] = -np.inf  # padding exclusion applied by the batch path
-            assert tuple(rows[i, :3]) == rank_metrics(zi, t[i], 10)
-            assert rows[i, 3] == target_rank(zi, t[i])
+        for z in (rng.normal(size=(20, 15)),
+                  rng.integers(0, 3, (20, 15)).astype(float)):  # heavy ties
+            rows = batch_rank_metrics(z, t, 10)
+            for i in range(20):
+                zi = z[i].copy()
+                zi[0] = -np.inf  # padding exclusion applied by the batch path
+                assert tuple(rows[i, :3]) == rank_metrics(zi, t[i], 10)
+                assert rows[i, 3] == target_rank(zi, t[i])
 
     def test_padding_index_never_recommended(self, rng):
         z = rng.normal(size=(5, 8))
@@ -84,11 +85,7 @@ class TestBatchMetrics:
 class TestSegmentAnalysis:
     def test_identical_model_identical_segments(self):
         exs = [Example(f"u{i}", [1], [0], 1, i) for i in range(8)]
-
-        def eval_fn(examples):
-            return np.tile([1.0, 0.5, 0.7], (len(examples), 1))
-
-        rep = segment_analysis(exs, eval_fn, k_segments=4)
+        rep = segment_analysis(exs, np.tile([1.0, 0.5, 0.7], (8, 1)), k_segments=4)
         assert len(rep.segments) == 4
         for seg in rep.segments:
             assert seg["ndcg_at_k"] == pytest.approx(0.7)
@@ -96,9 +93,8 @@ class TestSegmentAnalysis:
 
     def test_baseline_deltas_reported(self):
         exs = [Example(f"u{i}", [1], [0], 1, i) for i in range(8)]
-        rep = segment_analysis(
-            exs, lambda e: np.full((len(e), 3), 0.9),
-            k_segments=4, baseline_fn=lambda e: np.full((len(e), 3), 0.6))
+        rep = segment_analysis(exs, np.full((8, 3), 0.9), k_segments=4,
+                               baseline_rows=np.full((8, 3), 0.6))
         for seg in rep.segments:
             assert seg["ndcg_delta"] == pytest.approx(0.3)
 
@@ -107,7 +103,7 @@ class TestSegmentAnalysis:
                for i, ts in enumerate(rng.integers(0, 100, 10))]
         rows = rng.random((10, 3))
 
-        rep = segment_analysis(exs, lambda e: rows, k_segments=4)
+        rep = segment_analysis(exs, rows, k_segments=4)
         order = np.argsort([e.target_timestamp for e in exs], kind="stable")
         sizes = [3, 3, 2, 2]
         pos = 0

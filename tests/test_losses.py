@@ -3,6 +3,7 @@ import pytest
 
 from alignrec import autograd as ag
 from alignrec import losses, model
+from alignrec.adapt import AdaptConfig
 from alignrec.losses import LossWeights
 from alignrec.model import StepExtension
 from conftest import random_batch, tiny_params
@@ -317,11 +318,15 @@ class TestTotalLoss:
         assert float(out.data) == 1.7
 
     def test_test_phase_ignores_rec(self):
-        w = LossWeights(mu1_test=0.5, mu2_test=0.25)
+        w = AdaptConfig(mu1_test=0.5, mu2_test=0.25)
         out = losses.total_loss(ag.constant(np.array(1e9)),
                                 ag.constant(np.array(2.0)),
                                 ag.constant(np.array(4.0)), w, "test")
         assert float(out.data) == 0.5 * 2.0 + 0.25 * 4.0
+        w = AdaptConfig(mu1_test=0.0, mu2_test=0.25)
+        out = losses.total_loss(None, ag.constant(np.array(np.inf)),
+                                ag.constant(np.array(4.0)), w, "test")
+        assert float(out.data) == 0.25 * 4.0
 
     def test_train_combination(self):
         w = LossWeights(mu1_train=0.1, mu2_train=1.0)
@@ -335,7 +340,7 @@ class TestTotalLoss:
         assert w.mu1_train == 0.1 and w.mu2_train == 1.0
 
     def test_default_test_weights(self):
-        w = LossWeights()
+        w = AdaptConfig()
         assert w.mu1_test == 1e-2 and w.mu2_test == 1e-1
 
     def test_invalid_weights_rejected(self):
