@@ -11,7 +11,6 @@ completely independent of each other and need no snapshot or restore.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass, field
 
@@ -58,7 +57,6 @@ class AdaptConfig:
 class AdaptReport:
     time_losses: list = field(default_factory=list)
     state_losses: list = field(default_factory=list)
-    post_logits_checksum: str = ""
     aborted: bool = False
     clamp_warnings: int = 0
     seconds_adapt: float = 0.0
@@ -66,10 +64,6 @@ class AdaptReport:
 
     def to_dict(self):
         return dict(self.__dict__)
-
-
-def _logits_digest(logits):
-    return hashlib.sha256(np.ascontiguousarray(logits).tobytes()).hexdigest()[:16]
 
 
 def adapt_and_predict(params, batch, cfg, weights):
@@ -107,7 +101,6 @@ def adapt_and_predict(params, batch, cfg, weights):
         logits = forward_full(live, batch, training=False,
                               need_extension=False).logits.data
     report.seconds_predict = time.perf_counter() - t1
-    report.post_logits_checksum = _logits_digest(logits)
     return logits, report
 
 

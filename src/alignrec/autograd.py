@@ -4,6 +4,7 @@ A Tensor wraps an ndarray plus the graph bookkeeping needed for backward().
 Every primitive builds its output value eagerly and attaches a closure that
 propagates gradients to its parents. The op set is exactly what the model
 and its losses need; there is no graph optimizer, no higher-order grads.
+Indexing a Tensor is the only gather, and its backward the only scatter-add.
 
 float64 is the working precision for training and adaptation; float32 is
 accepted for throughput runs (ops preserve the input dtype).
@@ -14,14 +15,14 @@ from __future__ import annotations
 import contextlib
 
 import numpy as np
+from scipy.special import expit as _sigmoid
 
 __all__ = [
     "Tensor", "ShapeError", "DomainError",
     "constant", "parameter",
-    "add", "sub", "neg", "mul", "div", "matmul", "exp", "log", "sqrt",
-    "softplus", "sigmoid", "silu", "relu", "outer", "concat", "reshape",
-    "reduce_sum", "reduce_mean", "clip_min", "stop_gradient",
-    "masked_select", "take_flat", "gather_time", "embedding",
+    "add", "sub", "neg", "mul", "div", "matmul", "exp",
+    "softplus", "silu", "relu", "outer", "concat", "reshape",
+    "reduce_sum", "clip_min", "stop_gradient", "embedding",
     "causal_conv1d", "layer_norm", "dropout",
     "softmax_cross_entropy", "frobenius_norm",
     "einsum", "scan_step", "sequential_scan",
@@ -72,42 +73,8 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; all real work happens in the module-level primitives
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return _getitem(self, key)
-
-    def backward(self):
-        backward(self)
 
 
 def constant(data, name=None):
@@ -319,42 +286,6 @@ def exp(a):
     return _node(out_data, (a,), bw)
 
 
-def log(a):
-    a = _as_tensor(a)
-    if np.any(a.data <= 0.0):
-        raise DomainError("log: non-positive input")
-    out_data = np.log(a.data)
-
-    def bw(g, acc):
-        acc(a, g / a.data)
-
-    return _node(out_data, (a,), bw)
-
-
-def sqrt(a):
-    a = _as_tensor(a)
-    if np.any(a.data < 0.0):
-        raise DomainError("sqrt: negative input")
-    out_data = np.sqrt(a.data)
-
-    def bw(g, acc):
-        acc(a, np.where(out_data > 0.0, g / (2.0 * np.where(out_data > 0, out_data, 1.0)), 0.0))
-
-    return _node(out_data, (a,), bw)
-
-
-from scipy.special import expit as _sigmoid
-
-
-def sigmoid(a):
-    a = _as_tensor(a)
-    out_data = _sigmoid(a.data)
-
-    def bw(g, acc):
-        acc(a, g * out_data * (1.0 - out_data))
-
-    return _node(out_data, (a,), bw)
-
 
 def softplus(a):
     """log(1 + e^x), computed stably; derivative is sigmoid(x)."""
@@ -424,21 +355,6 @@ def reduce_sum(a, axis=None, keepdims=False):
     return _node(out_data, (a,), bw)
 
 
-def reduce_mean(a, axis=None, keepdims=False):
-    a = _as_tensor(a)
-    n = a.data.size if axis is None else np.prod(
-        [a.data.shape[ax] for ax in np.atleast_1d(axis)])
-    out_data = a.data.mean(axis=axis, keepdims=keepdims)
-
-    def bw(g, acc):
-        gg = np.asarray(g) / n
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        acc(a, np.broadcast_to(gg, a.data.shape))
-
-    return _node(out_data, (a,), bw)
-
-
 def clip_min(a, lo):
     """max(a, lo) elementwise; gradient passes only where a >= lo."""
     a = _as_tensor(a)
@@ -466,7 +382,7 @@ def reshape(a, shape):
 
 
 # ---------------------------------------------------------------------------
-# indexing primitives
+# indexing: the engine's one gather and, in its backward, its one scatter-add
 
 
 def _getitem(a, key):
@@ -489,59 +405,14 @@ def _getitem(a, key):
     return _node(np.array(out_data, copy=True), (a,), bw)
 
 
-def take_flat(a, flat_index):
-    """Gather from the flattened tensor; backward scatter-adds."""
-    a = _as_tensor(a)
-    idx = np.asarray(flat_index)
-    out_data = a.data.reshape(-1)[idx]
-
-    def bw(g, acc):
-        full = np.zeros(a.data.size, dtype=a.data.dtype)
-        np.add.at(full, idx, g)
-        acc(a, full.reshape(a.data.shape))
-
-    return _node(out_data, (a,), bw)
-
-
-def masked_select(a, mask):
-    """Select entries where a boolean mask is true, as a 1-D tensor."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != np.shape(a.data if isinstance(a, Tensor) else a):
-        raise ShapeError(f"masked_select: mask shape {mask.shape} does not match input")
-    return take_flat(a, np.flatnonzero(mask.reshape(-1)))
-
-
-def gather_time(a, index):
-    """Pick one time step per row: a (m, L, ...) -> (m, ...)."""
-    a = _as_tensor(a)
-    idx = np.asarray(index)
-    m = a.data.shape[0]
-    rows = np.arange(m)
-    out_data = a.data[rows, idx]
-
-    def bw(g, acc):
-        full = np.zeros_like(a.data)
-        np.add.at(full, (rows, idx), g)
-        acc(a, full)
-
-    return _node(np.array(out_data, copy=True), (a,), bw)
-
-
 def embedding(table, indices):
-    """Row lookup into a (V, d) table; backward scatter-adds into rows."""
+    """Row lookup into a (V, d) table: indexing with a range check."""
     table = _as_tensor(table)
     idx = np.asarray(indices)
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
         raise DomainError(
             f"embedding: index out of range for table with {table.data.shape[0]} rows")
-    out_data = table.data[idx]
-
-    def bw(g, acc):
-        full = np.zeros_like(table.data)
-        np.add.at(full, idx, g)
-        acc(table, full)
-
-    return _node(np.array(out_data, copy=True), (table,), bw)
+    return _getitem(table, idx)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Command-line entry points.
 
 Subcommands: gen (synthesize a dataset), train, eval, gradcheck, sweep.
-Exit codes: 0 success, 2 configuration error, 3 numeric failure.
+Exit codes: 0 success; 2 configuration or input-data error, including a
+missing or unreadable config or data file; 3 numeric failure or unreadable
+checkpoint. Each error prints one line.
 """
 
 from __future__ import annotations
@@ -231,8 +233,13 @@ def cmd_gradcheck(args):
 
 
 def cmd_sweep(args):
+    try:
+        values = [float(v) for v in args.grid.split(",") if v.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise ConfigError([f"--grid must be comma-separated numbers, got {args.grid!r}"])
     cfg = _load(args)
-    values = [float(v) for v in args.grid.split(",") if v.strip()]
     rows = []
     for mu1 in values:
         for mu2 in values:

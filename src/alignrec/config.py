@@ -8,7 +8,7 @@ Two named presets carry the two published hyperparameter sets: "main"
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .adapt import AdaptConfig
 from .ingest import GeneratorSpec
@@ -114,15 +114,56 @@ def _merge(base, over):
     return base
 
 
+SECTIONS = {"data": DataConfig, "model": ModelSection, "losses": LossConfig,
+            "train": TrainConfig, "adapt": AdaptConfig}
+
+
+def _type_ok(value, default):
+    """Whether `value` has the type of a field's default: int and not bool for
+    an int field, int or float for a float field."""
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(default, bool) and isinstance(value, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
+def _field_problems(where, cls, values):
+    """Unknown keys and mistyped values of one dataclass-backed section."""
+    if not isinstance(values, dict):
+        return [f"{where} must be an object, got {values!r}"]
+    known = {f.name: f for f in fields(cls)}
+    p = []
+    for key, val in values.items():
+        f = known.get(key)
+        if f is None:
+            p.append(f"unknown field {where}.{key}")
+            continue
+        default = f.default if f.default is not MISSING else f.default_factory()
+        if (where, key) == ("losses", "lam") and not isinstance(val, str):
+            default = 1.0   # lam is "median" or a number
+        if not _type_ok(val, default):
+            p.append(f"{where}.{key} must be of type {type(default).__name__}, "
+                     f"got {val!r}")
+    return p
+
+
 def load_config(source=None, preset=None, overrides=None, ablate=()):
     """Build a RunConfig from a JSON file/dict, a preset, CLI overrides and
     ablation flags; every problem is collected before raising."""
     raw = {}
     if isinstance(source, str):
-        with open(source, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(source, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except OSError as e:
+            raise ConfigError([f"cannot read config {source}: {e.strerror}"]) from None
+        except ValueError as e:   # JSONDecodeError and UnicodeDecodeError
+            raise ConfigError([f"config {source} is not valid JSON: {e}"]) from None
     elif isinstance(source, dict):
         raw = json.loads(json.dumps(source))
+    if not isinstance(raw, dict):
+        raise ConfigError([f"config must be a JSON object, got {type(raw).__name__}"])
 
     merged = RunConfig().to_dict()
     if preset:
@@ -132,6 +173,16 @@ def load_config(source=None, preset=None, overrides=None, ablate=()):
     _merge(merged, raw)
     if overrides:
         _merge(merged, overrides)
+
+    top = {k: v for k, v in merged.items() if k not in SECTIONS}
+    problems = _field_problems("config", RunConfig, top)
+    for name, cls in SECTIONS.items():
+        problems.extend(_field_problems(name, cls, merged[name]))
+    gen = merged["data"].get("generator") if isinstance(merged["data"], dict) else None
+    if isinstance(gen, dict):
+        problems.extend(_field_problems("data.generator", GeneratorSpec, gen))
+    if problems:
+        raise ConfigError(problems)
 
     for flag in ablate:
         if flag not in ABLATIONS:
@@ -145,23 +196,14 @@ def load_config(source=None, preset=None, overrides=None, ablate=()):
         if flag in ("state-test", "both-test"):
             merged["adapt"]["mu2_test"] = 0.0
 
-    problems = []
-    cfg = None
     try:
-        cfg = RunConfig(
-            seed=int(merged["seed"]),
-            precision=str(merged["precision"]),
-            out_dir=str(merged["out_dir"]),
-            data=DataConfig(**merged["data"]),
-            model=ModelSection(**merged["model"]),
-            losses=LossConfig(**merged["losses"]),
-            train=TrainConfig(**merged["train"]),
-            adapt=AdaptConfig(**merged["adapt"]),
-        )
-    except (TypeError, ValueError) as e:
-        raise ConfigError([str(e)])
+        cfg = RunConfig(**top, **{name: cls(**merged[name])
+                                  for name, cls in SECTIONS.items()})
+        generator_spec(cfg)
+    except ValueError as e:   # AdaptConfig checks its own ranges
+        raise ConfigError([str(e)]) from None
 
-    problems.extend(validate(cfg))
+    problems = validate(cfg)
     if problems:
         raise ConfigError(problems)
     return cfg
@@ -182,8 +224,13 @@ def validate(cfg):
         p.append("data needs either a path or a generator spec")
     if cfg.model.d < 1 or cfg.model.d_s < 1:
         p.append("model dims must be positive")
+    if cfg.model.d_ff < 0:
+        p.append(f"model.d_ff must be >= 0 (0 means 4 * d), got {cfg.model.d_ff}")
     if cfg.model.conv_width < 1:
         p.append("model.conv_width must be >= 1")
+    if cfg.model.extension_history not in ("batch", "zeros"):
+        p.append("model.extension_history must be batch|zeros, "
+                 f"got {cfg.model.extension_history!r}")
     if not (0.0 <= cfg.model.dropout < 1.0):
         p.append(f"model.dropout must be in [0, 1), got {cfg.model.dropout}")
     if cfg.model.n_blocks < 1:
@@ -195,6 +242,8 @@ def validate(cfg):
         p.append(f"losses.lam must be positive, got {cfg.losses.lam}")
     if cfg.losses.block_size < 2:
         p.append(f"losses.block_size must be >= 2, got {cfg.losses.block_size}")
+    if cfg.losses.dilution_power < 0:
+        p.append(f"losses.dilution_power must be >= 0, got {cfg.losses.dilution_power}")
     if cfg.losses.mu1_train < 0 or cfg.losses.mu2_train < 0:
         p.append("training loss weights must be non-negative")
     if cfg.train.lr <= 0:
@@ -207,6 +256,8 @@ def validate(cfg):
         p.append("train.eval_every must be >= 1")
     if cfg.train.patience < 1:
         p.append("train.patience must be >= 1")
+    if cfg.adapt.batch_size < 1:
+        p.append(f"adapt.batch_size must be >= 1, got {cfg.adapt.batch_size}")
     return p
 
 

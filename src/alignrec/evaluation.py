@@ -77,13 +77,12 @@ def rank_metrics(logits, target, k):
     return 1.0, 1.0 / r, 1.0 / np.log2(r + 1.0)
 
 
-def batch_rank_metrics(logits, targets, k, mask_pad=True):
+def batch_rank_metrics(logits, targets, k):
     """Vectorized per-example rows [recall, rr, ndcg, rank] for a (m, V)
     logit matrix; the padding column is excluded from the ranking."""
     z = np.array(logits, dtype=np.float64, copy=True)
     t = np.asarray(targets)
-    if mask_pad:
-        z[:, PAD_INDEX] = -np.inf
+    z[:, PAD_INDEX] = -np.inf
     m = z.shape[0]
     zt = z[np.arange(m), t]
     greater = np.sum(z > zt[:, None], axis=1)
@@ -99,11 +98,11 @@ def batch_rank_metrics(logits, targets, k, mask_pad=True):
     return out
 
 
-def ranked_items(logits, top_k=10, mask_pad=True):
-    """Top item indices per row, stable under ties (lower index first)."""
+def ranked_items(logits, top_k=10):
+    """Top item indices per row, stable under ties (lower index first); the
+    padding column never ranks."""
     z = np.array(logits, dtype=np.float64, copy=True)
-    if mask_pad:
-        z[:, PAD_INDEX] = -np.inf
+    z[:, PAD_INDEX] = -np.inf
     order = np.argsort(-z, axis=1, kind="stable")
     return order[:, :top_k]
 
@@ -150,8 +149,7 @@ def segment_analysis(examples, rows, k_segments=4, k=10, baseline_rows=None):
     return aggregate(rows, k, segments=segments)
 
 
-def throughput(eval_fn, batches, warmup=1, reps=3, batch_size=None,
-               adaptation_enabled=False):
+def throughput(eval_fn, batches, warmup=1, reps=3, adaptation_enabled=False):
     """Median iterations/second over timed repetitions, after warmup passes.
 
     One iteration = one batch through eval_fn.
@@ -169,9 +167,8 @@ def throughput(eval_fn, batches, warmup=1, reps=3, batch_size=None,
         rep_seconds.append(time.perf_counter() - t0)
     med = float(np.median(rep_seconds))
     ips = len(batches) / med if med > 0 else float("inf")
-    bs = batch_size if batch_size is not None else (
-        batches[0].size if batches else 0)
-    return ThroughputReport(iterations_per_second=ips, batch_size=bs,
+    return ThroughputReport(iterations_per_second=ips,
+                            batch_size=batches[0].size if batches else 0,
                             adaptation_enabled=adaptation_enabled,
                             n_batches=len(batches), warmup=warmup, reps=reps,
                             rep_seconds=rep_seconds)

@@ -100,8 +100,11 @@ def load_tsv(path, schema=("user_id", "item_id", "timestamp")):
     order); the vocabulary is built in first-seen order, index 0 reserved
     for padding.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as e:
+        raise IngestError(f"{path}: cannot read ({e.strerror})") from None
     if not lines:
         raise IngestError(f"{path}: empty file")
     header = lines[0].split("\t")
@@ -158,19 +161,14 @@ def filter_min_interactions(ds, k):
             for it in items:
                 counts[it] = counts.get(it, 0) + 1
         bad = {it for it, c in counts.items() if c < k}
-        if not bad and all(len(items) >= k for _, items, _ in users):
+        if not bad:
             break
         pruned = []
         for uid, items, tss in users:
             kept = [(it, ts) for it, ts in zip(items, tss) if it not in bad]
             pruned.append((uid, [it for it, _ in kept], [ts for _, ts in kept]))
-        if pruned == users and not bad:
-            break
         users = pruned
-        if not users:
-            break
 
-    users = [(uid, items, tss) for uid, items, tss in users if len(items) >= k]
     if not users:
         raise IngestError("dataset exhausted by filtering")
 
@@ -332,10 +330,6 @@ class GeneratorSpec:
     def to_json(self):
         d = dict(self.__dict__)
         return json.dumps(d, indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_json(text):
-        return GeneratorSpec(**json.loads(text))
 
 
 def synth_shift_generate(spec, seed):

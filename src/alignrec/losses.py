@@ -90,8 +90,9 @@ def time_alignment_loss(delta_full, T, elig, lam, block_size):
 
     flat_i = rows * n_cols + pi
     flat_j = rows * n_cols + pj
-    d_i = ag.take_flat(delta_full, flat_i)
-    d_j = ag.take_flat(delta_full, flat_j)
+    flat = ag.reshape(delta_full, (-1,))
+    d_i = flat[flat_i]
+    d_j = flat[flat_j]
     t_diff = (T.reshape(-1)[flat_i] - T.reshape(-1)[flat_j]) / lam
     margin = ag.sub(1.0, ag.mul(ag.sub(d_i, d_j), ag.constant(
         t_diff.astype(delta_full.data.dtype))))
@@ -140,7 +141,7 @@ def state_alignment_loss(params, trace, ext=None, dilution_power=2, block=None):
     per_row = dist
     for _ in range(dilution_power):
         per_row = ag.div(per_row, delta_n)
-    loss = ag.reduce_mean(per_row)
+    loss = ag.div(ag.reduce_sum(per_row), per_row.data.shape[0])
 
     dval = delta_n.data
     inter = StateAlignIntermediates(

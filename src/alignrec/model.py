@@ -289,8 +289,9 @@ def forward_full(params, batch, rng=None, training=False, need_logits=True,
 
     X, C, delta, abar, bbar, h_final, O, A, Xz, chan = last
     align_block = cfg.n_blocks - 1
-    o_last = ag.gather_time(O, batch.last_index)
-    x_last = ag.gather_time(Xz, batch.last_index)
+    rows = np.arange(batch.size)
+    o_last = O[rows, batch.last_index]
+    x_last = Xz[rows, batch.last_index]
     logits = predict(params, o_last) if need_logits else None
 
     if need_extension:
@@ -311,15 +312,11 @@ def forward_full(params, batch, rng=None, training=False, need_logits=True,
 def _trailing_window(chan, last_index, width, dtype):
     """Gather the `width` pre-activation steps preceding each row's extension
     position; steps falling before the sequence start contribute zeros."""
-    cols = []
-    last = np.asarray(last_index)
-    for k in range(width):
-        idx = last - (width - 1 - k)
-        valid = idx >= 0
-        col = ag.gather_time(chan, np.where(valid, idx, 0))
-        col = ag.mul(col, ag.constant(valid.astype(dtype)[:, None]))
-        cols.append(ag.reshape(col, (col.data.shape[0], 1, col.data.shape[1])))
-    return ag.concat(cols, axis=1)
+    idx = np.asarray(last_index)[:, None] - np.arange(width - 1, -1, -1)
+    valid = idx >= 0
+    rows = np.arange(idx.shape[0])[:, None]
+    window = chan[rows, np.where(valid, idx, 0)]
+    return ag.mul(window, ag.constant(valid.astype(dtype)[..., None]))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +353,11 @@ def save_checkpoint(path, params, extra=None):
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (ModelParams, extra dict)."""
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as e:
+        raise ModelError(f"{path}: cannot read checkpoint ({e.strerror})") from None
+    with fh:
         size = os.fstat(fh.fileno()).st_size
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise ModelError(f"{path}: bad magic bytes")

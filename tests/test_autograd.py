@@ -91,7 +91,7 @@ def test_shape_errors_name_the_primitive():
 
 def test_domain_errors():
     with pytest.raises(ag.DomainError):
-        ag.log(ag.constant([-1.0]))
+        ag.embedding(ag.constant(np.ones((3, 2))), np.array([0, 3]))
     with pytest.raises(ag.DomainError):
         ag.div(ag.constant([1.0]), ag.constant([0.0]))
 
@@ -298,7 +298,8 @@ def test_causal_conv_matches_direct_sum(rng):
 
 
 def test_structured_primitive_gradients(rng):
-    # conv, layer_norm, embedding, gather_time, take_flat under one scalar head
+    # conv, layer_norm, embedding and integer-array indexing (one step per
+    # row, repeated flat indices) under one scalar head
     m, L, C, w = 2, 5, 3, 3
     k = ag.parameter(rng.normal(size=(w, C)))
     b = ag.parameter(rng.normal(size=C))
@@ -315,8 +316,8 @@ def test_structured_primitive_gradients(rng):
         conv = ag.causal_conv1d(ag.add(x, ag.embedding(E, idx)), k, b)
         ln = ag.layer_norm(conv, gma, bta)
         a = ag.reduce_sum(ag.mul(ln, ag.constant(wts[0])))
-        g = ag.reduce_sum(ag.mul(ag.gather_time(ln, tidx), ag.constant(wts[1])))
-        t = ag.reduce_sum(ag.mul(ag.take_flat(ln, flat), ag.constant(wts[2])))
+        g = ag.reduce_sum(ag.mul(ln[np.arange(m), tidx], ag.constant(wts[1])))
+        t = ag.reduce_sum(ag.mul(ag.reshape(ln, (-1,))[flat], ag.constant(wts[2])))
         return ag.add(ag.add(a, g), t)
 
     params = {"k": k, "b": b, "x": x, "g": gma, "bt": bta, "E": E}
@@ -339,15 +340,6 @@ def test_dropout_modes(rng):
     assert set(np.round(vals, 12)) <= {0.0, 2.0}
     with pytest.raises(ValueError):
         ag.dropout(x, 0.5, training=True)
-
-
-def test_masked_select_and_errors(rng):
-    x = ag.constant(np.arange(6.0).reshape(2, 3))
-    mask = np.array([[True, False, True], [False, False, True]])
-    out = ag.masked_select(x, mask)
-    assert np.array_equal(out.data, [0.0, 2.0, 5.0])
-    with pytest.raises(ag.ShapeError):
-        ag.masked_select(x, np.array([True, False]))
 
 
 def test_softmax_cross_entropy_uniform_and_bruteforce(rng):
@@ -373,13 +365,10 @@ def test_elementwise_gradients(rng):
 
     def f():
         a = ag.exp(ag.mul(p, 0.3))
-        b = ag.log(ag.add(p, 1.0))
+        b = ag.softplus(p)
         c = ag.silu(p)
         d = ag.relu(ag.sub(p, 1.0))
-        e = ag.sigmoid(p)
-        s = ag.sqrt(p)
-        return ag.reduce_sum(ag.add(ag.add(ag.add(a, b), ag.add(c, d)),
-                                    ag.add(e, s)))
+        return ag.reduce_sum(ag.add(ag.add(a, b), ag.add(c, d)))
 
     rep = ag.finite_diff_check(f, {"p": p}, eps=1e-6, tol=1e-6, n_samples=16, rng=rng)
     assert rep.ok, rep.failures

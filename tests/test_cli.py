@@ -45,6 +45,17 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     return str(path)
 
 
+def one_line_error(capsys, argv):
+    """Run the CLI; return its exit code after checking that stderr holds
+    exactly one error line and no traceback."""
+    capsys.readouterr()
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return code
+
+
 class TestConfig:
     def test_presets_carry_published_values(self):
         main = load_config({"data": {"generator": {"n_users": 5}}}, preset="main")
@@ -83,6 +94,28 @@ class TestConfig:
         assert cfg.adapt.mu1_test == 0.0 and cfg.adapt.mu2_test == 0.0
         with pytest.raises(ConfigError):
             load_config(src, ablate=["everything"])
+
+
+    @pytest.mark.parametrize("over", [
+        {"model": {"d_ff": -1}},
+        {"adapt": {"batch_size": 0, "batch_policy": "fixed"}},
+        {"adapt": {"steps": 1.5}},
+        {"losses": {"dilution_power": 1.5}},
+        {"data": {"max_len": 2.5}},
+        {"model": {"dropout": "x"}},
+        {"train": {"epochs": "3"}},
+        {"losses": {"lam": [1]}},
+        {"data": {"generator": {"bogus": 1}}},
+        {"data": {"generator": {"n_users": "x"}}},
+        {"model": {"extension_history": "foo"}},
+    ], ids=["negative-d_ff", "zero-adapt-batch", "float-steps",
+            "float-dilution-power", "float-max-len", "string-dropout",
+            "string-epochs", "list-lam", "unknown-generator-key",
+            "string-generator-users", "unknown-extension-history"])
+    def test_bad_field_is_config_error(self, tmp_path, capsys, over):
+        path = write_config(tmp_path, base_config(tmp_path, **over))
+        assert one_line_error(capsys, ["train", "--config", path]) == 2
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
 
 class TestGen:
@@ -231,6 +264,34 @@ class TestExitCodes:
     def test_config_error_is_two(self, tmp_path):
         path = write_config(tmp_path, {"data": {}})
         assert cli.main(["train", "--config", path]) == 2
+
+    def test_missing_config_file_is_config_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.json")
+        assert one_line_error(capsys, ["train", "--config", missing]) == 2
+
+    @pytest.mark.parametrize("text", ['{"seed": ', "[1, 2]"],
+                             ids=["invalid-json", "json-list"])
+    def test_malformed_config_file_is_config_error(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert one_line_error(capsys, ["train", "--config", str(path)]) == 2
+
+    def test_missing_checkpoint_is_numeric_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(tmp_path))
+        missing = str(tmp_path / "nope.bin")
+        assert one_line_error(capsys, ["eval", "--config", path,
+                                       "--checkpoint", missing]) == 3
+
+    def test_missing_data_file_is_config_error(self, tmp_path, capsys):
+        cfg = base_config(tmp_path, data={"path": str(tmp_path / "nope.tsv")})
+        path = write_config(tmp_path, cfg)
+        assert one_line_error(capsys, ["train", "--config", path]) == 2
+
+    @pytest.mark.parametrize("grid", ["abc", ","])
+    def test_bad_sweep_grid_is_config_error(self, tmp_path, capsys, grid):
+        path = write_config(tmp_path, base_config(tmp_path))
+        assert one_line_error(capsys, ["sweep", "--config", path,
+                                       "--grid", grid]) == 2
 
     def test_gradcheck_passes_on_tiny_config(self, tmp_path):
         cfg = base_config(tmp_path, model={"d": 8, "d_s": 4, "conv_width": 3,

@@ -104,6 +104,17 @@ class TestFilter:
         assert got == recs
         assert set(got) == {"b", "c"}
 
+    def test_two_pruning_rounds(self):
+        # item 3 is rare; pruning it drops u1, which leaves item 2 rare; pruning
+        # that drops u2 and u3
+        users = [mk_user("u1", [3, 2, 1]), mk_user("u2", [2, 1, 1]),
+                 mk_user("u3", [2, 1, 1]), mk_user("u4", [1, 1, 1, 1])]
+        ds = InteractionDataset(users=users, vocab={"x": 1, "y": 2, "z": 3})
+        out = ingest.filter_min_interactions(ds, 3)
+        assert [u.user_id for u in out.users] == ["u4"]
+        assert out.vocab == {"x": 1}
+        assert out.users[0].item_indices == [1, 1, 1, 1]
+
     def test_exhausted_dataset_raises(self):
         ds = InteractionDataset(users=[mk_user("u", [1, 2, 3])], vocab={"a": 1, "b": 2, "c": 3})
         with pytest.raises(IngestError, match="exhausted"):

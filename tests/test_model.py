@@ -269,6 +269,22 @@ class TestExtension:
         assert np.allclose(trace.extension.delta_next.data[0],
                            np.logaddexp(0.0, proj[inner]), atol=1e-11)
 
+    def test_trailing_window_zero_fills_before_start(self, rng):
+        chan = ag.parameter(rng.normal(size=(3, 5, 2)))
+        last = np.array([0, 2, 4])
+        win = model._trailing_window(chan, last, 3, np.float64)
+        ref = np.zeros((3, 3, 2))
+        for r, t in enumerate(last):
+            for k in range(3):
+                if t - 2 + k >= 0:
+                    ref[r, k] = chan.data[r, t - 2 + k]
+        assert np.array_equal(win.data, ref)
+        g = ag.grad(ag.reduce_sum(win), {"chan": chan})["chan"]
+        hit = np.zeros((3, 5, 2))
+        for r, t in enumerate(last):
+            hit[r, max(t - 2, 0):t + 1] = 1.0
+        assert np.array_equal(g, hit)
+
     def test_zeros_history_drops_the_batch_context(self, rng):
         batch = random_batch(rng, n_examples=3, max_len=6)
         zeros = tiny_params(seed=7, extension_history="zeros")

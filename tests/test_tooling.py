@@ -22,3 +22,10 @@ def test_tracer_installs_on_the_current_api():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=120)
     assert res.returncode == 0, res.stderr
+
+
+def test_autograd_exports_resolve():
+    # a deleted op must not stay listed as public
+    from alignrec import autograd
+    missing = [n for n in autograd.__all__ if not hasattr(autograd, n)]
+    assert not missing, missing
