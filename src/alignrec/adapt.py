@@ -7,12 +7,20 @@ predict with the adapted overlay. A term with weight zero is not computed,
 and with both weights zero no step is taken, so prediction equals the
 frozen model's. The checkpoint arrays are never written, so batches are
 completely independent of each other and need no snapshot or restore.
+
+The steps run without the prediction head, so the losses reach the item
+table E only through the batch's own lookups. The overlay's E is therefore
+a copy of just those rows, indexed by batch-local ids; every other row
+would get an exact zero gradient and keep its value. After the last step
+the adapted rows are written into one copy of the full table for the
+prediction pass.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,11 +49,11 @@ class AdaptConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError(f"AdaptConfig: steps must be >= 0, got {self.steps}")
-        if self.lr < 0:
-            raise ValueError(f"AdaptConfig: lr must be >= 0, got {self.lr}")
-        for n in ("mu1_test", "mu2_test"):
-            if not getattr(self, n) >= 0:  # also rejects NaN
-                raise ValueError(f"AdaptConfig: {n} must be >= 0, got {getattr(self, n)}")
+        for n in ("lr", "mu1_test", "mu2_test"):
+            v = getattr(self, n)
+            if not (v >= 0 and math.isfinite(v)):   # also rejects NaN
+                raise ValueError(f"AdaptConfig: {n} must be a non-negative finite "
+                                 f"number, got {v}")
         if self.batch_policy not in ("whole", "fixed"):
             raise ValueError(f"AdaptConfig: unknown batch_policy {self.batch_policy!r}")
 
@@ -71,29 +79,41 @@ def adapt_and_predict(params, batch, cfg, weights):
     then predict. Returns (logits, AdaptReport).
 
     A non-finite loss aborts adaptation: the prediction comes from the
-    unadapted parameters, with the report flagged.
+    unadapted parameters, with the report flagged. An item id outside the
+    table raises `DomainError`.
     """
     report = AdaptReport()
-    live = params.overlay()
+    live = params
     steps = cfg.steps if (cfg.mu1_test or cfg.mu2_test) else 0
 
     t0 = time.perf_counter()
-    try:
-        for _ in range(steps):
-            trace = forward_full(live, batch, training=False, need_logits=False)
-            t_loss, s_loss, warned = L.alignment_losses(
-                live, trace, batch, weights, cfg.mu1_test, cfg.mu2_test)
-            report.clamp_warnings += warned
-            report.time_losses.append(float(t_loss.data) if t_loss is not None else 0.0)
-            report.state_losses.append(float(s_loss.data) if s_loss is not None else 0.0)
-            total = L.total_loss(None, t_loss, s_loss, cfg, phase="test")
-            if not np.isfinite(total.data):
-                raise AdaptError("non-finite adaptation loss")
-            grads = ag.grad(total, live.as_dict())
-            optim.sgd_step(live, grads, cfg.lr)
-    except (AdaptError, optim.OptimError, ag.DomainError):
-        live = params
-        report.aborted = True
+    if steps:
+        rows, local = np.unique(batch.items, return_inverse=True)
+        with ag.no_grad():
+            E_rows = ag.embedding(params["E"], rows).data   # range-checks the ids
+        live = params.overlay()
+        live.tensors["E"] = ag.Tensor(E_rows, requires_grad=True, name="E")
+        local_batch = replace(batch, items=local.reshape(batch.items.shape))
+        try:
+            for _ in range(steps):
+                trace = forward_full(live, local_batch, training=False, need_logits=False)
+                t_loss, s_loss, warned = L.alignment_losses(
+                    live, trace, local_batch, weights, cfg.mu1_test, cfg.mu2_test)
+                report.clamp_warnings += warned
+                report.time_losses.append(float(t_loss.data) if t_loss is not None else 0.0)
+                report.state_losses.append(float(s_loss.data) if s_loss is not None else 0.0)
+                total = L.total_loss(None, t_loss, s_loss, cfg, phase="test")
+                if not np.isfinite(total.data):
+                    raise AdaptError("non-finite adaptation loss")
+                grads = ag.grad(total, live.as_dict())
+                optim.sgd_step(live, grads, cfg.lr)
+        except (AdaptError, optim.OptimError, ag.DomainError):
+            live = params
+            report.aborted = True
+        else:
+            E = params["E"].data.copy()
+            E[rows] = live["E"].data
+            live.tensors["E"] = ag.Tensor(E, name="E")
     report.seconds_adapt = time.perf_counter() - t0
 
     t1 = time.perf_counter()

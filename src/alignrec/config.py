@@ -8,6 +8,7 @@ Two named presets carry the two published hyperparameter sets: "main"
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields
 
 from .adapt import AdaptConfig
@@ -199,7 +200,6 @@ def load_config(source=None, preset=None, overrides=None, ablate=()):
     try:
         cfg = RunConfig(**top, **{name: cls(**merged[name])
                                   for name, cls in SECTIONS.items()})
-        generator_spec(cfg)
     except ValueError as e:   # AdaptConfig checks its own ranges
         raise ConfigError([str(e)]) from None
 
@@ -238,16 +238,23 @@ def validate(cfg):
     if isinstance(cfg.losses.lam, str):
         if cfg.losses.lam != "median":
             p.append(f'losses.lam must be "median" or a positive number, got {cfg.losses.lam!r}')
-    elif float(cfg.losses.lam) <= 0:
-        p.append(f"losses.lam must be positive, got {cfg.losses.lam}")
+    elif not _positive(cfg.losses.lam):
+        p.append(f"losses.lam must be a positive finite number, got {cfg.losses.lam}")
     if cfg.losses.block_size < 2:
         p.append(f"losses.block_size must be >= 2, got {cfg.losses.block_size}")
     if cfg.losses.dilution_power < 0:
         p.append(f"losses.dilution_power must be >= 0, got {cfg.losses.dilution_power}")
-    if cfg.losses.mu1_train < 0 or cfg.losses.mu2_train < 0:
-        p.append("training loss weights must be non-negative")
-    if cfg.train.lr <= 0:
-        p.append(f"train.lr must be positive, got {cfg.train.lr}")
+    for n in ("mu1_train", "mu2_train"):
+        if not _non_negative(getattr(cfg.losses, n)):
+            p.append(f"losses.{n} must be a non-negative finite number, "
+                     f"got {getattr(cfg.losses, n)}")
+    if not _positive(cfg.train.lr):
+        p.append(f"train.lr must be a positive finite number, got {cfg.train.lr}")
+    for n in ("beta1", "beta2"):
+        if not 0.0 <= getattr(cfg.train, n) < 1.0:
+            p.append(f"train.{n} must be in [0, 1), got {getattr(cfg.train, n)}")
+    if not _positive(cfg.train.eps):
+        p.append(f"train.eps must be a positive finite number, got {cfg.train.eps}")
     if cfg.train.epochs < 1:
         p.append("train.epochs must be >= 1")
     if cfg.train.batch_size < 1:
@@ -258,6 +265,51 @@ def validate(cfg):
         p.append("train.patience must be >= 1")
     if cfg.adapt.batch_size < 1:
         p.append(f"adapt.batch_size must be >= 1, got {cfg.adapt.batch_size}")
+    spec = generator_spec(cfg)
+    if spec is not None:
+        p.extend(_generator_problems(spec))
+    return p
+
+
+def _positive(x):
+    """x > 0 and finite; false for NaN."""
+    return x > 0 and math.isfinite(x)
+
+
+def _non_negative(x):
+    """x >= 0 and finite; false for NaN."""
+    return x >= 0 and math.isfinite(x)
+
+
+def _generator_problems(spec):
+    """Range checks of a generator spec whose field types are already known
+    to be right. The regime count and n_items >= n_clusters are checked by
+    `ingest.synth_shift_generate`."""
+    where = "data.generator"
+    p = []
+    for n in ("n_users", "n_items", "n_clusters", "horizon", "min_events"):
+        if getattr(spec, n) < 1:
+            p.append(f"{where}.{n} must be >= 1, got {getattr(spec, n)}")
+    if spec.max_events < spec.min_events:
+        p.append(f"{where}.max_events ({spec.max_events}) must be >= "
+                 f"min_events ({spec.min_events})")
+    for n in ("switch_frac", "noise_rate", "walk_persistence"):
+        if not 0.0 <= getattr(spec, n) <= 1.0:
+            p.append(f"{where}.{n} must be in [0, 1], got {getattr(spec, n)}")
+    for n in ("gap_mean_pre", "gap_mean_post"):
+        if not _positive(getattr(spec, n)):
+            p.append(f"{where}.{n} must be a positive finite number, "
+                     f"got {getattr(spec, n)}")
+    for r, w in enumerate(spec.regime_weights):
+        if w is None:
+            continue
+        ok = (isinstance(w, list) and len(w) == spec.n_clusters
+              and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                      and _non_negative(v) for v in w)
+              and sum(w) > 0)
+        if not ok:
+            p.append(f"{where}.regime_weights[{r}] must be null or {spec.n_clusters} "
+                     f"non-negative finite numbers with a positive sum, got {w!r}")
     return p
 
 

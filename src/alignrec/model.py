@@ -115,8 +115,10 @@ class ModelParams:
 
     def overlay(self):
         """Same config, fresh differentiable tensors over read-only views of
-        these arrays (no copy). Updates that rebind `.data` on the overlay
-        leave this object untouched; an in-place write through it raises."""
+        these arrays; making one copies nothing. Updates that rebind `.data`
+        on the overlay leave this object untouched; an in-place write through
+        it raises. Test-time adaptation swaps the overlay's `E` for a
+        writable copy of the rows one request touches."""
         over = copy.copy(self)
         over.tensors = {}
         for name, t in self.tensors.items():

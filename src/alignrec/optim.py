@@ -114,11 +114,3 @@ class EarlyStopper:
             self.bad_evals += 1
         return "stop" if self.bad_evals >= self.patience else "continue"
 
-
-def early_stopper(metric_history, patience):
-    """Replay a metric history through EarlyStopper; returns the verdict."""
-    st = EarlyStopper(patience)
-    for v in metric_history:
-        if st.update(v) == "stop":
-            return "stop"
-    return "continue"

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from alignrec import adapt, ingest, model, pipeline
+from alignrec import adapt, ingest, model, optim, pipeline
+from alignrec import autograd as ag
+from alignrec import losses as L
 from alignrec.adapt import AdaptConfig
 from alignrec.config import load_config
 from alignrec.losses import LossWeights
@@ -84,6 +86,57 @@ class TestAdaptAndPredict:
         logits, rn = adapt.adapt_and_predict(params, batches[0], neither, weights)
         assert rn.time_losses == [] and rn.state_losses == []   # no step taken
         assert np.array_equal(logits, frozen_logits(params, batches[0]))
+
+
+    @pytest.mark.parametrize("bad", [31, 10**6, -1])   # 31 is V
+    def test_item_id_outside_the_table_raises(self, rng, bad):
+        params = tiny_params(seed=31, vocab_size=31)
+        batch = ingest.make_batches(random_examples(rng, n_examples=4, max_len=6),
+                                    max_len=6, batch_size=4)[0]
+        batch.items[1, -1] = bad
+        with pytest.raises(ag.DomainError, match="out of range"):
+            adapt.adapt_and_predict(params, batch, AdaptConfig(steps=2, lr=0.2),
+                                    LossWeights(lam=800.0, block_size=4))
+
+
+def dense_reference(params, batch, cfg, weights):
+    """Adaptation over the whole embedding table, built from public pieces:
+    (logits, time losses, state losses)."""
+    live = params.overlay()
+    time_losses, state_losses = [], []
+    for _ in range(cfg.steps):
+        trace = model.forward_full(live, batch, training=False, need_logits=False)
+        t_loss, s_loss, _ = L.alignment_losses(
+            live, trace, batch, weights, cfg.mu1_test, cfg.mu2_test)
+        time_losses.append(float(t_loss.data))
+        state_losses.append(float(s_loss.data))
+        total = L.total_loss(None, t_loss, s_loss, cfg, phase="test")
+        optim.sgd_step(live, ag.grad(total, live.as_dict()), cfg.lr)
+    with ag.no_grad():
+        logits = model.forward_full(live, batch, training=False,
+                                    need_extension=False).logits.data
+    return logits, time_losses, state_losses
+
+
+def test_row_restricted_adaptation_equals_the_dense_reference(rng):
+    # a 4-item vocabulary over 6 sequences of up to 6 steps repeats ids
+    # across rows and positions, so rows collect several gradient terms
+    params = tiny_params(seed=7)
+    exs = random_examples(rng, n_examples=6, vocab=4, min_len=4, max_len=6)
+    batch = ingest.make_batches(exs, max_len=6, batch_size=6)[0]
+    ids, counts = np.unique(batch.items[batch.mask], return_counts=True)
+    assert counts.max() >= 3
+    assert any(len(set(batch.items[r][batch.mask[r]]) & set(batch.items[0][batch.mask[0]]))
+               for r in range(1, batch.size))
+    cfg = AdaptConfig(steps=3, lr=0.5)
+    weights = LossWeights(lam=800.0, block_size=4)
+    logits, rep = adapt.adapt_and_predict(params, batch, cfg, weights)
+    ref_logits, ref_time, ref_state = dense_reference(params, batch, cfg, weights)
+    assert not rep.aborted
+    assert not np.array_equal(logits, frozen_logits(params, batch))
+    assert np.array_equal(logits, ref_logits)
+    assert np.array_equal(rep.time_losses, ref_time)
+    assert np.array_equal(rep.state_losses, ref_state)
 
 
 class TestEvaluateWithAdaptation:
@@ -170,8 +223,11 @@ class TestAdaptConfig:
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             AdaptConfig(steps=-1)
+        for lr in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                AdaptConfig(lr=lr)
         with pytest.raises(ValueError):
-            AdaptConfig(lr=-0.1)
+            AdaptConfig(mu2_test=float("inf"))
         with pytest.raises(ValueError):
             AdaptConfig(batch_policy="sometimes")
 

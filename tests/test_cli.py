@@ -118,6 +118,38 @@ class TestConfig:
         assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
 
+    @pytest.mark.parametrize("over", [
+        {"train": {"lr": float("nan")}},
+        {"adapt": {"lr": float("inf")}},
+        {"adapt": {"lr": float("nan")}},
+        {"losses": {"lam": float("nan")}},
+        {"losses": {"mu2_train": float("nan")}},
+        {"train": {"eps": float("inf")}},
+    ], ids=["nan-train-lr", "inf-adapt-lr", "nan-adapt-lr", "nan-lam",
+            "nan-mu2-train", "inf-eps"])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, over):
+        path = write_config(tmp_path, base_config(tmp_path, **over))
+        assert one_line_error(capsys, ["train", "--config", path]) == 2
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize("gen", [
+        {"n_clusters": 0},
+        {"regime_weights": [["a"], None]},
+        {"regime_weights": [[1, 1, 1, -1], None]},
+        {"n_users": -3},
+        {"max_events": 5},
+        {"gap_mean_pre": 0.0},
+        {"noise_rate": 1.5},
+    ], ids=["zero-clusters", "string-regime-weight", "negative-regime-weight",
+            "negative-users", "max-below-min-events", "zero-gap", "noise-above-one"])
+    def test_generator_out_of_range_is_config_error(self, tmp_path, capsys, gen):
+        cfg = base_config(tmp_path)
+        cfg["data"]["generator"].update(gen)
+        path = write_config(tmp_path, cfg)
+        assert one_line_error(capsys, ["gen", "--config", path]) == 2
+        assert not (tmp_path / "run" / "dataset.tsv").exists()
+
+
 class TestGen:
     def test_deterministic_output(self, tmp_path):
         cfg = base_config(tmp_path)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from alignrec import model, optim
-from alignrec.optim import Adam, EarlyStopper, Snapshot, early_stopper
+from alignrec.optim import Adam, EarlyStopper, Snapshot
 from conftest import random_batch, tiny_params
 
 
@@ -97,9 +97,14 @@ class TestSnapshot:
         assert np.array_equal(after, frozen)
 
 
+def verdicts(history, patience):
+    st = EarlyStopper(patience)
+    return [st.update(v) for v in history]
+
+
 class TestEarlyStopper:
     def test_strict_improvement_never_stops(self):
-        assert early_stopper([0.1, 0.2, 0.3, 0.4, 0.5], patience=3) == "continue"
+        assert verdicts([0.1, 0.2, 0.3, 0.4, 0.5], patience=3) == ["continue"] * 5
 
     def test_stops_after_patience_bad_evals(self):
         st = EarlyStopper(patience=3)
@@ -107,10 +112,11 @@ class TestEarlyStopper:
         assert verdicts == ["continue", "continue", "continue", "stop"]
 
     def test_plateau_counts_as_non_improvement(self):
-        assert early_stopper([0.5, 0.5, 0.5, 0.5], patience=3) == "stop"
+        assert verdicts([0.5, 0.5, 0.5, 0.5], patience=3) == [
+            "continue", "continue", "continue", "stop"]
 
     def test_recovery_resets_the_counter(self):
-        assert early_stopper([0.5, 0.4, 0.6, 0.5, 0.5], patience=3) == "continue"
+        assert verdicts([0.5, 0.4, 0.6, 0.5, 0.5], patience=3) == ["continue"] * 5
 
     def test_invalid_patience(self):
         with pytest.raises(optim.OptimError):

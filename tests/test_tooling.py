@@ -2,9 +2,12 @@
 name, so an API rename or deletion must fail here, not only in a benchmark
 run."""
 
+import importlib.util
 import os
 import subprocess
 import sys
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -29,3 +32,26 @@ def test_autograd_exports_resolve():
     from alignrec import autograd
     missing = [n for n in autograd.__all__ if not hasattr(autograd, n)]
     assert not missing, missing
+
+
+BYTE_IDENTITY = os.path.join(ROOT, "tools", "byte_identity.py")
+
+
+def test_byte_identity_passes_against_this_checkout():
+    res = subprocess.run([sys.executable, BYTE_IDENTITY, "--other", ROOT,
+                          "--shapes", "tiny"], capture_output=True, text=True,
+                         timeout=300)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "tiny: 216 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
+
+
+def test_byte_identity_compare_is_nan_aware_and_exact():
+    spec = importlib.util.spec_from_file_location("byte_identity", BYTE_IDENTITY)
+    bi = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bi)
+    a = {"x": np.array([1.0, np.nan]), "n": np.array(3)}
+    assert bi.compare(a, dict(a)) == []
+    assert bi.compare(a, {"x": np.array([1.0, 2.0]), "n": np.array(3)}) == ["differs: x"]
+    assert bi.compare(a, {"x": a["x"].astype(np.float32), "n": np.array(3)}) == [
+        "differs: x"]
+    assert bi.compare(a, {"x": a["x"]}) == ["only in this checkout: n"]
