@@ -1,6 +1,6 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-A Tensor wraps an ndarray plus the graph bookkeeping needed for backward().
+A Tensor wraps an ndarray plus the graph edges that grad() walks back.
 Every primitive builds its output value eagerly and attaches a closure that
 propagates gradients to its parents. The op set is exactly what the model
 and its losses need; there is no graph optimizer, no higher-order grads.
@@ -26,7 +26,7 @@ __all__ = [
     "causal_conv1d", "layer_norm", "dropout",
     "softmax_cross_entropy", "frobenius_norm",
     "einsum", "scan_step", "sequential_scan",
-    "backward", "grad", "no_grad", "finite_diff_check", "FiniteDiffReport",
+    "grad", "no_grad", "finite_diff_check", "FiniteDiffReport",
 ]
 
 
@@ -41,7 +41,7 @@ class DomainError(ValueError):
 class Tensor:
     """An ndarray plus the graph edges required for reverse-mode AD."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "requires_grad", "_parents", "_backward", "name")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None,
                  name=None):
@@ -49,7 +49,6 @@ class Tensor:
         if arr.dtype.kind != "f":
             arr = arr.astype(np.float64)
         self.data = arr
-        self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
         self._backward = _backward
@@ -135,7 +134,7 @@ def no_grad():
 
 
 def _node(data, parents, backward_fn, name=None):
-    # backward() never visits the parents of a node that needs no gradient
+    # grad() never visits the parents of a node that needs no gradient
     req = _grad_enabled and any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=req, _parents=tuple(parents) if req else (),
                   _backward=backward_fn if req else None, name=name)
@@ -634,42 +633,34 @@ def _toposort(root):
     return order
 
 
-def backward(root):
-    """Propagate gradients from a scalar root to every reachable parameter."""
-    if root.data.size != 1:
-        raise ShapeError(f"backward: root must be scalar, got shape {root.shape}")
-    order = _toposort(root)
-    for node in order:
-        node.grad = None
-    root.grad = np.ones_like(root.data)
+def grad(loss, params):
+    """Gradients of a scalar loss for a dict of named parameter tensors.
+
+    The gradients are held in a table local to this call and stored on no
+    tensor, so a graph can be differentiated more than once. A node's entry
+    is dropped once its closure has passed it on, unless the node is one of
+    `params`. Parameters not reachable from the loss get zero gradients.
+    """
+    if loss.data.size != 1:
+        raise ShapeError(f"grad: loss must be scalar, got shape {loss.shape}")
+    keep = {id(p) for p in params.values()}
+    grads = {id(loss): np.ones_like(loss.data)}
 
     def acc(node, g):
         if not node.requires_grad:
             return
         g = np.asarray(g, dtype=node.data.dtype)
-        node.grad = g if node.grad is None else node.grad + g
+        prev = grads.get(id(node))
+        grads[id(node)] = g if prev is None else prev + g
 
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad, acc)
-
-
-def grad(loss, params):
-    """Gradients of a scalar loss for a dict of named parameter tensors.
-
-    Parameters not reachable from the loss get zero gradients.
-    """
-    if loss.data.size != 1:
-        raise ShapeError(f"grad: loss must be scalar, got shape {loss.shape}")
-    # backward() only resets the nodes it reaches; a parameter outside this
-    # graph would otherwise report the gradient of an earlier loss
-    for p in params.values():
-        p.grad = None
-    backward(loss)
-    store = {}
-    for name, p in params.items():
-        store[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
-    return store
+    for node in reversed(_toposort(loss)):
+        g = grads.get(id(node))
+        if node._backward is not None and g is not None:
+            node._backward(g, acc)
+            if id(node) not in keep:
+                del grads[id(node)]
+    return {name: grads[id(p)] if id(p) in grads else np.zeros_like(p.data)
+            for name, p in params.items()}
 
 
 class FiniteDiffReport:

@@ -172,7 +172,8 @@ def cmd_eval(args):
 
         def frozen_fn(b):
             with ag.no_grad():
-                return model.forward_full(params, b, training=False).logits.data
+                return model.forward_full(params, b, training=False,
+                                          need_extension=False).logits.data
 
         def adapted_fn(b):
             return adapt_mod.adapt_and_predict(params, b, cfg.adapt, weights)[0]

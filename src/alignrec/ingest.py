@@ -261,9 +261,8 @@ def _build_batch(chunk, max_len, pad_side):
         tgt_ts[i] = ex.target_timestamp
         last_index[i] = hi - 1
         # gaps as integers first, float only afterwards
-        for j in range(lo + 1, hi):
-            T[i, j] = float(int(tss[j - lo]) - int(tss[j - lo - 1]))
-            elig[i, j] = True
+        T[i, lo + 1:hi] = np.diff(np.asarray(tss, dtype=np.int64))
+        elig[i, lo + 1:hi] = True
         T[i, lo] = 0.0  # no event precedes the window
         T[i, L] = float(int(ex.target_timestamp) - int(tss[-1]))
         elig[i, L] = True

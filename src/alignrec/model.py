@@ -43,6 +43,14 @@ class ModelConfig:
     dtype: str = "float64"
 
     def __post_init__(self):
+        if self.d < 1 or self.d_s < 1:
+            raise ModelError(f"d and d_s must be >= 1, got {self.d} and {self.d_s}")
+        if self.d_ff < 0:
+            raise ModelError(f"d_ff must be >= 0 (0 means 4 * d), got {self.d_ff}")
+        if self.n_blocks < 1:
+            raise ModelError(f"n_blocks must be >= 1, got {self.n_blocks}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ModelError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.d_ff == 0:
             self.d_ff = 4 * self.d
         if self.vocab_size < 2:
@@ -276,8 +284,7 @@ def forward_full(params, batch, rng=None, training=False, need_logits=True,
     maskf = ag.constant(np.asarray(mask, dtype=cfg.np_dtype))
 
     seq = embed(params, batch.items, rng=rng, training=training)
-    last = None
-    for b in range(cfg.n_blocks):
+    for b in range(cfg.n_blocks):   # n_blocks >= 1: the last block's values stay bound
         X, B, C, delta, chan = transform(params, seq, mask=mask, block=b)
         A = params.decay(b)
         abar, bbar = discretize(delta, A, B)
@@ -286,10 +293,8 @@ def forward_full(params, batch, rng=None, training=False, need_logits=True,
         wrapped = ag.layer_norm(ag.add(seq, Y), params[f"block{b}.ln_block_g"],
                                 params[f"block{b}.ln_block_b"])
         O = ffn_and_norm(params, wrapped, rng=rng, training=training, block=b)
-        last = (X, C, delta, abar, bbar, h_final, O, A, Xz, chan)
         seq = O
 
-    X, C, delta, abar, bbar, h_final, O, A, Xz, chan = last
     align_block = cfg.n_blocks - 1
     rows = np.arange(batch.size)
     o_last = O[rows, batch.last_index]

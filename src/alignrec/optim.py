@@ -3,8 +3,6 @@ parameter snapshot/restore, and NDCG-driven early stopping."""
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 
@@ -57,11 +55,10 @@ def sgd_step(params, grads, lr):
 
 
 class Snapshot:
-    """Deep copy of every parameter tensor plus a content checksum."""
+    """Deep copy of every parameter tensor."""
 
     def __init__(self, params):
         self.arrays = {n: params[n].data.copy() for n in params.names()}
-        self.checksum = _digest(self.arrays)
 
     def restore(self, params):
         if set(params.names()) != set(self.arrays):
@@ -74,22 +71,18 @@ class Snapshot:
             params[name].data = src.copy()
 
     def matches(self, params):
-        return _digest({n: params[n].data for n in params.names()}) == self.checksum
+        """Exact equality of names, dtypes, shapes and bytes."""
+        if set(params.names()) != set(self.arrays):
+            return False
+        for name in params.names():
+            a, b = self.arrays[name], params[name].data
+            if a.dtype != b.dtype or a.shape != b.shape or a.tobytes() != b.tobytes():
+                return False
+        return True
 
 
 def snapshot(params):
     return Snapshot(params)
-
-
-def _digest(arrays):
-    h = hashlib.sha256()
-    for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name])
-        h.update(name.encode())
-        h.update(str(arr.shape).encode())
-        h.update(str(arr.dtype).encode())
-        h.update(arr.tobytes())
-    return h.hexdigest()
 
 
 class EarlyStopper:

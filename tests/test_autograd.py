@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,9 @@ from alignrec import autograd as ag
 def test_softplus_at_zero():
     x = ag.parameter(np.array(0.0))
     y = ag.softplus(x)
-    ag.backward(y)
+    g = ag.grad(y, {"x": x})
     assert abs(y.item() - np.log(2.0)) < 1e-12
-    assert abs(float(x.grad) - 0.5) < 1e-12
+    assert abs(float(g["x"]) - 0.5) < 1e-12
 
 
 def test_outer_product_example():
@@ -263,11 +265,49 @@ def test_einsum_rejects_specs_without_an_einsum_gradient():
 def test_grad_zeroes_parameters_an_earlier_loss_reached():
     p = ag.parameter(np.array([1.0, 2.0]))
     q = ag.parameter(np.array([3.0]))
-    ag.grad(ag.reduce_sum(ag.mul(p, q)), {"p": p, "q": q})
-    assert np.all(q.grad != 0.0)
+    first = ag.grad(ag.reduce_sum(ag.mul(p, q)), {"p": p, "q": q})
+    assert np.all(first["q"] != 0.0)
     g = ag.grad(ag.reduce_sum(ag.mul(p, p)), {"p": p, "q": q})
     assert np.array_equal(g["q"], [0.0])
     assert np.allclose(g["p"], 2.0 * p.data)
+
+
+def test_grad_frees_each_interior_gradient_once_used(rng):
+    p = ag.parameter(rng.normal(size=(100, 100)))
+    w = ag.constant(np.full((100, 100), 0.99))
+    x = p
+    for _ in range(100):
+        x = ag.mul(x, w)
+    loss = ag.reduce_sum(x)
+    tracemalloc.start()
+    try:
+        g = ag.grad(loss, {"p": p})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.allclose(g["p"], 0.99 ** 100)
+    # held until the graph died, the chain's gradients would be 100 arrays
+    assert peak < 10 * p.data.nbytes, peak / p.data.nbytes
+
+
+def test_grad_twice_on_one_loss_gives_equal_gradients(rng):
+    p = ag.parameter(rng.normal(size=(3, 4)))
+    q = ag.parameter(rng.normal(size=(4,)))
+    h = ag.exp(ag.mul(p, q))
+    loss = ag.reduce_sum(ag.mul(h, h))
+    first = ag.grad(loss, {"p": p, "q": q})
+    second = ag.grad(loss, {"p": p, "q": q})
+    assert first.keys() == second.keys()
+    for name in first:
+        assert np.array_equal(first[name], second[name]), name
+
+
+def test_grad_for_an_interior_node_is_kept(rng):
+    p = ag.parameter(rng.normal(size=(2, 3)))
+    h = ag.mul(p, p)
+    g = ag.grad(ag.reduce_sum(ag.mul(h, 3.0)), {"h": h, "p": p})
+    assert np.array_equal(g["h"], np.full((2, 3), 3.0))
+    assert np.allclose(g["p"], 6.0 * p.data)
 
 
 def test_scan_step_matches_recurrence(rng):

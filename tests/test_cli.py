@@ -39,6 +39,11 @@ def rewrite_manifest(raw, edit):
     return raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + mlen:]
 
 
+def keep_only_embedding_with_no_blocks(manifest):
+    manifest["config"]["n_blocks"] = 0
+    manifest["tensors"] = [t for t in manifest["tensors"] if t["name"] == "E"]
+
+
 def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -277,9 +282,10 @@ class TestEvalCommand:
         lambda raw: rewrite_manifest(raw, lambda m: m["extra"].update(lam="abc")),
         lambda raw: rewrite_manifest(raw, lambda m: m["extra"].update(lam=None)),
         lambda raw: rewrite_manifest(raw, lambda m: m["extra"].update(lam=-5)),
+        lambda raw: rewrite_manifest(raw, keep_only_embedding_with_no_blocks),
     ], ids=["cut-100-bytes", "ten-bytes", "manifest-undecodable",
             "unknown-config-key", "no-tensor-list", "float-offset",
-            "lam-string", "lam-null", "lam-negative"])
+            "lam-string", "lam-null", "lam-negative", "zero-blocks"])
     def test_damaged_checkpoint_is_numeric_error(self, trained, damage, capsys):
         path, ck, tmp = trained
         bad = tmp / "damaged.bin"

@@ -436,6 +436,15 @@ class TestCheckpoint:
         with open(path, "rb") as fh:
             assert fh.read(4) == b"T2AR"
 
+    @pytest.mark.parametrize("field", [
+        {"d": 0}, {"d_s": 0}, {"d_ff": -1}, {"n_blocks": 0},
+        {"dropout": 1.0}, {"dropout": -0.1}, {"dropout": float("nan")},
+    ], ids=["d", "d_s", "d_ff", "n_blocks", "dropout-one", "dropout-negative",
+            "dropout-nan"])
+    def test_out_of_range_config_rejected(self, field):
+        with pytest.raises(model.ModelError, match=next(iter(field))):
+            model.ModelConfig(vocab_size=9, **field)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = str(tmp_path / "junk.bin")
         with open(path, "wb") as fh:
@@ -461,7 +470,7 @@ class TestOverlay:
         assert over.config is params.config and over.names() == params.names()
         for name in params.names():
             t = over[name]
-            assert t.requires_grad and t.grad is None and t is not params[name]
+            assert t.requires_grad and t is not params[name]
             assert np.shares_memory(t.data, params[name].data)
             with pytest.raises(ValueError, match="read-only"):
                 t.data[...] = 0.0

@@ -78,6 +78,16 @@ class TestSnapshot:
         snap.restore(params)
         assert snap.matches(params)
 
+    def test_matches_compares_bytes_exactly(self):
+        params = tiny_params()
+        params["block0.a_raw"].data = np.array(np.nan)
+        snap = Snapshot(params)
+        assert snap.matches(params)              # equal bytes, though nan != nan
+        params["block0.a_raw"].data = np.array(0.0)
+        snap = Snapshot(params)
+        params["block0.a_raw"].data = np.array(-0.0)
+        assert not snap.matches(params)          # 0.0 == -0.0, but not bytewise
+
     def test_architecture_mismatch_rejected(self):
         snap = Snapshot(tiny_params())
         other = tiny_params(d=16, d_s=8)
