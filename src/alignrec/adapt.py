@@ -18,7 +18,6 @@ prediction pass.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -27,6 +26,7 @@ import numpy as np
 from . import autograd as ag
 from . import losses as L
 from . import optim
+from .checks import non_negative, type_problems
 # ranked_items is unused here but stays importable: perfbench/tracing.py
 # wraps adapt.ranked_items by name.
 from .evaluation import batch_rank_metrics, ranked_items  # noqa: F401
@@ -47,15 +47,16 @@ class AdaptConfig:
     batch_size: int = 256            # used by the "fixed" policy
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise ValueError(f"AdaptConfig: steps must be >= 0, got {self.steps}")
-        for n in ("lr", "mu1_test", "mu2_test"):
-            v = getattr(self, n)
-            if not (v >= 0 and math.isfinite(v)):   # also rejects NaN
-                raise ValueError(f"AdaptConfig: {n} must be a non-negative finite "
-                                 f"number, got {v}")
-        if self.batch_policy not in ("whole", "fixed"):
-            raise ValueError(f"AdaptConfig: unknown batch_policy {self.batch_policy!r}")
+        p = type_problems(type(self), vars(self))
+        if not p:
+            p = [f"{n} must be a non-negative finite number, got {getattr(self, n)}"
+                 for n in ("lr", "mu1_test", "mu2_test") if not non_negative(getattr(self, n))]
+            p += [f"{n} must be >= {lo}, got {getattr(self, n)}"
+                  for n, lo in (("steps", 0), ("batch_size", 1)) if getattr(self, n) < lo]
+            if self.batch_policy not in ("whole", "fixed"):
+                p.append(f"batch_policy must be whole|fixed, got {self.batch_policy!r}")
+        if p:
+            raise ValueError("; ".join(p))
 
     def to_dict(self):
         return dict(self.__dict__)
@@ -92,7 +93,7 @@ def adapt_and_predict(params, batch, cfg, weights):
         with ag.no_grad():
             E_rows = ag.embedding(params["E"], rows).data   # range-checks the ids
         live = params.overlay()
-        live.tensors["E"] = ag.Tensor(E_rows, requires_grad=True, name="E")
+        live.tensors["E"] = ag.Tensor(E_rows, requires_grad=True)
         local_batch = replace(batch, items=local.reshape(batch.items.shape))
         try:
             for _ in range(steps):
@@ -113,7 +114,7 @@ def adapt_and_predict(params, batch, cfg, weights):
         else:
             E = params["E"].data.copy()
             E[rows] = live["E"].data
-            live.tensors["E"] = ag.Tensor(E, name="E")
+            live.tensors["E"] = ag.Tensor(E)
     report.seconds_adapt = time.perf_counter() - t0
 
     t1 = time.perf_counter()

@@ -41,10 +41,9 @@ class DomainError(ValueError):
 class Tensor:
     """An ndarray plus the graph edges required for reverse-mode AD."""
 
-    __slots__ = ("data", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None,
-                 name=None):
+    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         arr = np.asarray(data)
         if arr.dtype.kind != "f":
             arr = arr.astype(np.float64)
@@ -52,7 +51,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
         self._backward = _backward
-        self.name = name
 
     @property
     def shape(self):
@@ -76,12 +74,12 @@ class Tensor:
         return _getitem(self, key)
 
 
-def constant(data, name=None):
-    return Tensor(data, requires_grad=False, name=name)
+def constant(data):
+    return Tensor(data, requires_grad=False)
 
 
-def parameter(data, name=None):
-    return Tensor(np.array(data, copy=True), requires_grad=True, name=name)
+def parameter(data):
+    return Tensor(np.array(data, copy=True), requires_grad=True)
 
 
 def _as_tensor(x):
@@ -133,11 +131,11 @@ def no_grad():
         _grad_enabled = prev
 
 
-def _node(data, parents, backward_fn, name=None):
+def _node(data, parents, backward_fn):
     # grad() never visits the parents of a node that needs no gradient
     req = _grad_enabled and any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=req, _parents=tuple(parents) if req else (),
-                  _backward=backward_fn if req else None, name=name)
+                  _backward=backward_fn if req else None)
 
 
 # ---------------------------------------------------------------------------

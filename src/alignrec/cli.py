@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -140,11 +140,13 @@ def cmd_eval(args):
     weights = pipeline.resolve_weights(cfg, split.train)
     if "lam" in extra:
         lam = extra["lam"]
-        if (isinstance(lam, bool) or not isinstance(lam, (int, float))
-                or not math.isfinite(lam) or lam <= 0):
+        try:
+            if isinstance(lam, str):   # training stores lam resolved to seconds
+                raise L.LossError(lam)
+            weights = replace(weights, lam=lam)
+        except L.LossError:
             raise model.ModelError(
-                f"checkpoint lam must be a positive finite number, got {lam!r}")
-        weights.lam = float(lam)
+                f"checkpoint lam must be a positive finite number, got {lam!r}") from None
 
     ttt = args.ttt == "on"
     report, adapt_reports, per_example = pipeline.evaluate_run(

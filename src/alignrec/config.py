@@ -8,11 +8,13 @@ Two named presets carry the two published hyperparameter sets: "main"
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 from .adapt import AdaptConfig
-from .ingest import GeneratorSpec
+from .checks import positive, type_problems
+from .ingest import GeneratorSpec, IngestError
+from .losses import LossWeights
+from .model import DTYPES, Architecture
 
 
 class ConfigError(ValueError):
@@ -31,15 +33,6 @@ class DataConfig:
 
 
 @dataclass
-class LossConfig:
-    mu1_train: float = 0.1
-    mu2_train: float = 1.0
-    lam: object = "median"           # "median" or a positive number (seconds)
-    block_size: int = 10
-    dilution_power: int = 2
-
-
-@dataclass
 class TrainConfig:
     lr: float = 0.001
     beta1: float = 0.9
@@ -52,25 +45,13 @@ class TrainConfig:
 
 
 @dataclass
-class ModelSection:
-    d: int = 64
-    d_s: int = 32
-    conv_width: int = 4
-    d_ff: int = 0
-    dropout: float = 0.2
-    n_blocks: int = 1
-    detach_extension: bool = True
-    extension_history: str = "batch"
-
-
-@dataclass
 class RunConfig:
     seed: int = 0
     precision: str = "float64"
     out_dir: str = "runs/out"
     data: DataConfig = field(default_factory=DataConfig)
-    model: ModelSection = field(default_factory=ModelSection)
-    losses: LossConfig = field(default_factory=LossConfig)
+    model: Architecture = field(default_factory=Architecture)
+    losses: LossWeights = field(default_factory=lambda: LossWeights(lam="median"))
     train: TrainConfig = field(default_factory=TrainConfig)
     adapt: AdaptConfig = field(default_factory=AdaptConfig)
 
@@ -115,38 +96,17 @@ def _merge(base, over):
     return base
 
 
-SECTIONS = {"data": DataConfig, "model": ModelSection, "losses": LossConfig,
+SECTIONS = {"data": DataConfig, "model": Architecture, "losses": LossWeights,
             "train": TrainConfig, "adapt": AdaptConfig}
-
-
-def _type_ok(value, default):
-    """Whether `value` has the type of a field's default: int and not bool for
-    an int field, int or float for a float field."""
-    if isinstance(default, bool) or isinstance(value, bool):
-        return isinstance(default, bool) and isinstance(value, bool)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, type(default))
 
 
 def _field_problems(where, cls, values):
     """Unknown keys and mistyped values of one dataclass-backed section."""
     if not isinstance(values, dict):
         return [f"{where} must be an object, got {values!r}"]
-    known = {f.name: f for f in fields(cls)}
-    p = []
-    for key, val in values.items():
-        f = known.get(key)
-        if f is None:
-            p.append(f"unknown field {where}.{key}")
-            continue
-        default = f.default if f.default is not MISSING else f.default_factory()
-        if (where, key) == ("losses", "lam") and not isinstance(val, str):
-            default = 1.0   # lam is "median" or a number
-        if not _type_ok(val, default):
-            p.append(f"{where}.{key} must be of type {type(default).__name__}, "
-                     f"got {val!r}")
-    return p
+    known = {f.name for f in fields(cls)}
+    return ([f"unknown field {where}.{key}" for key in values if key not in known]
+            + [f"{where}.{q}" for q in type_problems(cls, values)])
 
 
 def load_config(source=None, preset=None, overrides=None, ablate=()):
@@ -197,23 +157,26 @@ def load_config(source=None, preset=None, overrides=None, ablate=()):
         if flag in ("state-test", "both-test"):
             merged["adapt"]["mu2_test"] = 0.0
 
-    try:
-        cfg = RunConfig(**top, **{name: cls(**merged[name])
-                                  for name, cls in SECTIONS.items()})
-    except ValueError as e:   # AdaptConfig checks its own ranges
-        raise ConfigError([str(e)]) from None
-
-    problems = validate(cfg)
+    sections = {}
+    for name, cls in SECTIONS.items():
+        try:
+            sections[name] = cls(**merged[name])
+        except ValueError as e:   # each section's type checks its own ranges
+            problems += [f"{name}.{q}" for q in str(e).split("; ")]
+    cfg = RunConfig(**top, **sections)   # a failed section keeps its default here
+    problems += validate(cfg)
     if problems:
         raise ConfigError(problems)
     return cfg
 
 
 def validate(cfg):
-    """Check every module precondition up front; returns a problem list."""
+    """Range checks of the parts that have no runtime type of their own (top
+    level, data, train), plus the generator spec's own problems; returns a
+    problem list. The other sections check themselves when built."""
     p = []
-    if cfg.precision not in ("float64", "float32"):
-        p.append(f"precision must be float64|float32, got {cfg.precision!r}")
+    if cfg.precision not in DTYPES:
+        p.append(f"precision must be {'|'.join(DTYPES)}, got {cfg.precision!r}")
     if cfg.data.max_len < 1:
         p.append(f"data.max_len must be >= 1, got {cfg.data.max_len}")
     if cfg.data.pad_side not in ("left", "right"):
@@ -222,38 +185,16 @@ def validate(cfg):
         p.append("data.min_interactions must be 0 (off) or >= 3")
     if not cfg.data.path and not cfg.data.generator:
         p.append("data needs either a path or a generator spec")
-    if cfg.model.d < 1 or cfg.model.d_s < 1:
-        p.append("model dims must be positive")
-    if cfg.model.d_ff < 0:
-        p.append(f"model.d_ff must be >= 0 (0 means 4 * d), got {cfg.model.d_ff}")
-    if cfg.model.conv_width < 1:
-        p.append("model.conv_width must be >= 1")
-    if cfg.model.extension_history not in ("batch", "zeros"):
-        p.append("model.extension_history must be batch|zeros, "
-                 f"got {cfg.model.extension_history!r}")
-    if not (0.0 <= cfg.model.dropout < 1.0):
-        p.append(f"model.dropout must be in [0, 1), got {cfg.model.dropout}")
-    if cfg.model.n_blocks < 1:
-        p.append("model.n_blocks must be >= 1")
-    if isinstance(cfg.losses.lam, str):
-        if cfg.losses.lam != "median":
-            p.append(f'losses.lam must be "median" or a positive number, got {cfg.losses.lam!r}')
-    elif not _positive(cfg.losses.lam):
-        p.append(f"losses.lam must be a positive finite number, got {cfg.losses.lam}")
-    if cfg.losses.block_size < 2:
-        p.append(f"losses.block_size must be >= 2, got {cfg.losses.block_size}")
-    if cfg.losses.dilution_power < 0:
-        p.append(f"losses.dilution_power must be >= 0, got {cfg.losses.dilution_power}")
-    for n in ("mu1_train", "mu2_train"):
-        if not _non_negative(getattr(cfg.losses, n)):
-            p.append(f"losses.{n} must be a non-negative finite number, "
-                     f"got {getattr(cfg.losses, n)}")
-    if not _positive(cfg.train.lr):
+    try:
+        generator_spec(cfg)
+    except IngestError as e:
+        p += [f"data.generator.{q}" for q in str(e).split("; ")]
+    if not positive(cfg.train.lr):
         p.append(f"train.lr must be a positive finite number, got {cfg.train.lr}")
     for n in ("beta1", "beta2"):
         if not 0.0 <= getattr(cfg.train, n) < 1.0:
             p.append(f"train.{n} must be in [0, 1), got {getattr(cfg.train, n)}")
-    if not _positive(cfg.train.eps):
+    if not positive(cfg.train.eps):
         p.append(f"train.eps must be a positive finite number, got {cfg.train.eps}")
     if cfg.train.epochs < 1:
         p.append("train.epochs must be >= 1")
@@ -263,53 +204,6 @@ def validate(cfg):
         p.append("train.eval_every must be >= 1")
     if cfg.train.patience < 1:
         p.append("train.patience must be >= 1")
-    if cfg.adapt.batch_size < 1:
-        p.append(f"adapt.batch_size must be >= 1, got {cfg.adapt.batch_size}")
-    spec = generator_spec(cfg)
-    if spec is not None:
-        p.extend(_generator_problems(spec))
-    return p
-
-
-def _positive(x):
-    """x > 0 and finite; false for NaN."""
-    return x > 0 and math.isfinite(x)
-
-
-def _non_negative(x):
-    """x >= 0 and finite; false for NaN."""
-    return x >= 0 and math.isfinite(x)
-
-
-def _generator_problems(spec):
-    """Range checks of a generator spec whose field types are already known
-    to be right. The regime count and n_items >= n_clusters are checked by
-    `ingest.synth_shift_generate`."""
-    where = "data.generator"
-    p = []
-    for n in ("n_users", "n_items", "n_clusters", "horizon", "min_events"):
-        if getattr(spec, n) < 1:
-            p.append(f"{where}.{n} must be >= 1, got {getattr(spec, n)}")
-    if spec.max_events < spec.min_events:
-        p.append(f"{where}.max_events ({spec.max_events}) must be >= "
-                 f"min_events ({spec.min_events})")
-    for n in ("switch_frac", "noise_rate", "walk_persistence"):
-        if not 0.0 <= getattr(spec, n) <= 1.0:
-            p.append(f"{where}.{n} must be in [0, 1], got {getattr(spec, n)}")
-    for n in ("gap_mean_pre", "gap_mean_post"):
-        if not _positive(getattr(spec, n)):
-            p.append(f"{where}.{n} must be a positive finite number, "
-                     f"got {getattr(spec, n)}")
-    for r, w in enumerate(spec.regime_weights):
-        if w is None:
-            continue
-        ok = (isinstance(w, list) and len(w) == spec.n_clusters
-              and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                      and _non_negative(v) for v in w)
-              and sum(w) > 0)
-        if not ok:
-            p.append(f"{where}.regime_weights[{r}] must be null or {spec.n_clusters} "
-                     f"non-negative finite numbers with a positive sum, got {w!r}")
     return p
 
 

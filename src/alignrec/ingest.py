@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import is_number, non_negative, positive, type_problems
+
 PAD_INDEX = 0
 
 
@@ -326,6 +328,34 @@ class GeneratorSpec:
     noise_rate: float = 0.05
     walk_persistence: float = 0.9
 
+    def __post_init__(self):
+        p = type_problems(type(self), vars(self))
+        if not p:
+            p = [f"{n} must be >= 1, got {getattr(self, n)}"
+                 for n in ("n_users", "n_items", "n_clusters", "horizon", "min_events")
+                 if getattr(self, n) < 1]
+            if self.n_items < self.n_clusters:
+                p.append(f"n_items ({self.n_items}) must be >= n_clusters ({self.n_clusters})")
+            if self.max_events < self.min_events:
+                p.append(f"max_events ({self.max_events}) must be >= "
+                         f"min_events ({self.min_events})")
+            p += [f"{n} must be in [0, 1], got {getattr(self, n)}"
+                  for n in ("switch_frac", "noise_rate", "walk_persistence")
+                  if not 0.0 <= getattr(self, n) <= 1.0]
+            p += [f"{n} must be a positive finite number, got {getattr(self, n)}"
+                  for n in ("gap_mean_pre", "gap_mean_post") if not positive(getattr(self, n))]
+            if len(self.regime_weights) < 2:
+                p.append(f"regime_weights needs at least two regimes, got {self.regime_weights!r}")
+            for r, w in enumerate(self.regime_weights):
+                if w is not None and not (
+                        isinstance(w, list) and len(w) == self.n_clusters
+                        and all(is_number(v) and non_negative(v) for v in w)
+                        and sum(w) > 0):
+                    p.append(f"regime_weights[{r}] must be null or {self.n_clusters} "
+                             f"non-negative finite numbers with a positive sum, got {w!r}")
+        if p:
+            raise IngestError("; ".join(p))
+
     def to_json(self):
         d = dict(self.__dict__)
         return json.dumps(d, indent=2, sort_keys=True)
@@ -334,11 +364,6 @@ class GeneratorSpec:
 def synth_shift_generate(spec, seed):
     """Deterministically generate an interest-shift dataset."""
     n_regimes = len(spec.regime_weights)
-    if n_regimes < 2:
-        raise IngestError("synth_shift_generate: need at least two regimes")
-    if spec.n_items < spec.n_clusters:
-        raise IngestError(
-            f"synth_shift_generate: {spec.n_items} items < {spec.n_clusters} clusters")
     rng = np.random.default_rng(seed)
 
     per = spec.n_items // spec.n_clusters
@@ -356,8 +381,6 @@ def synth_shift_generate(spec, seed):
             lo = min(r * half, spec.n_clusters - half)
             w[lo:lo + half] = 1.0
         w = np.asarray(w, dtype=np.float64)
-        if w.shape != (spec.n_clusters,):
-            raise IngestError("synth_shift_generate: regime weight length mismatch")
         weights.append(w / w.sum())
 
     switch_t = spec.switch_frac * spec.horizon

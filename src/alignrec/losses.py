@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
+from .checks import is_number, non_negative, positive, type_problems
 
 
 class LossError(ValueError):
@@ -23,18 +24,25 @@ class LossError(ValueError):
 class LossWeights:
     mu1_train: float = 0.1
     mu2_train: float = 1.0
-    lam: float = 1.0            # seconds; scale for time-gap differences
+    # seconds; scale for time-gap differences. A run config may hold "median",
+    # which pipeline.resolve_weights turns into the median positive gap.
+    lam: object = 1.0
     block_size: int = 10
     dilution_power: int = 2     # exponent of the delta divisor in the state loss
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise LossError(f"lam must be positive, got {self.lam}")
-        if self.block_size < 2:
-            raise LossError(f"block_size must be >= 2, got {self.block_size}")
-        for n in ("mu1_train", "mu2_train"):
-            if getattr(self, n) < 0:
-                raise LossError(f"{n} must be non-negative")
+        p = type_problems(type(self), vars(self))
+        if not p:
+            p = [f"{n} must be a non-negative finite number, got {getattr(self, n)}"
+                 for n in ("mu1_train", "mu2_train") if not non_negative(getattr(self, n))]
+            if self.block_size < 2:
+                p.append(f"block_size must be >= 2, got {self.block_size}")
+            if self.dilution_power < 0:
+                p.append(f"dilution_power must be >= 0, got {self.dilution_power}")
+        if self.lam != "median" and not (is_number(self.lam) and positive(self.lam)):
+            p.append(f'lam must be "median" or a positive finite number, got {self.lam!r}')
+        if p:
+            raise LossError("; ".join(p))
 
 
 @dataclass

@@ -23,42 +23,63 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
+from .checks import type_problems
 
 
 class ModelError(ValueError):
     pass
 
 
+DTYPES = ("float64", "float32")
+
+
 @dataclass
-class ModelConfig:
-    vocab_size: int
+class Architecture:
+    """The model section of a run config: every ModelConfig field that does
+    not depend on the data."""
     d: int = 64
     d_s: int = 32
     conv_width: int = 4
-    d_ff: int = 0          # 0 -> 4 * d
+    d_ff: int = 0          # 0 -> 4 * d, resolved by ModelConfig
     dropout: float = 0.2
     n_blocks: int = 1
     detach_extension: bool = True
     extension_history: str = "batch"   # "batch" | "zeros" conv context for the re-fed step
-    dtype: str = "float64"
 
     def __post_init__(self):
-        if self.d < 1 or self.d_s < 1:
-            raise ModelError(f"d and d_s must be >= 1, got {self.d} and {self.d_s}")
+        p = type_problems(type(self), vars(self)) or self._range_problems()
+        if p:
+            raise ModelError("; ".join(p))
+
+    def _range_problems(self):
+        p = [f"{n} must be >= 1, got {getattr(self, n)}"
+             for n in ("d", "d_s", "conv_width", "n_blocks") if getattr(self, n) < 1]
         if self.d_ff < 0:
-            raise ModelError(f"d_ff must be >= 0 (0 means 4 * d), got {self.d_ff}")
-        if self.n_blocks < 1:
-            raise ModelError(f"n_blocks must be >= 1, got {self.n_blocks}")
+            p.append(f"d_ff must be >= 0 (0 means 4 * d), got {self.d_ff}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ModelError(f"dropout must be in [0, 1), got {self.dropout}")
+            p.append(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.extension_history not in ("batch", "zeros"):
+            p.append(f"extension_history must be batch|zeros, got {self.extension_history!r}")
+        return p
+
+
+@dataclass(kw_only=True)
+class ModelConfig(Architecture):
+    vocab_size: int
+    dtype: str = "float64"
+
+    def _range_problems(self):
+        p = super()._range_problems()
+        if self.vocab_size < 2:
+            p.append(f"vocab_size must be >= 2 (padding + one item), got {self.vocab_size}")
+        if self.dtype not in DTYPES:
+            p.append(f"dtype must be {'|'.join(DTYPES)}, got {self.dtype!r}")
+        return p
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.d_ff == 0:
             self.d_ff = 4 * self.d
-        if self.vocab_size < 2:
-            raise ModelError("vocab_size must be at least 2 (padding + one item)")
-        if self.conv_width < 1:
-            raise ModelError("conv_width must be >= 1")
-        if self.extension_history not in ("batch", "zeros"):
-            raise ModelError(f"unknown extension_history {self.extension_history!r}")
 
     @property
     def np_dtype(self):
@@ -85,7 +106,7 @@ class ModelParams:
         self.tensors = {}
 
         def p(name, arr):
-            t = ag.parameter(np.asarray(arr, dtype=dt), name=name)
+            t = ag.parameter(np.asarray(arr, dtype=dt))
             self.tensors[name] = t
             return t
 
@@ -133,7 +154,7 @@ class ModelParams:
             # np.asarray: after Adam a 0-d parameter holds a numpy scalar
             view = np.asarray(t.data).view()
             view.flags.writeable = False
-            over.tensors[name] = ag.Tensor(view, requires_grad=True, name=name)
+            over.tensors[name] = ag.Tensor(view, requires_grad=True)
         return over
 
     def decay(self, block=0):
@@ -166,7 +187,7 @@ class ForwardTrace:
     extension: StepExtension
 
 
-def embed(params, items, rng=None, training=False, block=None):
+def embed(params, items, rng=None, training=False):
     """Look up item embeddings and apply train-mode dropout."""
     e = ag.embedding(params["E"], np.asarray(items))
     return ag.dropout(e, params.config.dropout, rng=rng, training=training)

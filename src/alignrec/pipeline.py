@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 
 from . import adapt as adapt_mod
 from . import autograd as ag
 from . import evaluation, ingest, losses as L, model, optim
-from .config import generator_spec
+from .config import generator_spec, load_config
 
 
 class PipelineError(RuntimeError):
@@ -40,19 +41,11 @@ def resolve_weights(cfg, train_examples):
     lam = cfg.losses.lam
     if isinstance(lam, str):
         lam = ingest.median_positive_interval(train_examples)
-    return L.LossWeights(
-        mu1_train=cfg.losses.mu1_train, mu2_train=cfg.losses.mu2_train,
-        lam=float(lam), block_size=cfg.losses.block_size,
-        dilution_power=cfg.losses.dilution_power)
+    return replace(cfg.losses, lam=float(lam))
 
 
 def build_model(cfg, vocab_size, rng):
-    mc = model.ModelConfig(vocab_size=vocab_size, d=cfg.model.d, d_s=cfg.model.d_s,
-                           conv_width=cfg.model.conv_width, d_ff=cfg.model.d_ff,
-                           dropout=cfg.model.dropout, n_blocks=cfg.model.n_blocks,
-                           detach_extension=cfg.model.detach_extension,
-                           extension_history=cfg.model.extension_history,
-                           dtype=cfg.precision)
+    mc = model.ModelConfig(vocab_size=vocab_size, dtype=cfg.precision, **vars(cfg.model))
     return model.ModelParams(mc, rng=rng)
 
 
@@ -215,7 +208,6 @@ def shift_experiment(base_config, seeds, k_segments=4, progress=None):
 
 
 def _with_seed(cfg, seed):
-    from .config import load_config
     return load_config(cfg.to_dict(), overrides={"seed": int(seed)})
 
 

@@ -5,7 +5,11 @@ import struct
 import pytest
 
 from alignrec import cli
+from alignrec.adapt import AdaptConfig
 from alignrec.config import ConfigError, load_config
+from alignrec.ingest import GeneratorSpec
+from alignrec.losses import LossWeights
+from alignrec.model import ModelConfig
 
 
 def base_config(tmp_path, **over):
@@ -122,6 +126,23 @@ class TestConfig:
         assert one_line_error(capsys, ["train", "--config", path]) == 2
         assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: LossWeights(lam=float("nan")), "lam"),
+        (lambda: LossWeights(lam=float("inf")), "lam"),
+        (lambda: LossWeights(lam=True), "lam"),
+        (lambda: LossWeights(mu1_train=float("nan")), "mu1_train"),
+        (lambda: LossWeights(dilution_power=-1), "dilution_power"),
+        (lambda: AdaptConfig(batch_size=0), "batch_size"),
+        (lambda: ModelConfig(vocab_size=9, dtype="float16"), "dtype"),
+        (lambda: GeneratorSpec(regime_weights=[None]), "regime_weights"),
+    ], ids=["nan-lam", "inf-lam", "bool-lam", "nan-mu1-train",
+            "negative-dilution-power", "zero-adapt-batch", "float16-dtype",
+            "one-regime"])
+    def test_section_type_rejects_out_of_range_value(self, build, field):
+        # each section's type holds its own ranges, whoever builds it
+        with pytest.raises(ValueError, match=field):
+            build()
 
     @pytest.mark.parametrize("over", [
         {"train": {"lr": float("nan")}},
@@ -283,9 +304,17 @@ class TestEvalCommand:
         lambda raw: rewrite_manifest(raw, lambda m: m["extra"].update(lam=None)),
         lambda raw: rewrite_manifest(raw, lambda m: m["extra"].update(lam=-5)),
         lambda raw: rewrite_manifest(raw, keep_only_embedding_with_no_blocks),
+        lambda raw: rewrite_manifest(raw, lambda m: m["config"].update(d=4.0)),
+        lambda raw: rewrite_manifest(raw, lambda m: m["config"].update(conv_width=2.5)),
+        lambda raw: rewrite_manifest(raw, lambda m: m["config"].update(vocab_size=9.0)),
+        lambda raw: rewrite_manifest(raw, lambda m: m["config"].update(dtype="float16")),
+        lambda raw: rewrite_manifest(
+            raw, lambda m: m["config"].update(detach_extension="no")),
     ], ids=["cut-100-bytes", "ten-bytes", "manifest-undecodable",
             "unknown-config-key", "no-tensor-list", "float-offset",
-            "lam-string", "lam-null", "lam-negative", "zero-blocks"])
+            "lam-string", "lam-null", "lam-negative", "zero-blocks",
+            "float-d", "float-conv-width", "float-vocab-size", "float16-dtype",
+            "string-detach-extension"])
     def test_damaged_checkpoint_is_numeric_error(self, trained, damage, capsys):
         path, ck, tmp = trained
         bad = tmp / "damaged.bin"

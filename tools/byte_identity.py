@@ -97,8 +97,7 @@ def worker(src, shapes, seed, out):
     for shape in shapes:
         params, weights, batches, base = _load_shape(shape, seed)
         bad = params.overlay()
-        bad.tensors["E"] = ag.Tensor(params["E"].data * ABORT_SCALE,
-                                     requires_grad=True, name="E")
+        bad.tensors["E"] = ag.Tensor(params["E"].data * ABORT_SCALE, requires_grad=True)
         for cname, over in CONFIGS.items():
             acfg = dataclasses.replace(base, **over)
             p = bad if cname == "abort" else params
