@@ -475,14 +475,20 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     return _node(out_data, (x, gamma, beta), bw)
 
 
-def dropout(x, rate, rng=None, training=False):
-    """Inverted dropout: active only in training mode; identity otherwise."""
+def dropout(x, rate, rng=None, training=False, drawn_over=None):
+    """Inverted dropout: active only in training mode; identity otherwise.
+
+    drawn_over=(shape, index) says x is `full[index]` for some `full` of
+    `shape`: the mask is drawn over `shape` and indexed the same way, so the
+    rng advances exactly as it would for dropout on `full`.
+    """
     x = _as_tensor(x)
     if not training or rate <= 0.0:
         return x
     if rng is None:
         raise ValueError("dropout: training mode requires an rng")
-    keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
+    shape, index = drawn_over or (x.data.shape, ...)
+    keep = (rng.random(shape) >= rate)[index] / (1.0 - rate)
 
     def bw(g, acc):
         acc(x, g * keep)

@@ -13,7 +13,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -125,13 +125,23 @@ def cmd_train(args):
     return EXIT_OK
 
 
+def _check_architecture(saved, arch):
+    """Raise one ConfigError naming every Architecture field in which the
+    run config differs from the checkpoint's config. Dropout is not
+    compared: evaluation never applies it."""
+    want = model.ModelConfig(**vars(arch), vocab_size=saved.vocab_size)   # resolves d_ff 0
+    problems = [f"checkpoint {f.name}={getattr(saved, f.name)!r} does not match "
+                f"config {f.name}={getattr(want, f.name)!r}"
+                for f in fields(model.Architecture)
+                if f.name != "dropout" and getattr(saved, f.name) != getattr(want, f.name)]
+    if problems:
+        raise ConfigError(problems)
+
+
 def cmd_eval(args):
     cfg = _load(args)
     params, extra = model.load_checkpoint(args.checkpoint)
-    if params.config.d != cfg.model.d or params.config.d_s != cfg.model.d_s:
-        raise ConfigError([
-            f"checkpoint architecture (d={params.config.d}, d_s={params.config.d_s}) "
-            f"does not match config (d={cfg.model.d}, d_s={cfg.model.d_s})"])
+    _check_architecture(params.config, cfg.model)
     ds = pipeline.load_dataset(cfg)
     if ds.vocab_size != params.config.vocab_size:
         raise ConfigError([

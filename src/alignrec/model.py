@@ -6,11 +6,14 @@ with a learnable negative scalar decay, the masked sequential scan, and a
 residual/LayerNorm-wrapped feed-forward stage. The prediction head ties the
 item embedding table. A forward pass returns a trace carrying every
 intermediate the alignment losses need, plus the one-step extension obtained
-by re-feeding the final output embedding through the same transform.
+by re-feeding the final output embedding through the same transform. The
+last block's LayerNorm and FFN run only at each row's last position, the one
+output the head, the losses and the extension read.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import hashlib
 import json
@@ -236,13 +239,18 @@ def scan(abar, bbar, X, C, mask):
     return Y, W, h_final
 
 
-def ffn_and_norm(params, Y, rng=None, training=False, block=0):
-    """LayerNorm(Y + Dropout(FFN(Y))) with a SiLU inner activation."""
+def ffn_and_norm(params, Y, rng=None, training=False, block=0, drawn_over=None):
+    """LayerNorm(Y + Dropout(FFN(Y))) with a SiLU inner activation.
+
+    Position-wise, so Y may be (m, L, d) or the (m, d) rows one position per
+    sequence; drawn_over then names the full shape and the rows taken (see
+    autograd.dropout) so dropout advances the rng as for the full sequence.
+    """
     cfg = params.config
     pre = f"block{block}."
     h = ag.silu(ag.add(ag.matmul(Y, params[pre + "Wf1"]), params[pre + "bf1"]))
     h = ag.add(ag.matmul(h, params[pre + "Wf2"]), params[pre + "bf2"])
-    h = ag.dropout(h, cfg.dropout, rng=rng, training=training)
+    h = ag.dropout(h, cfg.dropout, rng=rng, training=training, drawn_over=drawn_over)
     return ag.layer_norm(ag.add(Y, h), params[pre + "ln_ffn_g"], params[pre + "ln_ffn_b"])
 
 
@@ -296,6 +304,12 @@ def forward_full(params, batch, rng=None, training=False, need_logits=True,
                  need_extension=True):
     """Full pass over a batch; returns the trace (with extension attached).
 
+    Only each row's last output is read downstream (head, losses, extension),
+    and everything after the last block's scan is position-wise, so that
+    block gathers the last positions first: its LayerNorm and FFN run on
+    (m, d) and their output is o_last. Earlier blocks run on full sequences
+    because the next block's transform reads every position.
+
     need_logits=False skips the prediction head (the adaptation steps only
     need the alignment intermediates); need_extension=False skips the
     re-fed transform (prediction-only passes never read it).
@@ -304,6 +318,9 @@ def forward_full(params, batch, rng=None, training=False, need_logits=True,
     mask = batch.mask
     maskf = ag.constant(np.asarray(mask, dtype=cfg.np_dtype))
 
+    align_block = cfg.n_blocks - 1
+    last = (np.arange(batch.size), batch.last_index)
+
     seq = embed(params, batch.items, rng=rng, training=training)
     for b in range(cfg.n_blocks):   # n_blocks >= 1: the last block's values stay bound
         X, B, C, delta, chan = transform(params, seq, mask=mask, block=b)
@@ -311,15 +328,18 @@ def forward_full(params, batch, rng=None, training=False, need_logits=True,
         abar, bbar = discretize(delta, A, B)
         Xz = ag.mul(X, ag.reshape(maskf, maskf.shape + (1,)))
         Y, _, h_final = scan(abar, bbar, Xz, C, mask)
-        wrapped = ag.layer_norm(ag.add(seq, Y), params[f"block{b}.ln_block_g"],
+        resid = ag.add(seq, Y)
+        drawn_over = None
+        if b == align_block:
+            drawn_over = (resid.shape, last)
+            resid = resid[last]
+        wrapped = ag.layer_norm(resid, params[f"block{b}.ln_block_g"],
                                 params[f"block{b}.ln_block_b"])
-        O = ffn_and_norm(params, wrapped, rng=rng, training=training, block=b)
-        seq = O
+        seq = ffn_and_norm(params, wrapped, rng=rng, training=training, block=b,
+                           drawn_over=drawn_over)
 
-    align_block = cfg.n_blocks - 1
-    rows = np.arange(batch.size)
-    o_last = O[rows, batch.last_index]
-    x_last = Xz[rows, batch.last_index]
+    o_last = seq
+    x_last = Xz[last]
     logits = predict(params, o_last) if need_logits else None
 
     if need_extension:
@@ -355,7 +375,12 @@ CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(path, params, extra=None):
-    """Write magic, version, a JSON manifest and raw little-endian arrays."""
+    """Write magic, version, a JSON manifest and raw little-endian arrays.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces `path` in one step: a write that fails partway leaves any
+    checkpoint already at `path` as it was, and no temporary file behind.
+    """
     entries = []
     payload = bytearray()
     for name in params.names():
@@ -371,12 +396,21 @@ def save_checkpoint(path, params, extra=None):
         "extra": extra or {},
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        fh.write(bytes(payload))
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            fh.write(bytes(payload))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

@@ -285,13 +285,36 @@ class TestEvalCommand:
         assert "mu1_test" in err and err.count("\n") == 1
         assert "Traceback" not in err
 
-    def test_architecture_mismatch_is_config_error(self, trained, tmp_path):
+    def test_architecture_mismatch_is_config_error(self, trained, tmp_path, capsys):
+        # the checkpoint was trained with d=12, d_s=6, conv_width=3 and defaults
         path, ck, tmp = trained
-        bad = base_config(tmp_path, model={"d": 16, "d_s": 8, "conv_width": 3,
-                                           "dropout": 0.0})
-        path_bad = write_config(tmp_path, bad, name="bad.json")
-        assert cli.main(["eval", "--config", path_bad, "--checkpoint", ck,
-                         "--ttt", "off"]) == 2
+        cases = [
+            ({"d": 16}, ["d=12", "d=16", "d_ff=48", "d_ff=64"]),   # d_ff 0 is 4 * d
+            ({"d_s": 8}, ["d_s=6", "d_s=8"]),
+            ({"conv_width": 4}, ["conv_width=3", "conv_width=4"]),
+            ({"n_blocks": 2}, ["n_blocks=1", "n_blocks=2"]),
+            ({"d_ff": 24}, ["d_ff=48", "d_ff=24"]),
+            ({"extension_history": "zeros"}, ["'batch'", "'zeros'"]),
+            ({"detach_extension": False}, ["detach_extension=True",
+                                           "detach_extension=False"]),
+        ]
+        for i, (over, expected) in enumerate(cases):
+            bad = base_config(tmp_path, model=over)
+            path_bad = write_config(tmp_path, bad, name=f"bad{i}.json")
+            capsys.readouterr()
+            assert cli.main(["eval", "--config", path_bad, "--checkpoint", ck,
+                             "--ttt", "off"]) == 2, over
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert all(text in err for text in expected), (over, err)
+
+    def test_dropout_and_resolved_d_ff_are_not_mismatches(self, trained, tmp_path):
+        # eval never applies dropout, and d_ff=0 means 4 * d = 48
+        path, ck, tmp = trained
+        cfg = base_config(tmp_path, model={"dropout": 0.5, "d_ff": 48})
+        path_ok = write_config(tmp_path, cfg, name="ok.json")
+        assert cli.main(["eval", "--config", path_ok, "--checkpoint", ck,
+                         "--ttt", "off"]) == 0
 
     @pytest.mark.parametrize("damage", [
         lambda raw: raw[:-100],                      # payload cut short

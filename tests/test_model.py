@@ -300,6 +300,63 @@ class TestExtension:
         assert np.array_equal(with_batch.extension.delta_next.data, ext.delta_next.data)
 
 
+def full_tail_reference(params, batch, rng=None, training=False):
+    """forward_full's blocks with the last block's LayerNorm and FFN run at
+    every position and the last positions gathered afterwards; returns
+    (o_last, logits)."""
+    maskf = ag.constant(batch.mask.astype(params.config.np_dtype))
+    seq = model.embed(params, batch.items, rng=rng, training=training)
+    for b in range(params.config.n_blocks):
+        X, B, C, delta, _ = model.transform(params, seq, mask=batch.mask, block=b)
+        abar, bbar = model.discretize(delta, params.decay(b), B)
+        Xz = ag.mul(X, ag.reshape(maskf, maskf.shape + (1,)))
+        Y, _, _ = model.scan(abar, bbar, Xz, C, batch.mask)
+        wrapped = ag.layer_norm(ag.add(seq, Y), params[f"block{b}.ln_block_g"],
+                                params[f"block{b}.ln_block_b"])
+        seq = model.ffn_and_norm(params, wrapped, rng=rng, training=training, block=b)
+    o_last = seq[np.arange(batch.size), batch.last_index]
+    return o_last.data, model.predict(params, o_last).data
+
+
+class TestLastPositionTail:
+    @pytest.mark.parametrize("n_blocks", [1, 2])
+    @pytest.mark.parametrize("pad_side", ["left", "right"])
+    def test_equals_full_sequence_tail(self, rng, n_blocks, pad_side):
+        params = tiny_params(seed=31, n_blocks=n_blocks)
+        exs = random_examples(rng, n_examples=6, min_len=1, max_len=7)
+        batch = ingest.make_batches(exs, max_len=7, batch_size=8, pad_side=pad_side)[0]
+        tr = model.forward_full(params, batch, training=False)
+        o_ref, logits_ref = full_tail_reference(params, batch)
+        assert np.array_equal(tr.o_last.data, o_ref)
+        assert np.array_equal(tr.logits.data, logits_ref)
+
+    @pytest.mark.parametrize("n_blocks", [1, 2])
+    def test_dropout_draws_as_over_the_full_sequence(self, rng, n_blocks):
+        params = tiny_params(seed=32, dropout=0.3, n_blocks=n_blocks)
+        batch = random_batch(rng, n_examples=5, max_len=7)
+        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        tr = model.forward_full(params, batch, rng=ours, training=True)
+        o_ref, _ = full_tail_reference(params, batch, rng=theirs, training=True)
+        assert np.array_equal(tr.o_last.data, o_ref)
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("n_blocks", [1, 2])
+    def test_last_block_ffn_sees_one_row_per_sequence(self, rng, monkeypatch, n_blocks):
+        params = tiny_params(seed=33, n_blocks=n_blocks)
+        batch = random_batch(rng, n_examples=5, max_len=7)
+        seen = []
+        ffn = model.ffn_and_norm
+
+        def recording(params, Y, *args, **kw):
+            seen.append(Y.shape)
+            return ffn(params, Y, *args, **kw)
+
+        monkeypatch.setattr(model, "ffn_and_norm", recording)
+        model.forward_full(params, batch, training=False)
+        m, L, d = batch.size, batch.seq_len, params.config.d
+        assert seen == [(m, L, d)] * (n_blocks - 1) + [(m, d)]
+
+
 class TestForwardFull:
     def test_eval_mode_deterministic(self, rng):
         params = tiny_params(dropout=0.3)
@@ -444,6 +501,39 @@ class TestCheckpoint:
     def test_out_of_range_config_rejected(self, field):
         with pytest.raises(model.ModelError, match=next(iter(field))):
             model.ModelConfig(vocab_size=9, **field)
+
+    def test_failed_write_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "ck.bin"
+        old = tiny_params(seed=24)
+        model.save_checkpoint(str(path), old)
+        # same architecture, so the new file would be as long: fail halfway,
+        # past the header and manifest, inside the payload
+        limit = path.stat().st_size // 2
+
+        class FailsHalfway:
+            def __init__(self, fh):
+                self.fh, self.written = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                room = limit - self.written
+                self.written += self.fh.write(data[:room])
+                if len(data) > room:
+                    raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(model, "open", lambda p, mode: FailsHalfway(open(p, mode)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space"):
+            model.save_checkpoint(str(path), tiny_params(seed=25))
+        monkeypatch.undo()
+        loaded, _ = model.load_checkpoint(str(path))
+        assert model.checkpoint_digest(loaded) == model.checkpoint_digest(old)
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.bin"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = str(tmp_path / "junk.bin")

@@ -15,7 +15,9 @@ Shapes (comma-separated, default all three benchmark shapes):
   requests;
 - adapt-long, adapt-catalog: the benchmark's seeded models and request sizes
   (see perfbench/workloads.py);
-- tiny: a seconds-long shape for smoke tests.
+- tiny: a seconds-long shape for smoke tests;
+- tiny-2block: tiny with two blocks, so an earlier block runs in front of
+  the last one.
 
 Adaptation configs: the shape's own (M=2), M=3 at lr 0.5, zero steps, each
 loss alone, and an overflowing embedding table that aborts adaptation.
@@ -33,7 +35,7 @@ import tempfile
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SHAPES = ("train-shift", "adapt-long", "adapt-catalog", "tiny")
+SHAPES = ("train-shift", "adapt-long", "adapt-catalog", "tiny", "tiny-2block")
 N_BATCHES = 6
 CONFIGS = {
     "m2": {},
@@ -49,6 +51,7 @@ TINY = {
                   "min_events": 8, "max_events": 12},
     "max_len": 8, "d": 8, "d_s": 4, "request_size": 4,
 }
+SMOKE_SHAPES = {"tiny": TINY, "tiny-2block": {**TINY, "n_blocks": 2}}
 
 
 def _load_shape(name, seed):
@@ -62,8 +65,8 @@ def _load_shape(name, seed):
         params, weights, split, _ = pipeline.train_model(cfg)
         return params, weights, pipeline.test_batches(cfg, split)[:N_BATCHES], cfg.adapt
 
-    if name == "tiny":
-        w = TINY
+    if name in SMOKE_SHAPES:
+        w = SMOKE_SHAPES[name]
     else:
         import workloads   # perfbench/workloads.py, for the benchmark's shapes
         w = workloads.ADAPT_WORKLOADS[name]
@@ -71,7 +74,7 @@ def _load_shape(name, seed):
         "seed": seed,
         "data": {"generator": w["generator"], "max_len": w["max_len"],
                  "min_interactions": 0},
-        "model": {"d": w["d"], "d_s": w["d_s"]},
+        "model": {"d": w["d"], "d_s": w["d_s"], "n_blocks": w.get("n_blocks", 1)},
         "adapt": {"steps": 2, "batch_policy": "fixed",
                   "batch_size": w["request_size"]},
     })
