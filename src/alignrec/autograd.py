@@ -383,6 +383,8 @@ def reshape(a, shape):
 
 
 def _getitem(a, key):
+    """a[key]. A basic slice returns a view (no op writes into a Tensor's
+    data) and its backward adds into that region of a's gradient."""
     a = _as_tensor(a)
     out_data = a.data[key]
     # an integer index array may repeat an entry, whose gradients must add
@@ -392,14 +394,16 @@ def _getitem(a, key):
                   for p in parts)
 
     def bw(g, acc):
-        full = np.zeros_like(a.data)
         if scatter:
+            # scattered into a fresh buffer first, so prev + (0 + g1 + g2)
+            # keeps its association; scattering into prev would round apart
+            full = np.zeros_like(a.data)
             np.add.at(full, key, g)
+            acc(a, full)
         else:
-            full[key] += g
-        acc(a, full)
+            acc(a, g, key)
 
-    return _node(np.array(out_data, copy=True), (a,), bw)
+    return _node(out_data, (a,), bw)
 
 
 def embedding(table, indices):
@@ -649,13 +653,29 @@ def grad(loss, params):
         raise ShapeError(f"grad: loss must be scalar, got shape {loss.shape}")
     keep = {id(p) for p in params.values()}
     grads = {id(loss): np.ones_like(loss.data)}
+    owned = set()   # ids whose buffer this call allocated and may write into
 
-    def acc(node, g):
+    def acc(node, g, key=...):
+        """Add g into node's gradient; with a basic-slice key, into that
+        region only. A closure may hand one g to several parents, so an
+        array this call did not allocate is copied before it is written."""
         if not node.requires_grad:
             return
         g = np.asarray(g, dtype=node.data.dtype)
-        prev = grads.get(id(node))
-        grads[id(node)] = g if prev is None else prev + g
+        i = id(node)
+        prev = grads.get(i)
+        if i in owned:
+            prev[key] += g
+        elif prev is None and key is ...:
+            grads[i] = g
+        else:
+            if key is ...:
+                buf = np.add(prev, g, out=np.empty(prev.shape, prev.dtype))
+            else:
+                buf = np.zeros_like(node.data) if prev is None else prev.copy()
+                buf[key] += g
+            grads[i] = buf
+            owned.add(i)
 
     for node in reversed(_toposort(loss)):
         g = grads.get(id(node))

@@ -76,6 +76,40 @@ def test_getitem_gradient_adds_repeated_indices():
     assert np.array_equal(g["y"], np.tile([0.0, 1.0, 1.0, 0.0], (3, 1)))
 
 
+@pytest.mark.parametrize("slice_first", [False, True])
+def test_slice_gradient_does_not_write_into_a_shared_gradient(rng, slice_first):
+    # add hands one g object to both of its parents; the slice's backward
+    # must not add into that object, or q's gradient changes with p's
+    p = ag.parameter(rng.normal(size=(4, 6)))
+    q = ag.parameter(rng.normal(size=(4, 6)))
+    w = rng.normal(size=(4, 6))
+    v = rng.normal(size=(4, 3))
+    whole = ag.reduce_sum(ag.mul(ag.add(p, q), ag.constant(w)))
+    part = ag.reduce_sum(ag.mul(p[:, 1:4], ag.constant(v)))
+    loss = ag.add(part, whole) if slice_first else ag.add(whole, part)
+    g = ag.grad(loss, {"p": p, "q": q})
+    ref_p = w.copy()
+    ref_p[:, 1:4] += v
+    assert np.array_equal(g["p"], ref_p)
+    assert np.array_equal(g["q"], w)
+
+
+def test_slice_gradients_add_into_one_buffer(rng):
+    p = ag.parameter(rng.normal(size=(1000, 1000)))
+    loss = ag.reduce_sum(p[:, :100])
+    for k in range(1, 10):
+        loss = ag.add(loss, ag.reduce_sum(p[:, 100 * k:100 * (k + 1)]))
+    tracemalloc.start()
+    try:
+        g = ag.grad(loss, {"p": p})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(g["p"], np.ones((1000, 1000)))
+    # a full-size zero array per slice, added to the running sum, needs three
+    assert peak < 2 * p.data.nbytes, peak / p.data.nbytes
+
+
 def test_grad_rejects_non_scalar_loss():
     p = ag.parameter(np.array([1.0, 2.0]))
     with pytest.raises(ag.ShapeError):

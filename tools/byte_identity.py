@@ -17,7 +17,9 @@ Shapes (comma-separated, default all three benchmark shapes):
   (see perfbench/workloads.py);
 - tiny: a seconds-long shape for smoke tests;
 - tiny-2block: tiny with two blocks, so an earlier block runs in front of
-  the last one.
+  the last one;
+- tiny-right: tiny with right-padded sequences (every other shape pads on
+  the left).
 
 Adaptation configs: the shape's own (M=2), M=3 at lr 0.5, zero steps, each
 loss alone, and an overflowing embedding table that aborts adaptation.
@@ -35,7 +37,8 @@ import tempfile
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SHAPES = ("train-shift", "adapt-long", "adapt-catalog", "tiny", "tiny-2block")
+SHAPES = ("train-shift", "adapt-long", "adapt-catalog", "tiny", "tiny-2block",
+          "tiny-right")
 N_BATCHES = 6
 CONFIGS = {
     "m2": {},
@@ -51,7 +54,8 @@ TINY = {
                   "min_events": 8, "max_events": 12},
     "max_len": 8, "d": 8, "d_s": 4, "request_size": 4,
 }
-SMOKE_SHAPES = {"tiny": TINY, "tiny-2block": {**TINY, "n_blocks": 2}}
+SMOKE_SHAPES = {"tiny": TINY, "tiny-2block": {**TINY, "n_blocks": 2},
+                "tiny-right": {**TINY, "pad_side": "right"}}
 
 
 def _load_shape(name, seed):
@@ -73,7 +77,7 @@ def _load_shape(name, seed):
     cfg = load_config({
         "seed": seed,
         "data": {"generator": w["generator"], "max_len": w["max_len"],
-                 "min_interactions": 0},
+                 "min_interactions": 0, "pad_side": w.get("pad_side", "left")},
         "model": {"d": w["d"], "d_s": w["d_s"], "n_blocks": w.get("n_blocks", 1)},
         "adapt": {"steps": 2, "batch_policy": "fixed",
                   "batch_size": w["request_size"]},
