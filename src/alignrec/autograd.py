@@ -25,7 +25,7 @@ __all__ = [
     "reduce_sum", "clip_min", "stop_gradient", "embedding",
     "causal_conv1d", "layer_norm", "dropout",
     "softmax_cross_entropy", "frobenius_norm",
-    "einsum", "scan_step", "sequential_scan",
+    "einsum", "scan_step", "sequential_scan", "last_decay",
     "grad", "no_grad", "finite_diff_check", "FiniteDiffReport",
 ]
 
@@ -572,6 +572,40 @@ def _decay_kernel(abar, mask):
     return _node(W, (abar,), bw)
 
 
+def last_decay(abar, mask):
+    """w[m, k] = mask[m, k] * prod_{k<j<L} abar'[m, j], abar' being abar with
+    masked steps set to 1: the last row of _decay_kernel, i.e. the weight with
+    which step k's injection reaches the final state. A reverse cumulative
+    product, O(m L).
+
+    The backward sweeps forward once and divides by nothing, so an abar of
+    exactly 0 still gets its finite gradient. With R[j] = prod_{j<i<L}
+    abar'_i (so w = mask R) and S[j] = sum_{k<j} mask_k g_k
+    prod_{k<i<j} abar'_i:
+
+        S[j+1] = abar'_j S[j] + mask_j g_j,    grad_j = mask_j R[j] S[j]
+    """
+    abar = _as_tensor(abar)
+    mask = np.asarray(mask, dtype=bool)
+    if abar.data.ndim != 2 or mask.shape != abar.data.shape:
+        raise ShapeError(f"last_decay: abar {abar.shape} and mask {mask.shape} "
+                         f"must be the same (m, L)")
+    a = np.where(mask, abar.data, 1.0).astype(abar.data.dtype, copy=False)
+    R = np.ones_like(a)
+    R[:, :-1] = np.cumprod(a[:, :0:-1], axis=1)[:, ::-1]
+
+    def bw(g, acc):
+        gm = np.where(mask, g, 0.0)
+        ga = np.zeros_like(a)
+        S = np.zeros(a.shape[0], dtype=a.dtype)
+        for j in range(a.shape[1]):
+            ga[:, j] = R[:, j] * S
+            S = a[:, j] * S + gm[:, j]
+        acc(abar, np.where(mask, ga, 0.0))
+
+    return _node(R * mask, (abar,), bw)
+
+
 def sequential_scan(abar, bbar, x, C, mask):
     """The masked recurrence h_t = abar_t h_{t-1} + bbar_t (x) x_t with
     readout y_t = h_t^T c_t, in its quadratic (state-space-dual) form.
@@ -670,6 +704,7 @@ def grad(loss, params):
             grads[i] = g
         else:
             if key is ...:
+                # out=: a 0-d sum would come back as a scalar, not a buffer
                 buf = np.add(prev, g, out=np.empty(prev.shape, prev.dtype))
             else:
                 buf = np.zeros_like(node.data) if prev is None else prev.copy()

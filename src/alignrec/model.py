@@ -7,8 +7,11 @@ residual/LayerNorm-wrapped feed-forward stage. The prediction head ties the
 item embedding table. A forward pass returns a trace carrying every
 intermediate the alignment losses need, plus the one-step extension obtained
 by re-feeding the final output embedding through the same transform. The
-last block's LayerNorm and FFN run only at each row's last position, the one
-output the head, the losses and the extension read.
+last block's output is read only at each row's last position, the one output
+the head, the losses and the extension read: its scan computes just the
+final state in linear time, and its LayerNorm and FFN run on that one row.
+Earlier blocks scan in the quadratic form, because the next block reads
+every position.
 """
 
 from __future__ import annotations
@@ -234,7 +237,9 @@ def scan(abar, bbar, X, C, mask):
     """Run the recurrence in its quadratic (state-space-dual) form; returns
     per-step outputs Y, the non-differentiable (m, L, L) decay kernel, and
     the final state. Masked steps carry the state unchanged. Memory is
-    O(m L^2); no per-step state stack is built."""
+    O(m L^2); no per-step state stack is built. forward_full runs it for
+    every block but the last, whose outputs the next block reads at every
+    position."""
     Y, h_final, W = ag.sequential_scan(abar, bbar, X, C, mask)
     return Y, W, h_final
 
@@ -305,10 +310,14 @@ def forward_full(params, batch, rng=None, training=False, need_logits=True,
     """Full pass over a batch; returns the trace (with extension attached).
 
     Only each row's last output is read downstream (head, losses, extension),
-    and everything after the last block's scan is position-wise, so that
-    block gathers the last positions first: its LayerNorm and FFN run on
-    (m, d) and their output is o_last. Earlier blocks run on full sequences
-    because the next block's transform reads every position.
+    and everything after the last block's scan is position-wise. So the last
+    block computes only the final state, h_final = sum_k w_k bbar_k (x) x_k
+    with w = autograd.last_decay (O(m L), no (m, L, L) kernel), and reads its
+    output at the last position as y_last = C[last] h_final; this holds for
+    left and right padding because masked steps carry the state unchanged.
+    Its LayerNorm and FFN then run on (m, d) and give o_last. Earlier blocks
+    run the quadratic-form scan and the tail on full sequences because the
+    next block's transform reads every position.
 
     need_logits=False skips the prediction head (the adaptation steps only
     need the alignment intermediates); need_extension=False skips the
@@ -327,12 +336,16 @@ def forward_full(params, batch, rng=None, training=False, need_logits=True,
         A = params.decay(b)
         abar, bbar = discretize(delta, A, B)
         Xz = ag.mul(X, ag.reshape(maskf, maskf.shape + (1,)))
-        Y, _, h_final = scan(abar, bbar, Xz, C, mask)
-        resid = ag.add(seq, Y)
         drawn_over = None
-        if b == align_block:
-            drawn_over = (resid.shape, last)
-            resid = resid[last]
+        if b < align_block:
+            Y, _, _ = scan(abar, bbar, Xz, C, mask)
+            resid = ag.add(seq, Y)
+        else:
+            # masked steps carry the state, so the last output reads h_final
+            h_final = ag.einsum("mk,mks,mkd->msd", ag.last_decay(abar, mask), bbar, Xz)
+            y_last = ag.einsum("ms,msd->md", C[last], h_final)
+            drawn_over = (seq.shape, last)
+            resid = ag.add(seq[last], y_last)
         wrapped = ag.layer_norm(resid, params[f"block{b}.ln_block_g"],
                                 params[f"block{b}.ln_block_b"])
         seq = ffn_and_norm(params, wrapped, rng=rng, training=training, block=b,

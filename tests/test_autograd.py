@@ -259,6 +259,63 @@ def test_scan_gradient_exact_at_zero_decay(rng):
     assert rep.ok, rep.failures[:3]
 
 
+def last_decay_cases(rng):
+    """(abar, mask) pairs: random masks, exact zeros, L = 1, masked rows."""
+    cases = []
+    for _ in range(6):
+        m, L = int(rng.integers(1, 5)), int(rng.integers(2, 12))
+        cases.append((rng.uniform(0.0, 1.0, (m, L)), rng.random((m, L)) > 0.3))
+    zeros = rng.uniform(0.1, 1.0, (3, 8))
+    zeros[:, [0, 3, 7]] = 0.0
+    zeros[1, 5] = 0.0
+    masked_rows = rng.random((4, 6)) > 0.3
+    masked_rows[[0, 2]] = False
+    cases += [
+        (zeros, rng.random((3, 8)) > 0.2),
+        (zeros, np.ones((3, 8), bool)),
+        (rng.uniform(0.0, 1.0, (3, 1)), np.array([[True], [False], [True]])),
+        (rng.uniform(0.0, 1.0, (4, 6)), masked_rows),
+    ]
+    return cases
+
+
+def test_last_decay_is_the_suffix_product(rng):
+    for abar, mask in last_decay_cases(rng):
+        m, L = abar.shape
+        ref = np.zeros((m, L))
+        for i in range(m):
+            for k in range(L):
+                if mask[i, k]:
+                    ref[i, k] = np.prod([abar[i, j] for j in range(k + 1, L) if mask[i, j]])
+        w = ag.last_decay(ag.constant(abar), mask)
+        assert np.allclose(w.data, ref, atol=1e-15, rtol=0)
+
+
+def test_last_decay_gradient_is_the_product_rule(rng):
+    for abar, mask in last_decay_cases(rng):
+        m, L = abar.shape
+        G = rng.normal(size=(m, L))
+        a = ag.parameter(abar)
+
+        def f():
+            return ag.reduce_sum(ag.mul(ag.last_decay(a, mask), ag.constant(G)))
+
+        # d w_k / d abar_j is the product over k < i < L with step j left out
+        ref = np.zeros((m, L))
+        for i in range(m):
+            for j in range(L):
+                if mask[i, j]:
+                    ref[i, j] = sum(G[i, k] * np.prod([abar[i, n] for n in range(k + 1, L)
+                                                       if mask[i, n] and n != j])
+                                    for k in range(j) if mask[i, k])
+        g = ag.grad(f(), {"a": a})["a"]
+        assert np.all(np.isfinite(g))
+        assert np.allclose(g, ref, atol=1e-14, rtol=0)
+        rep = ag.finite_diff_check(f, {"a": a}, eps=1e-6, tol=1e-6,
+                                   n_samples=2 * abar.size, rng=rng)
+        assert rep.ok, rep.failures[:3]
+
+
 def test_einsum_gradients_with_batch_index(rng):
     a = ag.parameter(rng.normal(size=(2, 3, 4)))    # m t s
     b = ag.parameter(rng.normal(size=(2, 5, 4)))    # m k s

@@ -303,18 +303,27 @@ class TestExtension:
 def full_tail_reference(params, batch, rng=None, training=False):
     """forward_full's blocks with the last block's LayerNorm and FFN run at
     every position and the last positions gathered afterwards; returns
-    (o_last, logits)."""
+    (o_last, logits). The last block's Y at those positions is read through
+    the final state, as the model reads it; TestFinalStateReadout checks
+    that readout against the recurrence."""
     maskf = ag.constant(batch.mask.astype(params.config.np_dtype))
+    last = (np.arange(batch.size), batch.last_index)
+    n_blocks = params.config.n_blocks
     seq = model.embed(params, batch.items, rng=rng, training=training)
-    for b in range(params.config.n_blocks):
+    for b in range(n_blocks):
         X, B, C, delta, _ = model.transform(params, seq, mask=batch.mask, block=b)
         abar, bbar = model.discretize(delta, params.decay(b), B)
         Xz = ag.mul(X, ag.reshape(maskf, maskf.shape + (1,)))
         Y, _, _ = model.scan(abar, bbar, Xz, C, batch.mask)
+        if b == n_blocks - 1:
+            h = ag.einsum("mk,mks,mkd->msd", ag.last_decay(abar, batch.mask), bbar, Xz)
+            Yd = Y.data.copy()
+            Yd[last] = ag.einsum("ms,msd->md", C[last], h).data
+            Y = ag.constant(Yd)
         wrapped = ag.layer_norm(ag.add(seq, Y), params[f"block{b}.ln_block_g"],
                                 params[f"block{b}.ln_block_b"])
         seq = model.ffn_and_norm(params, wrapped, rng=rng, training=training, block=b)
-    o_last = seq[np.arange(batch.size), batch.last_index]
+    o_last = seq[last]
     return o_last.data, model.predict(params, o_last).data
 
 
@@ -355,6 +364,66 @@ class TestLastPositionTail:
         model.forward_full(params, batch, training=False)
         m, L, d = batch.size, batch.seq_len, params.config.d
         assert seen == [(m, L, d)] * (n_blocks - 1) + [(m, d)]
+
+
+def naive_last_readout(abar, bbar, X, C, mask, last_index):
+    """The recurrence step by step: the final state, and y = h^T c read at
+    each row's last position with the state held at that step."""
+    m, L = mask.shape
+    h = np.zeros((m, bbar.shape[-1], X.shape[-1]))
+    y = np.zeros((m, X.shape[-1]))
+    for i in range(m):
+        for t in range(L):
+            if mask[i, t]:
+                h[i] = abar[i, t] * h[i] + np.outer(bbar[i, t], X[i, t])
+            if t == last_index[i]:
+                y[i] = h[i].T @ C[i, t]
+    return h, y
+
+
+class TestFinalStateReadout:
+    @pytest.mark.parametrize("n_blocks", [1, 2])
+    @pytest.mark.parametrize("pad_side", ["left", "right"])
+    def test_matches_the_recurrence(self, rng, monkeypatch, n_blocks, pad_side):
+        params = tiny_params(seed=34, n_blocks=n_blocks)
+        exs = random_examples(rng, n_examples=6, min_len=1, max_len=9)
+        batch = ingest.make_batches(exs, max_len=9, batch_size=8, pad_side=pad_side)[0]
+        calls = []
+        layer_norm = ag.layer_norm
+
+        def recording(x, *args, **kw):
+            out = layer_norm(x, *args, **kw)
+            calls.append((x.data, out.data))
+            return out
+
+        monkeypatch.setattr(ag, "layer_norm", recording)
+        tr = model.forward_full(params, batch, training=False)
+        h, y = naive_last_readout(tr.abar.data, tr.bbar.data, tr.X.data, tr.C.data,
+                                  batch.mask, batch.last_index)
+        assert np.allclose(tr.h_final.data, h, atol=1e-12, rtol=0)
+        # the alignment block's LayerNorm reads seq[last] + y_last
+        seq = params["E"].data[batch.items] if n_blocks == 1 else calls[-3][1]
+        resid = calls[-2][0]
+        y_last = resid - seq[np.arange(batch.size), batch.last_index]
+        assert np.allclose(y_last, y, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("n_blocks", [1, 2])
+    def test_only_earlier_blocks_run_the_quadratic_scan(self, rng, monkeypatch, n_blocks):
+        params = tiny_params(seed=35, n_blocks=n_blocks)
+        batch = random_batch(rng, n_examples=4, max_len=6)
+        counts = {"scan": 0, "kernel": 0}
+
+        def counting(name, fn):
+            def run(*args, **kw):
+                counts[name] += 1
+                return fn(*args, **kw)
+            return run
+
+        monkeypatch.setattr(model, "scan", counting("scan", model.scan))
+        monkeypatch.setattr(ag, "_decay_kernel", counting("kernel", ag._decay_kernel))
+        tr = model.forward_full(params, batch, training=False)
+        ag.grad(ag.reduce_sum(tr.logits), params.as_dict())
+        assert counts == {"scan": n_blocks - 1, "kernel": n_blocks - 1}
 
 
 class TestForwardFull:
