@@ -181,8 +181,12 @@ def mul(a, b):
     out_data = a.data * b.data
 
     def bw(g, acc):
-        acc(a, _unbroadcast(g * b.data, a.data.shape))
-        acc(b, _unbroadcast(g * a.data, b.data.shape))
+        # a product for an operand that takes no gradient, such as a mask,
+        # would be a full-size array that acc throws away
+        if a.requires_grad:
+            acc(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            acc(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _node(out_data, (a, b), bw)
 
@@ -195,8 +199,10 @@ def div(a, b):
     out_data = a.data / b.data
 
     def bw(g, acc):
-        acc(a, _unbroadcast(g / b.data, a.data.shape))
-        acc(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        if a.requires_grad:
+            acc(a, _unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            acc(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _node(out_data, (a, b), bw)
 
@@ -302,7 +308,13 @@ def silu(a):
     out_data = a.data * s
 
     def bw(g, acc):
-        acc(a, g * (s * (1.0 + a.data * (1.0 - s))))
+        # g s (1 + a (1 - s)), built in one buffer
+        buf = np.subtract(1.0, s)
+        buf *= a.data
+        buf += 1.0
+        buf *= s
+        buf *= g
+        acc(a, buf)
 
     return _node(out_data, (a,), bw)
 
@@ -420,11 +432,25 @@ def embedding(table, indices):
 # structured primitives
 
 
+_BLOCK_BYTES = 1 << 18
+
+
+def _block_rows(row_bytes):
+    """How many leading-axis rows of row_bytes each fit one _BLOCK_BYTES
+    block: small enough that a block and its scratch stay in cache."""
+    return max(1, _BLOCK_BYTES // max(1, row_bytes))
+
+
 def causal_conv1d(x, kernel, bias):
     """Depthwise causal 1-D convolution over the time axis.
 
     x: (m, L, C); kernel: (w, C); bias: (C,). The input is implicitly
     left-padded with w-1 zeros so position t sees x[t-w+1 .. t].
+
+    Sequences are taken in blocks of about _BLOCK_BYTES, each tap's product
+    written into one block-sized scratch buffer, so no full-size temporary
+    is made per tap. Each output element still adds the bias and then the
+    taps in order k = 0 .. w-1.
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     if x.data.ndim != 3 or kernel.data.ndim != 2 or x.data.shape[2] != kernel.data.shape[1]:
@@ -432,13 +458,19 @@ def causal_conv1d(x, kernel, bias):
             f"causal_conv1d: incompatible shapes {x.shape} vs kernel {kernel.shape}")
     m, L, C = x.data.shape
     w = kernel.data.shape[0]
-    out_data = np.broadcast_to(bias.data, (m, L, C)).astype(x.data.dtype).copy()
-    for k in range(w):
-        shift = w - 1 - k  # how far back in time tap k looks
-        if shift == 0:
-            out_data += kernel.data[k] * x.data
-        elif shift < L:
-            out_data[:, shift:, :] += kernel.data[k] * x.data[:, :L - shift, :]
+    out_data = np.empty((m, L, C), dtype=x.data.dtype)
+    out_data[...] = bias.data
+    rows = _block_rows(x.data[0].nbytes)
+    scratch = np.empty((min(rows, m), L, C), dtype=x.data.dtype)
+    for i in range(0, m, rows):
+        xb, ob = x.data[i:i + rows], out_data[i:i + rows]
+        for k in range(w):
+            shift = w - 1 - k  # how far back in time tap k looks
+            if shift < L:
+                tap = scratch[:len(xb), :L - shift]
+                np.multiply(kernel.data[k], xb[:, :L - shift], out=tap)
+                ob[:, shift:] += tap
+    del scratch
 
     def bw(g, acc):
         gx = np.zeros_like(x.data)

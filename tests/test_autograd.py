@@ -110,6 +110,23 @@ def test_slice_gradients_add_into_one_buffer(rng):
     assert peak < 2 * p.data.nbytes, peak / p.data.nbytes
 
 
+@pytest.mark.parametrize("op", ["mul", "div"])
+def test_constant_operand_gets_no_gradient_product(rng, op):
+    x = ag.parameter(rng.normal(size=(1000, 1000)))
+    c = ag.constant(1.0 + rng.random((1000, 1)))
+    loss = ag.reduce_sum(getattr(ag, op)(x, c))
+    tracemalloc.start()
+    try:
+        g = ag.grad(loss, {"x": x})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ref = c.data if op == "mul" else 1.0 / c.data
+    assert np.array_equal(g["x"], np.broadcast_to(ref, x.data.shape))
+    # x's gradient is one full array; a product for the constant is a second
+    assert peak < 2 * x.data.nbytes, peak / x.data.nbytes
+
+
 def test_grad_rejects_non_scalar_loss():
     p = ag.parameter(np.array([1.0, 2.0]))
     with pytest.raises(ag.ShapeError):
@@ -426,6 +443,75 @@ def test_causal_conv_matches_direct_sum(rng):
                 ref[:, t] += k[kk] * x[:, src]
     ref += b
     assert np.allclose(out.data, ref, atol=1e-14)
+
+
+def conv_reference(x, k, b):
+    """The unblocked causal convolution: one full-size product per tap."""
+    L, w = x.shape[1], k.shape[0]
+    out = np.broadcast_to(b, x.shape).astype(x.dtype).copy()
+    for kk in range(w):
+        shift = w - 1 - kk
+        if shift < L:
+            out[:, shift:] += k[kk] * x[:, :L - shift]
+    return out
+
+
+def conv_reference_grads(x, k, g):
+    """Gradients of sum(g * conv(x, k, b)) for x, k and b, tap by tap."""
+    L, w = x.shape[1], k.shape[0]
+    gx, gk = np.zeros_like(x), np.zeros_like(k)
+    for kk in range(w):
+        shift = w - 1 - kk
+        if shift < L:
+            gx[:, :L - shift] += k[kk] * g[:, shift:]
+            gk[kk] = np.sum(g[:, shift:] * x[:, :L - shift], axis=(0, 1))
+    return gx, gk, g.sum(axis=(0, 1))
+
+
+# (m, L, C, w, dtype): L > w, L < w, L = 1, w = 1, float32, and the
+# extension's (m, w, C) window
+CONV_CASES = [(7, 5, 3, 4, np.float64), (7, 2, 3, 4, np.float64),
+              (7, 1, 3, 4, np.float64), (7, 5, 3, 1, np.float64),
+              (7, 5, 3, 4, np.float32), (7, 4, 3, 4, np.float64)]
+
+
+def _conv_inputs(rng, m, L, C, w, dtype):
+    return (rng.normal(size=(m, L, C)).astype(dtype), rng.normal(size=(w, C)).astype(dtype),
+            rng.normal(size=C).astype(dtype))
+
+
+@pytest.mark.parametrize("block_bytes", [64, 256, None])
+@pytest.mark.parametrize("m, L, C, w, dtype", CONV_CASES)
+def test_blocked_conv_equals_the_unblocked_formula(rng, monkeypatch, block_bytes,
+                                                   m, L, C, w, dtype):
+    # 64 bytes: one sequence per block; 256: blocks of 2-4 with a partial last
+    if block_bytes is not None:
+        monkeypatch.setattr(ag, "_BLOCK_BYTES", block_bytes)
+    x, k, b = _conv_inputs(rng, m, L, C, w, dtype)
+    out = ag.causal_conv1d(ag.constant(x), ag.constant(k), ag.constant(b))
+    assert out.data.dtype == dtype
+    assert np.array_equal(out.data, conv_reference(x, k, b))
+
+
+@pytest.mark.parametrize("block_bytes", [64, 256, None])
+@pytest.mark.parametrize("m, L, C, w, dtype",
+                         [c for c in CONV_CASES if c[4] == np.float64])
+def test_blocked_conv_gradients_match_the_unblocked_formula(rng, monkeypatch, block_bytes,
+                                                            m, L, C, w, dtype):
+    if block_bytes is not None:
+        monkeypatch.setattr(ag, "_BLOCK_BYTES", block_bytes)
+    x, k, b = (ag.parameter(v) for v in _conv_inputs(rng, m, L, C, w, dtype))
+    G = rng.normal(size=(m, L, C))
+
+    def f():
+        return ag.reduce_sum(ag.mul(ag.causal_conv1d(x, k, b), ag.constant(G)))
+
+    params = {"x": x, "k": k, "b": b}
+    got = ag.grad(f(), params)
+    for name, ref in zip(("x", "k", "b"), conv_reference_grads(x.data, k.data, G)):
+        np.testing.assert_allclose(got[name], ref, rtol=1e-12, atol=1e-12)
+    rep = ag.finite_diff_check(f, params, eps=1e-6, tol=1e-6, n_samples=30, rng=rng)
+    assert rep.ok, rep.failures[:3]
 
 
 def test_structured_primitive_gradients(rng):

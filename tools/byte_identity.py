@@ -19,7 +19,8 @@ Shapes (comma-separated, default all three benchmark shapes):
 - tiny-2block: tiny with two blocks, so an earlier block runs in front of
   the last one;
 - tiny-right: tiny with right-padded sequences (every other shape pads on
-  the left).
+  the left);
+- tiny-f32: tiny in float32 (every other shape runs in float64).
 
 Adaptation configs: the shape's own (M=2), M=3 at lr 0.5, zero steps, each
 loss alone, and an overflowing embedding table that aborts adaptation.
@@ -38,7 +39,7 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHAPES = ("train-shift", "adapt-long", "adapt-catalog", "tiny", "tiny-2block",
-          "tiny-right")
+          "tiny-right", "tiny-f32")
 N_BATCHES = 6
 CONFIGS = {
     "m2": {},
@@ -55,7 +56,8 @@ TINY = {
     "max_len": 8, "d": 8, "d_s": 4, "request_size": 4,
 }
 SMOKE_SHAPES = {"tiny": TINY, "tiny-2block": {**TINY, "n_blocks": 2},
-                "tiny-right": {**TINY, "pad_side": "right"}}
+                "tiny-right": {**TINY, "pad_side": "right"},
+                "tiny-f32": {**TINY, "precision": "float32"}}
 
 
 def _load_shape(name, seed):
@@ -75,7 +77,7 @@ def _load_shape(name, seed):
         import workloads   # perfbench/workloads.py, for the benchmark's shapes
         w = workloads.ADAPT_WORKLOADS[name]
     cfg = load_config({
-        "seed": seed,
+        "seed": seed, "precision": w.get("precision", "float64"),
         "data": {"generator": w["generator"], "max_len": w["max_len"],
                  "min_interactions": 0, "pad_side": w.get("pad_side", "left")},
         "model": {"d": w["d"], "d_s": w["d_s"], "n_blocks": w.get("n_blocks", 1)},
