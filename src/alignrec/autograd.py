@@ -8,6 +8,12 @@ Indexing a Tensor is the only gather, and its backward the only scatter-add.
 
 float64 is the working precision for training and adaptation; float32 is
 accepted for throughput runs (ops preserve the input dtype).
+
+numpy is the only dependency: the sigmoid is numpy's exp, built in one
+buffer. A backward computes no product for an operand that takes no
+gradient, and the causal convolution works through sequences in blocks
+with one scratch buffer, so neither a constant mask nor a convolution tap
+costs a full-size temporary.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from __future__ import annotations
 import contextlib
 
 import numpy as np
-from scipy.special import expit as _sigmoid
 
 __all__ = [
     "Tensor", "ShapeError", "DomainError",
@@ -289,6 +294,17 @@ def exp(a):
     return _node(out_data, (a,), bw)
 
 
+def _sigmoid(x):
+    """1 / (1 + e^-x) in one buffer of x's dtype, 0-d input included. e^-x
+    overflows to inf below about -709 (float64) and gives exactly 0; it
+    underflows to 0 above about 745 and gives exactly 1."""
+    x = np.asarray(x)
+    out = np.negative(x, out=np.empty_like(x))
+    with np.errstate(over="ignore", under="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
+
 
 def softplus(a):
     """log(1 + e^x), computed stably; derivative is sigmoid(x)."""
@@ -447,10 +463,11 @@ def causal_conv1d(x, kernel, bias):
     x: (m, L, C); kernel: (w, C); bias: (C,). The input is implicitly
     left-padded with w-1 zeros so position t sees x[t-w+1 .. t].
 
-    Sequences are taken in blocks of about _BLOCK_BYTES, each tap's product
-    written into one block-sized scratch buffer, so no full-size temporary
-    is made per tap. Each output element still adds the bias and then the
-    taps in order k = 0 .. w-1.
+    Forward and backward take sequences in blocks of about _BLOCK_BYTES and
+    write each tap's product into one block-sized scratch buffer, so no
+    full-size temporary is made per tap. Each output element adds the bias
+    and then the taps in order k = 0 .. w-1; the kernel gradient is summed
+    block by block.
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     if x.data.ndim != 3 or kernel.data.ndim != 2 or x.data.shape[2] != kernel.data.shape[1]:
@@ -460,7 +477,7 @@ def causal_conv1d(x, kernel, bias):
     w = kernel.data.shape[0]
     out_data = np.empty((m, L, C), dtype=x.data.dtype)
     out_data[...] = bias.data
-    rows = _block_rows(x.data[0].nbytes)
+    rows = _block_rows(L * C * x.data.itemsize)
     scratch = np.empty((min(rows, m), L, C), dtype=x.data.dtype)
     for i in range(0, m, rows):
         xb, ob = x.data[i:i + rows], out_data[i:i + rows]
@@ -470,19 +487,20 @@ def causal_conv1d(x, kernel, bias):
                 tap = scratch[:len(xb), :L - shift]
                 np.multiply(kernel.data[k], xb[:, :L - shift], out=tap)
                 ob[:, shift:] += tap
-    del scratch
 
     def bw(g, acc):
         gx = np.zeros_like(x.data)
         gk = np.zeros_like(kernel.data)
-        for k in range(w):
-            shift = w - 1 - k
-            if shift == 0:
-                gx += kernel.data[k] * g
-                gk[k] = np.sum(g * x.data, axis=(0, 1))
-            elif shift < L:
-                gx[:, :L - shift, :] += kernel.data[k] * g[:, shift:, :]
-                gk[k] = np.sum(g[:, shift:, :] * x.data[:, :L - shift, :], axis=(0, 1))
+        scratch = np.empty((min(rows, m), L, C), dtype=x.data.dtype)
+        for i in range(0, m, rows):
+            gb, xb, gxb = g[i:i + rows], x.data[i:i + rows], gx[i:i + rows]
+            for k in range(w):
+                shift = w - 1 - k
+                if shift < L:
+                    tap = scratch[:len(xb), :L - shift]
+                    np.multiply(kernel.data[k], gb[:, shift:], out=tap)
+                    gxb[:, :L - shift] += tap
+                    gk[k] += np.einsum("mlc,mlc->c", gb[:, shift:], xb[:, :L - shift])
         acc(x, gx)
         acc(kernel, gk)
         acc(bias, np.sum(g, axis=(0, 1)))

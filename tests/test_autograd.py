@@ -1,4 +1,6 @@
 import tracemalloc
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -12,6 +14,34 @@ def test_softplus_at_zero():
     g = ag.grad(y, {"x": x})
     assert abs(y.item() - np.log(2.0)) < 1e-12
     assert abs(float(g["x"]) - 0.5) < 1e-12
+
+
+def exact_sigmoid(v):
+    """1 / (1 + e^-v) to 50 digits, rounded once to float64."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return float(1 / (1 + (-Decimal(float(v))).exp()))
+
+
+def test_sigmoid_is_within_two_ulp_of_the_exact_value(rng):
+    # exp is rounded, and 1 + e^-x and the division round again: 2 ulp is
+    # also what the scalar 1 / (1 + math.exp(-x)) needs
+    x = np.concatenate([rng.normal(size=2000), rng.normal(scale=20.0, size=2000)])
+    ref = np.array([exact_sigmoid(v) for v in x])
+    assert np.all(np.abs(ag._sigmoid(x) - ref) <= 2 * np.spacing(ref))
+
+
+@pytest.mark.parametrize("dtype, big", [(np.float64, 800.0), (np.float32, 100.0)])
+def test_sigmoid_saturates_exactly_and_quietly(dtype, big):
+    x = np.array([-np.inf, -big, 0.0, big, np.inf, np.nan], dtype=dtype)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        s = ag._sigmoid(x)
+        s0 = ag._sigmoid(np.asarray(big, dtype=dtype))
+    assert s.dtype == dtype and s0.dtype == dtype and s0.shape == ()
+    assert np.array_equal(s, np.array([0.0, 0.0, 0.5, 1.0, 1.0, np.nan], dtype=dtype),
+                          equal_nan=True)
+    assert s0 == 1.0
 
 
 def test_outer_product_example():
@@ -484,7 +514,7 @@ def _conv_inputs(rng, m, L, C, w, dtype):
 @pytest.mark.parametrize("m, L, C, w, dtype", CONV_CASES)
 def test_blocked_conv_equals_the_unblocked_formula(rng, monkeypatch, block_bytes,
                                                    m, L, C, w, dtype):
-    # 64 bytes: one sequence per block; 256: blocks of 2-4 with a partial last
+    # 64 bytes puts one sequence in each block, 256 a few with a partial last
     if block_bytes is not None:
         monkeypatch.setattr(ag, "_BLOCK_BYTES", block_bytes)
     x, k, b = _conv_inputs(rng, m, L, C, w, dtype)

@@ -1,6 +1,9 @@
 import json
 import os
+import re
 import struct
+import subprocess
+import sys
 
 import pytest
 
@@ -421,3 +424,38 @@ class TestReproducibilityPipeline:
         assert open(ck, "rb").read() == open(ck2, "rb").read()
         cli.main(["eval", "--config", path2, "--checkpoint", ck2, "--ttt", "on"])
         assert open(tmp_path / "rerun" / "metrics_ttt.json", "rb").read() == metrics
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_runs_without_scipy():
+    # numpy is the one dependency: with scipy unimportable the CLI, pipeline
+    # and adaptation still import, and a small adapted request runs
+    src = os.path.join(ROOT, "src")
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import numpy as np\n"
+        "from alignrec import adapt, cli, ingest, pipeline\n"
+        "from alignrec.config import load_config\n"
+        "cfg = load_config({'seed': 0, 'data': {'generator': {'n_users': 40,\n"
+        "    'n_items': 30, 'n_clusters': 3, 'min_events': 8, 'max_events': 12},\n"
+        "    'max_len': 8, 'min_interactions': 0}, 'model': {'d': 8, 'd_s': 4},\n"
+        "    'adapt': {'steps': 2, 'batch_policy': 'fixed', 'batch_size': 4}})\n"
+        "ds = pipeline.load_dataset(cfg)\n"
+        "split = ingest.leave_one_out_split(ds)\n"
+        "params = pipeline.build_model(cfg, ds.vocab_size, np.random.default_rng(0))\n"
+        "batch = pipeline.test_batches(cfg, split)[0]\n"
+        "logits, rep = adapt.adapt_and_predict(\n"
+        "    params, batch, cfg.adapt, pipeline.resolve_weights(cfg, split.train))\n"
+        "assert np.isfinite(logits).all() and not rep.aborted, rep\n"
+        "assert len(rep.time_losses) == 2, rep\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120)
+    assert res.returncode == 0, res.stderr
+    with open(os.path.join(ROOT, "pyproject.toml")) as f:
+        deps = re.search(r"^dependencies = (\[.*\])$", f.read(), re.M).group(1)
+    assert [d.split(">")[0] for d in json.loads(deps)] == ["numpy"], deps
