@@ -6,8 +6,11 @@ propagates gradients to its parents. The op set is exactly what the model
 and its losses need; there is no graph optimizer, no higher-order grads.
 Indexing a Tensor is the only gather, and its backward the only scatter-add.
 
-float64 is the working precision for training and adaptation; float32 is
-accepted for throughput runs (ops preserve the input dtype).
+Every op keeps its input's dtype, dropout's mask included. Run configs
+train, adapt and serve in float32 (`RunConfig.precision`); the oracles
+(finite_diff_check, `alignrec gradcheck`, the naive-recurrence and
+brute-force checks of the tests) build float64 parameters, the dtype a bare
+`ModelConfig` defaults to.
 
 numpy is the only dependency: the sigmoid is numpy's exp, built in one
 buffer. A backward computes no product for an operand that takes no
@@ -542,7 +545,8 @@ def dropout(x, rate, rng=None, training=False, drawn_over=None):
     if rng is None:
         raise ValueError("dropout: training mode requires an rng")
     shape, index = drawn_over or (x.data.shape, ...)
-    keep = (rng.random(shape) >= rate)[index] / (1.0 - rate)
+    keep = (rng.random(shape) >= rate)[index].astype(x.data.dtype)
+    keep /= 1.0 - rate
 
     def bw(g, acc):
         acc(x, g * keep)

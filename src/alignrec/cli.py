@@ -200,8 +200,10 @@ def cmd_eval(args):
 def cmd_gradcheck(args):
     cfg = _load(args)
     # full differentiability: the extension detachment is disabled here,
-    # otherwise finite differences would see through the stop-gradient
+    # otherwise finite differences would see through the stop-gradient;
+    # and float64 whatever the run precision, which eps=1e-5 needs
     cfg.model.detach_extension = False
+    cfg.precision = "float64"
     rng = np.random.default_rng(cfg.seed)
     ds = pipeline.load_dataset(cfg)
     split = ingest.leave_one_out_split(ds)

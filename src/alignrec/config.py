@@ -47,7 +47,7 @@ class TrainConfig:
 @dataclass
 class RunConfig:
     seed: int = 0
-    precision: str = "float64"
+    precision: str = "float32"       # dtype of the models a run builds; a checkpoint keeps its own
     out_dir: str = "runs/out"
     data: DataConfig = field(default_factory=DataConfig)
     model: Architecture = field(default_factory=Architecture)

@@ -95,46 +95,52 @@ class ModelConfig(Architecture):
         return dict(self.__dict__)
 
 
-class ModelParams:
-    """Every learnable tensor, addressable by name for grads and snapshots."""
-
-    def __init__(self, config, rng=None):
-        self.config = config
-        rng = rng or np.random.default_rng(0)
-        d, ds, w, dff = config.d, config.d_s, config.conv_width, config.d_ff
-        dt = config.np_dtype
-        inner = d + 2 * ds
-
-        def mat(nin, nout, scale=None):
-            scale = scale if scale is not None else 1.0 / np.sqrt(nin)
-            return rng.normal(0.0, scale, (nin, nout)).astype(dt)
-
-        self.tensors = {}
-
-        def p(name, arr):
-            t = ag.parameter(np.asarray(arr, dtype=dt))
-            self.tensors[name] = t
-            return t
-
-        p("E", rng.normal(0.0, 0.1, (config.vocab_size, d)).astype(dt))
-        for b in range(config.n_blocks):
-            pre = f"block{b}."
-            p(pre + "W1", mat(d, inner + 1))
-            p(pre + "b1", np.zeros(inner + 1, dtype=dt))
-            p(pre + "conv_kernel", rng.normal(0.0, 1.0 / np.sqrt(w), (w, inner)).astype(dt))
-            p(pre + "conv_bias", np.zeros(inner, dtype=dt))
+def parameter_layout(config):
+    """(name, shape, init) of every learnable tensor, in creation order. init
+    is "zeros", "ones", or the std of a zero-mean normal draw."""
+    d, ds, w, dff = config.d, config.d_s, config.conv_width, config.d_ff
+    inner = d + 2 * ds
+    layout = [("E", (config.vocab_size, d), 0.1)]
+    for b in range(config.n_blocks):
+        pre = f"block{b}."
+        layout += [
+            (pre + "W1", (d, inner + 1), 1.0 / np.sqrt(d)),
+            (pre + "b1", (inner + 1,), "zeros"),
+            (pre + "conv_kernel", (w, inner), 1.0 / np.sqrt(w)),
+            (pre + "conv_bias", (inner,), "zeros"),
             # decay A = -exp(a_raw) stays negative by construction
-            p(pre + "a_raw", np.zeros((), dtype=dt))
-            p(pre + "W2", mat(d, ds))
-            p(pre + "b2", np.zeros(ds, dtype=dt))
-            p(pre + "Wf1", mat(d, dff))
-            p(pre + "bf1", np.zeros(dff, dtype=dt))
-            p(pre + "Wf2", mat(dff, d))
-            p(pre + "bf2", np.zeros(d, dtype=dt))
-            p(pre + "ln_block_g", np.ones(d, dtype=dt))
-            p(pre + "ln_block_b", np.zeros(d, dtype=dt))
-            p(pre + "ln_ffn_g", np.ones(d, dtype=dt))
-            p(pre + "ln_ffn_b", np.zeros(d, dtype=dt))
+            (pre + "a_raw", (), "zeros"),
+            (pre + "W2", (d, ds), 1.0 / np.sqrt(d)),
+            (pre + "b2", (ds,), "zeros"),
+            (pre + "Wf1", (d, dff), 1.0 / np.sqrt(d)),
+            (pre + "bf1", (dff,), "zeros"),
+            (pre + "Wf2", (dff, d), 1.0 / np.sqrt(dff)),
+            (pre + "bf2", (d,), "zeros"),
+            (pre + "ln_block_g", (d,), "ones"),
+            (pre + "ln_block_b", (d,), "zeros"),
+            (pre + "ln_ffn_g", (d,), "ones"),
+            (pre + "ln_ffn_b", (d,), "zeros"),
+        ]
+    return layout
+
+
+class ModelParams:
+    """Every learnable tensor, addressable by name for grads and snapshots.
+
+    Built from `arrays` (name -> array, in any order) when given; otherwise
+    each tensor of `parameter_layout` is drawn from `rng` in layout order."""
+
+    def __init__(self, config, rng=None, arrays=None):
+        self.config = config
+        layout = parameter_layout(config)
+        if arrays is None:
+            rng = rng or np.random.default_rng(0)
+            dt = config.np_dtype
+            arrays = {name: (np.zeros(shape, dt) if init == "zeros" else
+                             np.ones(shape, dt) if init == "ones" else
+                             rng.normal(0.0, init, shape).astype(dt))
+                      for name, shape, init in layout}
+        self.tensors = {name: ag.parameter(arrays[name]) for name, _, _ in layout}
 
     def __getitem__(self, name):
         return self.tensors[name]
@@ -461,25 +467,25 @@ def load_checkpoint(path):
         raise ModelError(f"{path}: malformed checkpoint manifest "
                          f"({type(e).__name__}: {e})") from None
 
-    params = ModelParams(cfg, rng=np.random.default_rng(0))
-    seen = set()
+    shapes = {name: shape for name, shape, _ in parameter_layout(cfg)}
+    arrays = {}
     for name, dtype, shape, offset in entries:
-        if name not in params.tensors:
+        if name not in shapes:
             raise ModelError(f"{path}: unknown tensor {name!r} (architecture mismatch)")
-        if shape != params[name].data.shape:
+        if shape != shapes[name]:
             raise ModelError(f"{path}: shape mismatch for {name!r} "
-                             f"{shape} vs {params[name].data.shape}")
+                             f"{shape} vs {shapes[name]}")
         count = int(np.prod(shape)) if shape else 1
         if offset < 0 or offset + count * dtype.itemsize > len(payload):
             raise ModelError(f"{path}: tensor {name!r} runs past the end of the "
                              f"payload (truncated checkpoint)")
         arr = np.frombuffer(payload, dtype=dtype.newbyteorder("<"), count=count,
                             offset=offset).reshape(shape)
-        params[name].data = arr.astype(dtype.newbyteorder("=")).copy()
-        seen.add(name)
-    missing = set(params.names()) - seen
+        arrays[name] = arr.astype(dtype.newbyteorder("="), copy=False)  # copied once, below
+    missing = set(shapes) - set(arrays)
     if missing:
         raise ModelError(f"{path}: missing tensors {sorted(missing)} (architecture mismatch)")
+    params = ModelParams(cfg, arrays=arrays)
     return params, extra
 
 

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,15 @@ def tiny_config(vocab_size=21, d=8, d_s=4, conv_width=4, dropout=0.0, **kw):
 def tiny_params(seed=0, **kw):
     cfg = tiny_config(**kw)
     return model.ModelParams(cfg, rng=np.random.default_rng(seed))
+
+
+def rewrite_manifest(raw, edit):
+    """Checkpoint bytes with the JSON manifest replaced by its edited copy."""
+    (mlen,) = struct.unpack("<Q", raw[8:16])
+    manifest = json.loads(raw[16:16 + mlen])
+    edit(manifest)
+    blob = json.dumps(manifest).encode()
+    return raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + mlen:]
 
 
 def random_examples(rng, n_examples=4, vocab=20, min_len=2, max_len=6,

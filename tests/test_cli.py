@@ -1,7 +1,6 @@
 import json
 import os
 import re
-import struct
 import subprocess
 import sys
 
@@ -13,6 +12,7 @@ from alignrec.config import ConfigError, load_config
 from alignrec.ingest import GeneratorSpec
 from alignrec.losses import LossWeights
 from alignrec.model import ModelConfig
+from conftest import rewrite_manifest
 
 
 def base_config(tmp_path, **over):
@@ -35,15 +35,6 @@ def base_config(tmp_path, **over):
         else:
             cfg[key] = val
     return cfg
-
-
-def rewrite_manifest(raw, edit):
-    """Checkpoint bytes with the JSON manifest replaced by its edited copy."""
-    (mlen,) = struct.unpack("<Q", raw[8:16])
-    manifest = json.loads(raw[16:16 + mlen])
-    edit(manifest)
-    blob = json.dumps(manifest).encode()
-    return raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + mlen:]
 
 
 def keep_only_embedding_with_no_blocks(manifest):
@@ -239,6 +230,21 @@ class TestEvalCommand:
         cli.main(["eval", "--config", path, "--checkpoint", ck, "--ttt", "off"])
         assert open(tmp / "run" / "metrics_frozen.json", "rb").read() == first
 
+    def test_checkpoint_serves_in_its_own_dtype(self, tmp_path):
+        path64 = write_config(tmp_path, base_config(tmp_path, precision="float64"),
+                              name="cfg64.json")
+        cli.main(["train", "--config", path64])
+        ck = str(tmp_path / "run" / "checkpoint.bin")
+        out = {}
+        for precision in ("float64", "float32"):
+            cfg = base_config(tmp_path, precision=precision)
+            path = write_config(tmp_path, cfg, name=f"eval-{precision}.json")
+            assert cli.main(["eval", "--config", path, "--checkpoint", ck,
+                             "--ttt", "on", "--ranks-csv"]) == 0
+            out[precision] = [open(tmp_path / "run" / name, "rb").read()
+                              for name in ("metrics_ttt.json", "ranks_ttt.csv")]
+        assert out["float32"] == out["float64"]
+
     def test_ttt_with_zero_steps_equals_frozen(self, trained, tmp_path):
         path, ck, tmp = trained
         cli.main(["eval", "--config", path, "--checkpoint", ck, "--ttt", "off"])
@@ -393,6 +399,14 @@ class TestExitCodes:
         assert cli.main(["gradcheck", "--config", path]) == 0
         rep = json.load(open(tmp_path / "run" / "gradcheck.json"))
         assert set(rep) == {"rec", "time", "state", "total"}
+        assert all(v["failures"] == 0 for v in rep.values())
+
+    def test_gradcheck_runs_in_float64_whatever_the_precision(self, tmp_path):
+        cfg = base_config(tmp_path, precision="float32",
+                          model={"d": 8, "d_s": 4, "conv_width": 3, "dropout": 0.0})
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["gradcheck", "--config", path]) == 0
+        rep = json.load(open(tmp_path / "run" / "gradcheck.json"))
         assert all(v["failures"] == 0 for v in rep.values())
 
 

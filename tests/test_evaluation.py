@@ -66,6 +66,17 @@ class TestBatchMetrics:
                 assert tuple(rows[i, :3]) == rank_metrics(zi, t[i], 10)
                 assert rows[i, 3] == target_rank(zi, t[i])
 
+    def test_float32_logits_rank_as_their_exact_float64_cast(self, rng):
+        z = rng.normal(size=(40, 30)).astype(np.float32)
+        t = rng.integers(1, 30, 40)
+        rows = np.arange(0, 40, 2)
+        z[rows, (t[rows] + 7) % 29 + 1] = z[rows, t[rows]]   # exact ties with the target
+        ranks32 = batch_rank_metrics(z, t, 10)
+        assert np.array_equal(ranks32, batch_rank_metrics(z.astype(np.float64), t, 10))
+        plain = z.copy()
+        plain[rows, (t[rows] + 7) % 29 + 1] = -np.inf
+        assert np.any(ranks32[:, 3] != batch_rank_metrics(plain, t, 10)[:, 3])
+
     def test_padding_index_never_recommended(self, rng):
         z = rng.normal(size=(5, 8))
         z[:, 0] = 100.0

@@ -382,3 +382,56 @@ class TestLossGradients:
             rep = ag.finite_diff_check(f, pd, eps=1e-5, tol=1e-4,
                                        n_samples=24, rng=rng)
             assert rep.ok, rep.failures[:4]
+
+
+class TestFloat32Audit:
+    """The float32 working precision at the edges of each loss's range."""
+
+    @pytest.mark.parametrize("lam", [600.0, 1e6])
+    def test_time_loss_at_gaps_near_a_million_seconds(self, rng, lam):
+        m, n = 3, 9
+        T = np.round(rng.uniform(0.9e6, 1.1e6, (m, n)))
+        elig = np.ones((m, n), bool)
+        elig[:, 0] = False
+        d32 = rng.uniform(0.5, 1.5, (m, n)).astype(np.float32)
+        out = {}
+        for dt in (np.float32, np.float64):
+            delta = ag.parameter(d32.astype(dt))
+            loss, pairs = losses.time_alignment_loss(delta, T, elig, lam, 4)
+            out[dt] = loss, ag.grad(loss, {"d": delta})["d"]
+        (l32, g32), (_, g64) = out[np.float32], out[np.float64]
+        ref, ref_pairs = brute_force_time_loss(d32.astype(float), T, elig, lam, 4)
+        assert pairs == ref_pairs
+        assert l32.data.dtype == g32.dtype == np.float32
+        assert abs(float(l32.data) - ref) <= 1e-6 * max(1.0, abs(ref))
+        assert np.allclose(g32, g64, rtol=1e-5, atol=1e-6 * np.abs(g64).max())
+
+    def test_state_loss_at_the_delta_guard_stays_finite(self, rng):
+        params = tiny_params(dtype="float32")
+
+        def f32(*shape):
+            return rng.normal(size=shape).astype(np.float32)
+
+        delta_next = np.array([0.0, losses.DELTA_GUARD / 100, 0.5], np.float32)
+        trace = fabricate(params, f32(3, 4, 8), f32(3, 8), f32(3, 8), f32(3, 4),
+                          delta_next)
+        loss, inter = losses.state_alignment_loss(params, trace)
+        assert inter.clamp_warnings == 2
+        assert loss.data.dtype == np.float32 and np.isfinite(loss.data)
+        grads = ag.grad(loss, params.as_dict())
+        assert all(g.dtype == np.float32 and np.all(np.isfinite(g))
+                   for g in grads.values())
+
+    def test_cross_entropy_on_float32_logits_of_ten_thousand(self):
+        z = np.array([[1e4, -1e4, 0.0, 1e4],
+                      [-1e4, -1e4, -1e4, 1e4]], np.float32)
+        logits = ag.parameter(z)
+        loss = losses.rec_loss(logits, np.array([1, 3]))
+        # row 0: target 2e4 under two tied maxima; row 1: target is the max
+        ref = (2e4 + np.log(2.0)) / 2
+        assert loss.data.dtype == np.float32
+        assert abs(float(loss.data) - ref) <= 1e-6 * ref
+        g = ag.grad(loss, {"z": logits})["z"]
+        assert g.dtype == np.float32
+        assert np.array_equal(g, np.array([[0.25, -0.5, 0.0, 0.25],
+                                           [0.0, 0.0, 0.0, 0.0]], np.float32))

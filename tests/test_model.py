@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from alignrec import autograd as ag
-from alignrec import ingest, model
-from conftest import random_batch, random_examples, tiny_params
+from alignrec import ingest, losses, model
+from conftest import random_batch, random_examples, rewrite_manifest, tiny_params
 
 
 def silu_np(x):
@@ -542,6 +542,22 @@ class TestForwardFull:
         tr = model.forward_full(params, batch, training=False)
         assert tr.logits.dtype == np.float32
 
+    def test_float32_train_step_keeps_every_node_and_gradient_float32(self, rng):
+        # dropout active: its mask must not promote the graph to float64
+        params = tiny_params(seed=2, dtype="float32", dropout=0.2)
+        batch = random_batch(rng)
+        tr = model.forward_full(params, batch, rng=np.random.default_rng(0), training=True)
+        w = losses.LossWeights(lam=500.0, block_size=4)
+        total = losses.total_loss(
+            losses.rec_loss(tr.logits, batch.target_item),
+            losses.batch_time_loss(params, tr, batch, w)[0],
+            losses.state_alignment_loss(params, tr)[0], w, "train")
+        nodes = ag._toposort(total)
+        assert len(nodes) > 50
+        assert sorted({str(n.data.dtype) for n in nodes}) == ["float32"]
+        grads = ag.grad(total, params.as_dict())
+        assert {n: g.dtype for n, g in grads.items() if g.dtype != np.float32} == {}
+
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path, rng):
@@ -610,6 +626,40 @@ class TestCheckpoint:
             fh.write(b"NOPE" + b"\x00" * 64)
         with pytest.raises(model.ModelError, match="magic"):
             model.load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m["tensors"].append(dict(m["tensors"][0], name="extra")),
+         "unknown tensor 'extra'"),
+        (lambda m: m["tensors"][1].update(shape=[2, 3]), "shape mismatch for 'block0.W1'"),
+        (lambda m: m["tensors"].pop(), "missing tensors"),
+        (lambda m: m["tensors"][0].update(offset=10 ** 9), "runs past the end"),
+        (lambda m: m["tensors"][0].update(offset=-8), "runs past the end"),
+    ], ids=["unknown", "shape", "missing", "offset-past-end", "offset-negative"])
+    def test_tensor_list_must_match_the_architecture(self, tmp_path, edit, message):
+        path = tmp_path / "ck.bin"
+        model.save_checkpoint(str(path), tiny_params(seed=26))
+        path.write_bytes(rewrite_manifest(path.read_bytes(), edit))
+        with pytest.raises(model.ModelError, match=message):
+            model.load_checkpoint(str(path))
+
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        params = tiny_params(seed=27, n_blocks=2)
+        path = str(tmp_path / "ck.bin")
+        model.save_checkpoint(path, params)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew a random initialisation")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        loaded, _ = model.load_checkpoint(path)
+        assert loaded.names() == params.names()
+        assert model.checkpoint_digest(loaded) == model.checkpoint_digest(params)
+        assert all(loaded[n].data.flags.writeable for n in loaded.names())
+
+    def test_layout_names_the_initialised_tensors(self):
+        params = tiny_params(seed=28, n_blocks=2)
+        assert [(n, s) for n, s, _ in model.parameter_layout(params.config)] == [
+            (n, params[n].data.shape) for n in params.names()]
 
     def test_forward_identical_after_reload(self, tmp_path, rng):
         params = tiny_params(seed=22)

@@ -26,6 +26,25 @@ class TestAdam:
         for n in params.names():
             assert np.allclose(params[n].data - before[n], expect_delta, atol=1e-12)
 
+    def test_float32_step_with_zero_and_tiny_gradients(self):
+        params = tiny_params(dtype="float32")
+        params["E"].data[1:3] = 0.0
+        before = {n: params[n].data.copy() for n in params.names()}
+        g = np.zeros_like(params["E"].data)
+        g[1] = 1e-30   # g*g underflows to 0 in float32, so eps alone divides
+        g[2] = 1e-20   # g*g is subnormal
+        opt = Adam(params, lr=0.01, eps=1e-8)
+        opt.step({"E": g})
+        for n in params.names():
+            assert params[n].data.dtype == opt.m[n].dtype == opt.v[n].dtype == np.float32
+            assert np.all(np.isfinite(params[n].data))
+        E = params["E"].data
+        assert np.array_equal(E[3:], before["E"][3:]) and np.array_equal(E[0], before["E"][0])
+        assert all(np.array_equal(params[n].data, before[n]) for n in params.names() if n != "E")
+        # bias-corrected first step in float64: -lr * g / (|g| + eps)
+        g64 = g[1:3].astype(np.float64)
+        assert np.allclose(E[1:3], -0.01 * g64 / (np.abs(g64) + 1e-8), rtol=1e-6, atol=0.0)
+
     def test_two_runs_identical(self, rng):
         def run():
             params = tiny_params(seed=5)

@@ -20,7 +20,9 @@ Shapes (comma-separated, default all three benchmark shapes):
   the last one;
 - tiny-right: tiny with right-padded sequences (every other shape pads on
   the left);
-- tiny-f32: tiny in float32 (every other shape runs in float64).
+- tiny-f32, tiny-f64: tiny pinned to float32 and to float64. Every other
+  shape runs at the run config's default precision, so against a checkout
+  with another default only these two compare like with like.
 
 Adaptation configs: the shape's own (M=2), M=3 at lr 0.5, zero steps, each
 loss alone, and an overflowing embedding table that aborts adaptation.
@@ -39,7 +41,7 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHAPES = ("train-shift", "adapt-long", "adapt-catalog", "tiny", "tiny-2block",
-          "tiny-right", "tiny-f32")
+          "tiny-right", "tiny-f32", "tiny-f64")
 N_BATCHES = 6
 CONFIGS = {
     "m2": {},
@@ -57,7 +59,8 @@ TINY = {
 }
 SMOKE_SHAPES = {"tiny": TINY, "tiny-2block": {**TINY, "n_blocks": 2},
                 "tiny-right": {**TINY, "pad_side": "right"},
-                "tiny-f32": {**TINY, "precision": "float32"}}
+                "tiny-f32": {**TINY, "precision": "float32"},
+                "tiny-f64": {**TINY, "precision": "float64"}}
 
 
 def _load_shape(name, seed):
@@ -76,8 +79,9 @@ def _load_shape(name, seed):
     else:
         import workloads   # perfbench/workloads.py, for the benchmark's shapes
         w = workloads.ADAPT_WORKLOADS[name]
+    pinned = {"precision": w["precision"]} if "precision" in w else {}
     cfg = load_config({
-        "seed": seed, "precision": w.get("precision", "float64"),
+        "seed": seed, **pinned,
         "data": {"generator": w["generator"], "max_len": w["max_len"],
                  "min_interactions": 0, "pad_side": w.get("pad_side", "left")},
         "model": {"d": w["d"], "d_s": w["d_s"], "n_blocks": w.get("n_blocks", 1)},
