@@ -58,9 +58,6 @@ class AdaptConfig:
         if p:
             raise ValueError("; ".join(p))
 
-    def to_dict(self):
-        return dict(self.__dict__)
-
 
 @dataclass
 class AdaptReport:
@@ -70,9 +67,6 @@ class AdaptReport:
     clamp_warnings: int = 0
     seconds_adapt: float = 0.0
     seconds_predict: float = 0.0
-
-    def to_dict(self):
-        return dict(self.__dict__)
 
 
 def adapt_and_predict(params, batch, cfg, weights):

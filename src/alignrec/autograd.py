@@ -673,8 +673,7 @@ def sequential_scan(abar, bbar, x, C, mask):
         Y       = (W o C bbar^T) x                      (m, L, d)
         h_final = sum_k W[L-1, k] bbar_k (x) x_k        (m, s, d)
 
-    Returns (Y, h_final, W), W being a non-differentiable copy of the
-    (m, L, L) kernel. Memory is O(m L^2) beside the inputs: no (m, L, s, d)
+    Returns (Y, h_final). Memory is O(m L^2) beside the inputs: no (m, L, s, d)
     state stack is formed, and the gradient is composed from einsum.
     """
     abar, bbar, x, C = (_as_tensor(v) for v in (abar, bbar, x, C))
@@ -692,7 +691,7 @@ def sequential_scan(abar, bbar, x, C, mask):
     scores = mul(W, einsum("mts,mks->mtk", C, bbar))
     Y = einsum("mtk,mkd->mtd", scores, x)
     h_final = einsum("mk,mks,mkd->msd", W[:, -1], bbar, x)
-    return Y, h_final, Tensor(W.data)
+    return Y, h_final
 
 
 def scan_step(h_prev, abar, bbar, x):

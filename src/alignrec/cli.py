@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -76,7 +75,10 @@ def _load(args, need_out=True):
     cfg = load_config(args.config, preset=args.preset, overrides=overrides,
                       ablate=args.ablate)
     if need_out:
-        os.makedirs(cfg.out_dir, exist_ok=True)
+        try:
+            os.makedirs(cfg.out_dir, exist_ok=True)
+        except OSError as e:
+            raise ConfigError([f"cannot create out_dir {cfg.out_dir}: {e.strerror}"]) from None
     return cfg
 
 
@@ -90,7 +92,7 @@ def cmd_gen(args):
     ingest.write_tsv(ds, tsv)
     pipeline.write_json(os.path.join(cfg.out_dir, "gen_manifest.json"), {
         "seed": cfg.seed,
-        "spec": json.loads(spec.to_json()),
+        "spec": asdict(spec),
         "n_users": len(ds.users),
         "n_interactions": ds.n_interactions,
         "vocab_size": ds.vocab_size,
@@ -113,7 +115,7 @@ def cmd_train(args):
     model.save_checkpoint(ck, params, extra={"lam": weights.lam})
     pipeline.write_log(os.path.join(cfg.out_dir, "train_log.jsonl"), log)
     pipeline.write_json(os.path.join(cfg.out_dir, "manifest.json"), {
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "lam": weights.lam,
         "checkpoint": ck,
         "checkpoint_digest": model.checkpoint_digest(params),
@@ -162,12 +164,12 @@ def cmd_eval(args):
     report, adapt_reports, per_example = pipeline.evaluate_run(
         cfg, params, weights, split, ttt=ttt, with_baseline_delta=ttt)
     tag = "ttt" if ttt else "frozen"
-    pipeline.write_json(os.path.join(cfg.out_dir, f"metrics_{tag}.json"), report)
+    pipeline.write_json(os.path.join(cfg.out_dir, f"metrics_{tag}.json"), asdict(report))
     pipeline.write_json(os.path.join(cfg.out_dir, f"segments_{tag}.json"),
                         {"segments": report.segments})
     if adapt_reports:
         pipeline.write_log(os.path.join(cfg.out_dir, f"adapt_reports_{tag}.jsonl"),
-                           [r.to_dict() for r in adapt_reports])
+                           [asdict(r) for r in adapt_reports])
     if args.ranks_csv:
         with open(os.path.join(cfg.out_dir, f"ranks_{tag}.csv"), "w",
                   encoding="utf-8") as fh:
@@ -192,18 +194,18 @@ def cmd_eval(args):
 
         rep = evaluation.throughput(adapted_fn if ttt else frozen_fn, batches,
                                     warmup=1, reps=3, adaptation_enabled=ttt)
-        pipeline.write_json(os.path.join(cfg.out_dir, f"throughput_{tag}.json"), rep)
+        pipeline.write_json(os.path.join(cfg.out_dir, f"throughput_{tag}.json"), asdict(rep))
         print(f"throughput: {rep.iterations_per_second:.2f} it/s")
     return EXIT_OK
 
 
 def cmd_gradcheck(args):
-    cfg = _load(args)
     # full differentiability: the extension detachment is disabled here,
     # otherwise finite differences would see through the stop-gradient;
     # and float64 whatever the run precision, which eps=1e-5 needs
-    cfg.model.detach_extension = False
-    cfg.precision = "float64"
+    cfg = _load(args)
+    cfg = replace(cfg, precision="float64",
+                  model=replace(cfg.model, detach_extension=False))
     rng = np.random.default_rng(cfg.seed)
     ds = pipeline.load_dataset(cfg)
     split = ingest.leave_one_out_split(ds)
@@ -258,7 +260,7 @@ def cmd_sweep(args):
     rows = []
     for mu1 in values:
         for mu2 in values:
-            sub = load_config(cfg.to_dict(), overrides={
+            sub = load_config(asdict(cfg), overrides={
                 "losses": {"mu1_train": mu1, "mu2_train": mu2},
                 "out_dir": cfg.out_dir})
             params, weights, split, _ = pipeline.train_model(sub)

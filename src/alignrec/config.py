@@ -1,4 +1,8 @@
-"""Run configuration: JSON in, validated dataclasses out.
+"""Run configuration: JSON in, checked dataclasses out.
+
+Every section's type checks its own fields when built, so `load_config`
+only merges, rejects unknown keys and collects the types' problems into one
+error.
 
 Two named presets carry the two published hyperparameter sets: "main"
 (train lr 0.001, adaptation lr 0.005, test weights 1e-2/1e-1) and
@@ -8,7 +12,7 @@ Two named presets carry the two published hyperparameter sets: "main"
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from .adapt import AdaptConfig
 from .checks import positive, type_problems
@@ -31,6 +35,26 @@ class DataConfig:
     min_interactions: int = 10       # 0 disables filtering
     pad_side: str = "left"
 
+    def __post_init__(self):
+        p = type_problems(type(self), vars(self))
+        if not p:
+            if self.max_len < 1:
+                p.append(f"max_len must be >= 1, got {self.max_len}")
+            if self.pad_side not in ("left", "right"):
+                p.append(f"pad_side must be left|right, got {self.pad_side!r}")
+            if self.min_interactions != 0 and self.min_interactions < 3:
+                p.append("min_interactions must be 0 (off) or >= 3")
+            known = {f.name for f in fields(GeneratorSpec)}
+            unknown = [k for k in self.generator if k not in known]
+            p += [f"generator has unknown field {k!r}" for k in unknown]
+            if self.generator and not unknown:
+                try:
+                    GeneratorSpec(**self.generator)
+                except IngestError as e:
+                    p += [f"generator.{q}" for q in str(e).split("; ")]
+        if p:
+            raise ValueError("; ".join(p))
+
 
 @dataclass
 class TrainConfig:
@@ -42,6 +66,18 @@ class TrainConfig:
     batch_size: int = 4096
     eval_every: int = 10
     patience: int = 3
+
+    def __post_init__(self):
+        p = type_problems(type(self), vars(self))
+        if not p:
+            p = [f"{n} must be a positive finite number, got {getattr(self, n)}"
+                 for n in ("lr", "eps") if not positive(getattr(self, n))]
+            p += [f"{n} must be in [0, 1), got {getattr(self, n)}"
+                  for n in ("beta1", "beta2") if not 0.0 <= getattr(self, n) < 1.0]
+            p += [f"{n} must be >= 1" for n in ("epochs", "batch_size", "eval_every", "patience")
+                  if getattr(self, n) < 1]
+        if p:
+            raise ValueError("; ".join(p))
 
 
 @dataclass
@@ -55,20 +91,17 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     adapt: AdaptConfig = field(default_factory=AdaptConfig)
 
-    def to_dict(self):
-        return {
-            "seed": self.seed,
-            "precision": self.precision,
-            "out_dir": self.out_dir,
-            "data": dict(self.data.__dict__),
-            "model": dict(self.model.__dict__),
-            "losses": dict(self.losses.__dict__),
-            "train": dict(self.train.__dict__),
-            "adapt": self.adapt.to_dict(),
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+    def __post_init__(self):
+        p = type_problems(type(self), vars(self))
+        if not p:
+            if self.seed < 0:
+                p.append(f"seed must be >= 0, got {self.seed}")
+            if self.precision not in DTYPES:
+                p.append(f"precision must be {'|'.join(DTYPES)}, got {self.precision!r}")
+            if not self.out_dir:
+                p.append("out_dir must not be empty")
+        if p:
+            raise ValueError("; ".join(p))
 
 
 PRESETS = {
@@ -84,7 +117,15 @@ PRESETS = {
     },
 }
 
-ABLATIONS = ("time", "state", "both", "time-test", "state-test", "both-test")
+# each ablation flag zeroes the loss weights it names
+ABLATIONS = {
+    "time": {"losses": {"mu1_train": 0.0}},
+    "state": {"losses": {"mu2_train": 0.0}},
+    "both": {"losses": {"mu1_train": 0.0, "mu2_train": 0.0}},
+    "time-test": {"adapt": {"mu1_test": 0.0}},
+    "state-test": {"adapt": {"mu2_test": 0.0}},
+    "both-test": {"adapt": {"mu1_test": 0.0, "mu2_test": 0.0}},
+}
 
 
 def _merge(base, over):
@@ -101,12 +142,20 @@ SECTIONS = {"data": DataConfig, "model": Architecture, "losses": LossWeights,
 
 
 def _field_problems(where, cls, values):
-    """Unknown keys and mistyped values of one dataclass-backed section."""
+    """Unknown keys of one dataclass-backed section; its type checks the rest."""
     if not isinstance(values, dict):
         return [f"{where} must be an object, got {values!r}"]
     known = {f.name for f in fields(cls)}
-    return ([f"unknown field {where}.{key}" for key in values if key not in known]
-            + [f"{where}.{q}" for q in type_problems(cls, values)])
+    return [f"unknown field {where}.{key}" for key in values if key not in known]
+
+
+def _build(where, cls, values, problems):
+    """cls(**values), or None with its problems added to `problems`."""
+    try:
+        return cls(**values)
+    except ValueError as e:
+        problems += [f"{where}.{q}" for q in str(e).split("; ")]
+        return None
 
 
 def load_config(source=None, preset=None, overrides=None, ablate=()):
@@ -126,7 +175,7 @@ def load_config(source=None, preset=None, overrides=None, ablate=()):
     if not isinstance(raw, dict):
         raise ConfigError([f"config must be a JSON object, got {type(raw).__name__}"])
 
-    merged = RunConfig().to_dict()
+    merged = asdict(RunConfig())
     if preset:
         if preset not in PRESETS:
             raise ConfigError([f"unknown preset {preset!r} (have {sorted(PRESETS)})"])
@@ -138,73 +187,25 @@ def load_config(source=None, preset=None, overrides=None, ablate=()):
     top = {k: v for k, v in merged.items() if k not in SECTIONS}
     problems = _field_problems("config", RunConfig, top)
     for name, cls in SECTIONS.items():
-        problems.extend(_field_problems(name, cls, merged[name]))
-    gen = merged["data"].get("generator") if isinstance(merged["data"], dict) else None
-    if isinstance(gen, dict):
-        problems.extend(_field_problems("data.generator", GeneratorSpec, gen))
+        problems += _field_problems(name, cls, merged[name])
     if problems:
         raise ConfigError(problems)
 
     for flag in ablate:
         if flag not in ABLATIONS:
-            raise ConfigError([f"unknown ablation {flag!r} (have {ABLATIONS})"])
-        if flag in ("time", "both"):
-            merged["losses"]["mu1_train"] = 0.0
-        if flag in ("state", "both"):
-            merged["losses"]["mu2_train"] = 0.0
-        if flag in ("time-test", "both-test"):
-            merged["adapt"]["mu1_test"] = 0.0
-        if flag in ("state-test", "both-test"):
-            merged["adapt"]["mu2_test"] = 0.0
+            raise ConfigError([f"unknown ablation {flag!r} (have {tuple(ABLATIONS)})"])
+        _merge(merged, ABLATIONS[flag])
 
-    sections = {}
-    for name, cls in SECTIONS.items():
-        try:
-            sections[name] = cls(**merged[name])
-        except ValueError as e:   # each section's type checks its own ranges
-            problems += [f"{name}.{q}" for q in str(e).split("; ")]
-    cfg = RunConfig(**top, **sections)   # a failed section keeps its default here
-    problems += validate(cfg)
+    sections = {name: _build(name, cls, merged[name], problems)
+                for name, cls in SECTIONS.items()}
+    data = sections["data"]
+    if data is not None and not data.path and not data.generator:
+        problems.append("data needs either a path or a generator spec")
+    cfg = _build("config", RunConfig,   # a failed section keeps its default here
+                 {**top, **{k: v for k, v in sections.items() if v is not None}}, problems)
     if problems:
         raise ConfigError(problems)
     return cfg
-
-
-def validate(cfg):
-    """Range checks of the parts that have no runtime type of their own (top
-    level, data, train), plus the generator spec's own problems; returns a
-    problem list. The other sections check themselves when built."""
-    p = []
-    if cfg.precision not in DTYPES:
-        p.append(f"precision must be {'|'.join(DTYPES)}, got {cfg.precision!r}")
-    if cfg.data.max_len < 1:
-        p.append(f"data.max_len must be >= 1, got {cfg.data.max_len}")
-    if cfg.data.pad_side not in ("left", "right"):
-        p.append(f"data.pad_side must be left|right, got {cfg.data.pad_side!r}")
-    if cfg.data.min_interactions not in (0,) and cfg.data.min_interactions < 3:
-        p.append("data.min_interactions must be 0 (off) or >= 3")
-    if not cfg.data.path and not cfg.data.generator:
-        p.append("data needs either a path or a generator spec")
-    try:
-        generator_spec(cfg)
-    except IngestError as e:
-        p += [f"data.generator.{q}" for q in str(e).split("; ")]
-    if not positive(cfg.train.lr):
-        p.append(f"train.lr must be a positive finite number, got {cfg.train.lr}")
-    for n in ("beta1", "beta2"):
-        if not 0.0 <= getattr(cfg.train, n) < 1.0:
-            p.append(f"train.{n} must be in [0, 1), got {getattr(cfg.train, n)}")
-    if not positive(cfg.train.eps):
-        p.append(f"train.eps must be a positive finite number, got {cfg.train.eps}")
-    if cfg.train.epochs < 1:
-        p.append("train.epochs must be >= 1")
-    if cfg.train.batch_size < 1:
-        p.append("train.batch_size must be >= 1")
-    if cfg.train.eval_every < 1:
-        p.append("train.eval_every must be >= 1")
-    if cfg.train.patience < 1:
-        p.append("train.patience must be >= 1")
-    return p
 
 
 def generator_spec(cfg):

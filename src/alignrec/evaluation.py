@@ -8,7 +8,6 @@ helpers that consume raw model logits).
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -26,19 +25,6 @@ class MetricsReport:
     k: int
     segments: list = field(default_factory=list)  # list of per-segment dicts
 
-    def to_dict(self):
-        return {
-            "recall_at_k": self.recall_at_k,
-            "mrr_at_k": self.mrr_at_k,
-            "ndcg_at_k": self.ndcg_at_k,
-            "n_examples": self.n_examples,
-            "k": self.k,
-            "segments": self.segments,
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
 
 @dataclass
 class ThroughputReport:
@@ -49,12 +35,6 @@ class ThroughputReport:
     warmup: int
     reps: int
     rep_seconds: list
-
-    def to_dict(self):
-        return dict(self.__dict__)
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def target_rank(logits, target):

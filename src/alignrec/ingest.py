@@ -7,7 +7,6 @@ Item index 0 is reserved for padding throughout.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -355,10 +354,6 @@ class GeneratorSpec:
                              f"non-negative finite numbers with a positive sum, got {w!r}")
         if p:
             raise IngestError("; ".join(p))
-
-    def to_json(self):
-        d = dict(self.__dict__)
-        return json.dumps(d, indent=2, sort_keys=True)
 
 
 def synth_shift_generate(spec, seed):

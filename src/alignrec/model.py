@@ -23,7 +23,7 @@ import json
 import operator
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -90,9 +90,6 @@ class ModelConfig(Architecture):
     @property
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64
-
-    def to_dict(self):
-        return dict(self.__dict__)
 
 
 def parameter_layout(config):
@@ -241,13 +238,11 @@ def discretize(delta, A, B):
 
 def scan(abar, bbar, X, C, mask):
     """Run the recurrence in its quadratic (state-space-dual) form; returns
-    per-step outputs Y, the non-differentiable (m, L, L) decay kernel, and
-    the final state. Masked steps carry the state unchanged. Memory is
-    O(m L^2); no per-step state stack is built. forward_full runs it for
-    every block but the last, whose outputs the next block reads at every
-    position."""
-    Y, h_final, W = ag.sequential_scan(abar, bbar, X, C, mask)
-    return Y, W, h_final
+    per-step outputs Y and the final state. Masked steps carry the state
+    unchanged. Memory is O(m L^2); no per-step state stack is built.
+    forward_full runs it for every block but the last, whose outputs the
+    next block reads at every position."""
+    return ag.sequential_scan(abar, bbar, X, C, mask)
 
 
 def ffn_and_norm(params, Y, rng=None, training=False, block=0, drawn_over=None):
@@ -344,7 +339,7 @@ def forward_full(params, batch, rng=None, training=False, need_logits=True,
         Xz = ag.mul(X, ag.reshape(maskf, maskf.shape + (1,)))
         drawn_over = None
         if b < align_block:
-            Y, _, _ = scan(abar, bbar, Xz, C, mask)
+            Y, _ = scan(abar, bbar, Xz, C, mask)
             resid = ag.add(seq, Y)
         else:
             # masked steps carry the state, so the last output reads h_final
@@ -411,7 +406,7 @@ def save_checkpoint(path, params, extra=None):
         payload.extend(le.tobytes())
     manifest = {
         "tensors": entries,
-        "config": params.config.to_dict(),
+        "config": asdict(params.config),
         "extra": extra or {},
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")

@@ -17,7 +17,7 @@ import numpy as np
 from . import adapt as adapt_mod
 from . import autograd as ag
 from . import evaluation, ingest, losses as L, model, optim
-from .config import generator_spec, load_config
+from .config import generator_spec
 
 
 class PipelineError(RuntimeError):
@@ -183,7 +183,7 @@ def shift_experiment(base_config, seeds, k_segments=4, progress=None):
     """
     frozen_all, adapted_all = [], []
     for seed in seeds:
-        cfg = _with_seed(base_config, seed)
+        cfg = replace(base_config, seed=int(seed))
         params, weights, split, _ = train_model(cfg)
         rep_frozen, _, _ = evaluate_run(cfg, params, weights, split, ttt=False,
                                      k_segments=k_segments)
@@ -207,17 +207,10 @@ def shift_experiment(base_config, seeds, k_segments=4, progress=None):
     }
 
 
-def _with_seed(cfg, seed):
-    return load_config(cfg.to_dict(), overrides={"seed": int(seed)})
-
-
 def write_json(path, payload):
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        if hasattr(payload, "to_json"):
-            fh.write(payload.to_json())
-        else:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True))
+        fh.write(json.dumps(payload, indent=2, sort_keys=True))
         fh.write("\n")
 
 

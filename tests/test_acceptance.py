@@ -88,7 +88,7 @@ def test_criterion_2_scan_matches_naive_recurrence(rng):
         x = rng.normal(size=(m, L, d))
         C = rng.normal(size=(m, L, s))
         mask = rng.random((m, L)) > 0.3
-        Y, hf, _ = ag.sequential_scan(ag.constant(abar), ag.constant(bbar),
+        Y, hf = ag.sequential_scan(ag.constant(abar), ag.constant(bbar),
                                       ag.constant(x), ag.constant(C), mask)
         h = np.zeros((m, s, d))
         Yn = np.zeros((m, L, d))

@@ -57,7 +57,7 @@ def test_scan_telescopes_with_unit_decay():
     x = np.ones((m, L, d))
     C = np.zeros((m, L, s))
     mask = np.ones((m, L), bool)
-    _, hf, _ = ag.sequential_scan(ag.constant(abar), ag.constant(bbar),
+    _, hf = ag.sequential_scan(ag.constant(abar), ag.constant(bbar),
                                   ag.constant(x), ag.constant(C), mask)
     assert np.allclose(hf.data, 3.0)
 
@@ -250,7 +250,7 @@ def test_sequential_scan_matches_naive_oracle(rng):
         bbar = rng.normal(size=(m, L, s))
         x = rng.normal(size=(m, L, d))
         C = rng.normal(size=(m, L, s))
-        Y, hf, _ = ag.sequential_scan(ag.constant(abar), ag.constant(bbar),
+        Y, hf = ag.sequential_scan(ag.constant(abar), ag.constant(bbar),
                                       ag.constant(x), ag.constant(C), mask)
         Yn, hn = naive_scan(abar, bbar, x, C, mask)
         assert np.allclose(Y.data, Yn, atol=1e-12, rtol=0)
@@ -274,7 +274,7 @@ def test_scan_gradients_all_paths(rng):
     ]
     for combine in combos:
         def f():
-            Y, hf, _ = ag.sequential_scan(abar, bbar, x, C, mask)
+            Y, hf = ag.sequential_scan(abar, bbar, x, C, mask)
             return combine(Y, hf)
 
         rep = ag.finite_diff_check(f, {"a": abar, "b": bbar, "x": x, "C": C},
@@ -296,7 +296,7 @@ def test_scan_gradient_exact_at_zero_decay(rng):
     wY = ag.constant(rng.normal(size=(m, L, d)))
 
     def f():
-        Y, hf, _ = ag.sequential_scan(abar, bbar, x, C, mask)
+        Y, hf = ag.sequential_scan(abar, bbar, x, C, mask)
         return ag.add(ag.reduce_sum(ag.mul(Y, wY)), ag.reduce_sum(hf))
 
     g = ag.grad(f(), {"a": abar})["a"]

@@ -8,7 +8,7 @@ import pytest
 
 from alignrec import cli
 from alignrec.adapt import AdaptConfig
-from alignrec.config import ConfigError, load_config
+from alignrec.config import ConfigError, DataConfig, RunConfig, TrainConfig, load_config
 from alignrec.ingest import GeneratorSpec
 from alignrec.losses import LossWeights
 from alignrec.model import ModelConfig
@@ -130,9 +130,18 @@ class TestConfig:
         (lambda: AdaptConfig(batch_size=0), "batch_size"),
         (lambda: ModelConfig(vocab_size=9, dtype="float16"), "dtype"),
         (lambda: GeneratorSpec(regime_weights=[None]), "regime_weights"),
+        (lambda: TrainConfig(lr=-1.0), "lr"),
+        (lambda: TrainConfig(epochs=0), "epochs"),
+        (lambda: DataConfig(pad_side="up"), "pad_side"),
+        (lambda: DataConfig(max_len=2.5), "max_len"),
+        (lambda: RunConfig(precision="float16"), "precision"),
+        (lambda: RunConfig(seed=-1), "seed"),
+        (lambda: DataConfig(generator={"bogus": 1}), "generator"),
     ], ids=["nan-lam", "inf-lam", "bool-lam", "nan-mu1-train",
             "negative-dilution-power", "zero-adapt-batch", "float16-dtype",
-            "one-regime"])
+            "one-regime", "negative-train-lr", "zero-epochs", "bad-pad-side",
+            "float-max-len", "float16-precision", "negative-seed",
+            "unknown-generator-key"])
     def test_section_type_rejects_out_of_range_value(self, build, field):
         # each section's type holds its own ranges, whoever builds it
         with pytest.raises(ValueError, match=field):
@@ -385,6 +394,29 @@ class TestExitCodes:
         cfg = base_config(tmp_path, data={"path": str(tmp_path / "nope.tsv")})
         path = write_config(tmp_path, cfg)
         assert one_line_error(capsys, ["train", "--config", path]) == 2
+
+    @pytest.mark.parametrize("command", ["gen", "train"])
+    def test_negative_seed_in_config_is_config_error(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, base_config(tmp_path, seed=-1))
+        assert one_line_error(capsys, [command, "--config", path]) == 2
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["gen", "train"])
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, base_config(tmp_path))
+        assert one_line_error(capsys, [command, "--config", path, "--seed", "-5"]) == 2
+        assert not (tmp_path / "run").exists()
+
+    def test_empty_out_dir_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(tmp_path, out_dir=""))
+        assert one_line_error(capsys, ["gen", "--config", path]) == 2
+
+    def test_out_dir_that_is_a_file_is_config_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        path = write_config(tmp_path, base_config(tmp_path, out_dir=str(taken)))
+        assert one_line_error(capsys, ["gen", "--config", path]) == 2
+        assert taken.read_text() == "not a directory"
 
     @pytest.mark.parametrize("grid", ["abc", ","])
     def test_bad_sweep_grid_is_config_error(self, tmp_path, capsys, grid):

@@ -144,7 +144,7 @@ def prefix_states(abar, bbar, X, C, mask):
     prefix [:, :t+1]."""
     L = mask.shape[1]
     return np.stack([model.scan(abar[:, :t + 1], bbar[:, :t + 1], X[:, :t + 1],
-                                C[:, :t + 1], mask[:, :t + 1])[2].data
+                                C[:, :t + 1], mask[:, :t + 1])[1].data
                      for t in range(L)], axis=1)
 
 
@@ -155,7 +155,7 @@ class TestScan:
         X = ag.constant(np.array([[[2.0], [3.0]]]))
         C = ag.constant(np.ones((1, 2, 1)))
         mask = np.ones((1, 2), bool)
-        Y, _, hf = model.scan(abar, bbar, X, C, mask)
+        Y, hf = model.scan(abar, bbar, X, C, mask)
         H = prefix_states(abar, bbar, X, C, mask)
         assert np.allclose(H[0, :, 0, 0], [2.0, 4.0])
         assert np.allclose(Y.data[0, :, 0], [2.0, 4.0])
@@ -163,7 +163,7 @@ class TestScan:
     def test_fully_masked_rows_stay_zero(self):
         m, L, s, d = 2, 4, 3, 5
         rng = np.random.default_rng(0)
-        Y, _, hf = model.scan(ag.constant(rng.uniform(0.1, 0.9, (m, L))),
+        Y, hf = model.scan(ag.constant(rng.uniform(0.1, 0.9, (m, L))),
                               ag.constant(rng.normal(size=(m, L, s))),
                               ag.constant(rng.normal(size=(m, L, d))),
                               ag.constant(rng.normal(size=(m, L, s))),
@@ -173,7 +173,7 @@ class TestScan:
     def test_single_unmasked_step_with_unit_decay(self, rng):
         bbar = rng.normal(size=(1, 1, 3))
         x = rng.normal(size=(1, 1, 4))
-        _, _, hf = model.scan(ag.constant(np.ones((1, 1))), ag.constant(bbar),
+        _, hf = model.scan(ag.constant(np.ones((1, 1))), ag.constant(bbar),
                               ag.constant(x), ag.constant(np.ones((1, 1, 3))),
                               np.ones((1, 1), bool))
         assert np.allclose(hf.data[0], np.outer(bbar[0, 0], x[0, 0]), atol=1e-14)
@@ -314,7 +314,7 @@ def full_tail_reference(params, batch, rng=None, training=False):
         X, B, C, delta, _ = model.transform(params, seq, mask=batch.mask, block=b)
         abar, bbar = model.discretize(delta, params.decay(b), B)
         Xz = ag.mul(X, ag.reshape(maskf, maskf.shape + (1,)))
-        Y, _, _ = model.scan(abar, bbar, Xz, C, batch.mask)
+        Y, _ = model.scan(abar, bbar, Xz, C, batch.mask)
         if b == n_blocks - 1:
             h = ag.einsum("mk,mks,mkd->msd", ag.last_decay(abar, batch.mask), bbar, Xz)
             Yd = Y.data.copy()
