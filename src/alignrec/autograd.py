@@ -29,11 +29,11 @@ __all__ = [
     "Tensor", "ShapeError", "DomainError",
     "constant", "parameter",
     "add", "sub", "neg", "mul", "div", "matmul", "exp",
-    "softplus", "silu", "relu", "outer", "concat", "reshape",
+    "softplus", "silu", "relu", "concat", "reshape",
     "reduce_sum", "clip_min", "stop_gradient", "embedding",
     "causal_conv1d", "layer_norm", "dropout",
     "softmax_cross_entropy", "frobenius_norm",
-    "einsum", "scan_step", "sequential_scan", "last_decay",
+    "einsum", "sequential_scan", "last_decay",
     "grad", "no_grad", "finite_diff_check", "FiniteDiffReport",
 ]
 
@@ -348,15 +348,6 @@ def relu(a):
     return _node(out_data, (a,), bw)
 
 
-def outer(u, v):
-    """Batched outer product: (..., p) x (..., q) -> (..., p, q)."""
-    u, v = _as_tensor(u), _as_tensor(v)
-    if u.data.ndim < 1 or u.data.shape[:-1] != v.data.shape[:-1]:
-        raise ShapeError(f"outer: incompatible shapes {u.shape} vs {v.shape}")
-    batch = "abcdefghijklmn"[:u.data.ndim - 1]
-    return einsum(f"{batch}p,{batch}q->{batch}pq", u, v)
-
-
 def concat(tensors, axis):
     tensors = [_as_tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -532,20 +523,14 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     return _node(out_data, (x, gamma, beta), bw)
 
 
-def dropout(x, rate, rng=None, training=False, drawn_over=None):
-    """Inverted dropout: active only in training mode; identity otherwise.
-
-    drawn_over=(shape, index) says x is `full[index]` for some `full` of
-    `shape`: the mask is drawn over `shape` and indexed the same way, so the
-    rng advances exactly as it would for dropout on `full`.
-    """
+def dropout(x, rate, rng=None, training=False):
+    """Inverted dropout: active only in training mode; identity otherwise."""
     x = _as_tensor(x)
     if not training or rate <= 0.0:
         return x
     if rng is None:
         raise ValueError("dropout: training mode requires an rng")
-    shape, index = drawn_over or (x.data.shape, ...)
-    keep = (rng.random(shape) >= rate)[index].astype(x.data.dtype)
+    keep = (rng.random(x.data.shape) >= rate).astype(x.data.dtype)
     keep /= 1.0 - rate
 
     def bw(g, acc):
@@ -598,39 +583,16 @@ def frobenius_norm(a, axis):
 # the selective-scan recurrence
 
 
-def _decay_kernel(abar, mask):
-    """W[m, t, k] = mask[m, k] * prod_{k<j<=t} abar'[m, j] on the lower
-    triangle (t >= k) and 0 above it, where abar' is abar with masked steps
-    set to 1.
-
-    This is exp of the segment sum of log abar', formed as a running product
-    inside each segment rather than as a ratio of prefix products, so exact
-    zeros in abar need no logarithm and produce no 0/0. The gradient needs no
-    division either: the derivative of W[t, k] by abar_j (k < j <= t) is the
-    product over the segment with j left out, W[t, j] * W[j-1, k].
-    """
-    mask = np.asarray(mask, dtype=bool)
-    L = abar.data.shape[1]
-    a = np.where(mask, abar.data, 1.0).astype(abar.data.dtype, copy=False)
-    below = np.tri(L, L, -1, dtype=bool)            # t > k
-    seg = np.cumprod(np.where(below, a[:, :, None], 1.0), axis=1)
-    W = np.where(np.tri(L, L, dtype=bool), seg, 0.0) * mask[:, None, :]
-
-    def bw(g, acc):
-        # P[j, k] = W[j-1, k]: the segment product up to just before step j
-        P = np.zeros_like(W)
-        P[:, 1:] = W[:, :-1]
-        ga = np.einsum("mtj,mtj->mj", W, np.einsum("mtk,mjk->mtj", g, P, optimize=True))
-        acc(abar, np.where(mask, ga, 0.0))
-
-    return _node(W, (abar,), bw)
-
-
 def last_decay(abar, mask):
-    """w[m, k] = mask[m, k] * prod_{k<j<L} abar'[m, j], abar' being abar with
-    masked steps set to 1: the last row of _decay_kernel, i.e. the weight with
-    which step k's injection reaches the final state. A reverse cumulative
-    product, O(m L).
+    """w[..., k] = mask[..., k] * prod_{k<j<L} abar'[..., j], abar' being abar
+    with masked steps set to 1: the weight with which step k's injection
+    reaches the state after the last step L-1. A reverse cumulative product
+    along the last axis, O(L) per row.
+
+    abar broadcasts against mask, which may add leading axes: with abar of
+    shape (m, 1, L) and mask[m, t, k] = (k <= t) and step k valid, row t is
+    the weight of each step in the state after step t, i.e. the decay kernel
+    of the quadratic scan. The gradient is summed back to abar's shape.
 
     The backward sweeps forward once and divides by nothing, so an abar of
     exactly 0 still gets its finite gradient. With R[j] = prod_{j<i<L}
@@ -638,26 +600,35 @@ def last_decay(abar, mask):
     prod_{k<i<j} abar'_i:
 
         S[j+1] = abar'_j S[j] + mask_j g_j,    grad_j = mask_j R[j] S[j]
+
+    Only w and mask are kept for it: w equals R wherever mask holds, and
+    abar' is formed again one step at a time.
     """
     abar = _as_tensor(abar)
     mask = np.asarray(mask, dtype=bool)
-    if abar.data.ndim != 2 or mask.shape != abar.data.shape:
-        raise ShapeError(f"last_decay: abar {abar.shape} and mask {mask.shape} "
-                         f"must be the same (m, L)")
+    try:
+        shape = np.broadcast_shapes(abar.data.shape, mask.shape)
+    except ValueError:
+        shape = None
+    if mask.ndim == 0 or shape != mask.shape:
+        raise ShapeError(f"last_decay: abar {abar.shape} must broadcast to "
+                         f"mask {mask.shape}")
     a = np.where(mask, abar.data, 1.0).astype(abar.data.dtype, copy=False)
-    R = np.ones_like(a)
-    R[:, :-1] = np.cumprod(a[:, :0:-1], axis=1)[:, ::-1]
+    w = np.ones_like(a)
+    w[..., :-1] = np.cumprod(a[..., :0:-1], axis=-1)[..., ::-1]
+    w *= mask
 
     def bw(g, acc):
-        gm = np.where(mask, g, 0.0)
-        ga = np.zeros_like(a)
-        S = np.zeros(a.shape[0], dtype=a.dtype)
-        for j in range(a.shape[1]):
-            ga[:, j] = R[:, j] * S
-            S = a[:, j] * S + gm[:, j]
-        acc(abar, np.where(mask, ga, 0.0))
+        ab = np.broadcast_to(abar.data, mask.shape)
+        ga = np.zeros_like(w)
+        S = np.zeros(mask.shape[:-1], dtype=w.dtype)
+        for j in range(mask.shape[-1]):
+            on = mask[..., j]
+            ga[..., j] = np.where(on, w[..., j] * S, 0.0)
+            S = np.where(on, ab[..., j], 1.0) * S + np.where(on, g[..., j], 0.0)
+        acc(abar, _unbroadcast(ga, abar.data.shape))
 
-    return _node(R * mask, (abar,), bw)
+    return _node(w, (abar,), bw)
 
 
 def sequential_scan(abar, bbar, x, C, mask):
@@ -667,14 +638,15 @@ def sequential_scan(abar, bbar, x, C, mask):
     abar: (m, L); bbar: (m, L, s); x: (m, L, d); C: (m, L, s);
     mask: (m, L) bool. A masked step leaves the state unchanged: its decay
     counts as 1 and it injects nothing, though y_t still reads the carried
-    state. With the decay kernel W[t, k] = prod_{k<j<=t} abar_j (lower
-    triangle, masked columns zero):
+    state. The decay kernel W[t, k] = prod_{k<j<=t} abar_j (lower triangle,
+    masked columns zero) is last_decay with row t's mask ending at step t:
 
         Y       = (W o C bbar^T) x                      (m, L, d)
         h_final = sum_k W[L-1, k] bbar_k (x) x_k        (m, s, d)
 
     Returns (Y, h_final). Memory is O(m L^2) beside the inputs: no (m, L, s, d)
-    state stack is formed, and the gradient is composed from einsum.
+    state stack is formed, and the gradient is composed from last_decay's and
+    einsum's, O(m L^2) for the kernel.
     """
     abar, bbar, x, C = (_as_tensor(v) for v in (abar, bbar, x, C))
     mask = np.asarray(mask, dtype=bool)
@@ -687,23 +659,11 @@ def sequential_scan(abar, bbar, x, C, mask):
             f"sequential_scan: inconsistent shapes abar {abar.shape}, "
             f"bbar {bbar.shape}, x {x.shape}, C {C.shape}, mask {mask.shape}")
 
-    W = _decay_kernel(abar, mask)
+    W = last_decay(reshape(abar, (m, 1, L)), np.tri(L, dtype=bool) & mask[:, None, :])
     scores = mul(W, einsum("mts,mks->mtk", C, bbar))
     Y = einsum("mtk,mkd->mtd", scores, x)
     h_final = einsum("mk,mks,mkd->msd", W[:, -1], bbar, x)
     return Y, h_final
-
-
-def scan_step(h_prev, abar, bbar, x):
-    """One recurrence step: abar * h_prev + bbar (x) x.
-
-    h_prev: (..., s, d); abar: per-row decay factors; bbar: (..., s);
-    x: (..., d).
-    """
-    h_prev, abar = _as_tensor(h_prev), _as_tensor(abar)
-    if abar.data.ndim < h_prev.data.ndim:
-        abar = reshape(abar, abar.data.shape + (1, 1))
-    return add(mul(abar, h_prev), outer(bbar, x))
 
 
 # ---------------------------------------------------------------------------

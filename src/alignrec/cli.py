@@ -220,8 +220,7 @@ def cmd_gradcheck(args):
         return L.total_loss(
             L.rec_loss(tr.logits, batch.target_item),
             L.batch_time_loss(params, tr, batch, weights)[0],
-            L.state_alignment_loss(params, tr,
-                                   dilution_power=weights.dilution_power)[0],
+            L.state_alignment_loss(params, tr)[0],
             weights, "train")
 
     checks = {
@@ -232,8 +231,7 @@ def cmd_gradcheck(args):
             params, model.forward_full(params, batch, training=False),
             batch, weights)[0],
         "state": lambda: L.state_alignment_loss(
-            params, model.forward_full(params, batch, training=False),
-            dilution_power=weights.dilution_power)[0],
+            params, model.forward_full(params, batch, training=False))[0],
         "total": make_total,
     }
     results = {}

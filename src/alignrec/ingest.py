@@ -106,6 +106,8 @@ def load_tsv(path, schema=("user_id", "item_id", "timestamp")):
             lines = fh.read().splitlines()
     except OSError as e:
         raise IngestError(f"{path}: cannot read ({e.strerror})") from None
+    except UnicodeDecodeError as e:
+        raise IngestError(f"{path}: not UTF-8 text ({e.reason})") from None
     if not lines:
         raise IngestError(f"{path}: empty file")
     header = lines[0].split("\t")

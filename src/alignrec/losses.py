@@ -28,7 +28,6 @@ class LossWeights:
     # which pipeline.resolve_weights turns into the median positive gap.
     lam: object = 1.0
     block_size: int = 10
-    dilution_power: int = 2     # exponent of the delta divisor in the state loss
 
     def __post_init__(self):
         p = type_problems(type(self), vars(self))
@@ -37,8 +36,6 @@ class LossWeights:
                  for n in ("mu1_train", "mu2_train") if not non_negative(getattr(self, n))]
             if self.block_size < 2:
                 p.append(f"block_size must be >= 2, got {self.block_size}")
-            if self.dilution_power < 0:
-                p.append(f"dilution_power must be >= 0, got {self.dilution_power}")
         if self.lam != "median" and not (is_number(self.lam) and positive(self.lam)):
             p.append(f'lam must be "median" or a positive finite number, got {self.lam!r}')
         if p:
@@ -49,10 +46,7 @@ class LossWeights:
 class StateAlignIntermediates:
     """Values produced on the way to the state loss, kept for the bound."""
     P: np.ndarray            # (m,) log(-1/A) / delta_next
-    Q: np.ndarray            # (m, d_s) backward projection of x_n
     P_bar: float             # -1/A, exact
-    Q_bar: np.ndarray        # (m, d_s) delta_next * Q
-    h_next: np.ndarray       # (m, d_s, d) forward state estimate
     h_back: np.ndarray       # (m, d_s, d) reconstructed final state
     eps_n: np.ndarray        # (m, d_s) Q - B_next / A, the projection residual
     per_row: np.ndarray      # (m,) per-sequence loss values
@@ -108,25 +102,25 @@ def time_alignment_loss(delta_full, T, elig, lam, block_size):
     return loss, n_pairs
 
 
-def backward_projection(params, x_last, block=0):
-    """Q = W2 x_n + b2 (purely linear, no activation)."""
-    pre = f"block{block}."
+def backward_projection(params, x_last):
+    """Q = W2 x_n + b2 (purely linear, no activation), with the alignment
+    block's W2 and b2."""
+    pre = f"block{params.config.n_blocks - 1}."
     return ag.add(ag.matmul(x_last, params[pre + "W2"]), params[pre + "b2"])
 
 
 DELTA_GUARD = 1e-8
 
 
-def state_alignment_loss(params, trace, ext=None, dilution_power=2, block=None):
+def state_alignment_loss(params, trace):
     """Reconstruct the final state through one forward step and one backward
-    step, and penalize the Frobenius distance, diluted by delta_next**p.
+    step, and penalize the Frobenius distance, diluted by delta_next**2 (the
+    power state_loss_bound holds for).
 
     Returns (scalar loss tensor, StateAlignIntermediates). The backward
     decay is the exact value exp(delta * log(-1/A) / delta) = -1/A.
     """
-    cfg = params.config
-    block = cfg.n_blocks - 1 if block is None else block
-    ext = trace.extension if ext is None else ext
+    ext = trace.extension
     A = trace.A
     a_val = float(A.data)
     if a_val >= 0:
@@ -137,27 +131,23 @@ def state_alignment_loss(params, trace, ext=None, dilution_power=2, block=None):
 
     abar_n = ag.exp(ag.mul(delta_n, A))                          # (m,)
     bbar_n = ag.mul(ext.B_next, ag.reshape(delta_n, (-1, 1)))    # (m, d_s)
-    h_next = ag.scan_step(trace.h_final, abar_n, bbar_n, ext.x_next)
+    h_next = ag.add(ag.mul(ag.reshape(abar_n, (-1, 1, 1)), trace.h_final),
+                    ag.einsum("ms,md->msd", bbar_n, ext.x_next))
 
-    Q = backward_projection(params, trace.x_last, block=block)   # (m, d_s)
+    Q = backward_projection(params, trace.x_last)                # (m, d_s)
     p_bar = ag.neg(ag.div(1.0, A))                               # scalar, -1/A exactly
     q_bar = ag.mul(Q, ag.reshape(delta_n, (-1, 1)))              # (m, d_s)
     h_back = ag.add(ag.mul(ag.reshape(p_bar, (1, 1, 1)), h_next),
-                    ag.outer(q_bar, trace.x_last))
+                    ag.einsum("ms,md->msd", q_bar, trace.x_last))
 
     dist = ag.frobenius_norm(ag.sub(trace.h_final, h_back), axis=(1, 2))  # (m,)
-    per_row = dist
-    for _ in range(dilution_power):
-        per_row = ag.div(per_row, delta_n)
+    per_row = ag.div(ag.div(dist, delta_n), delta_n)
     loss = ag.div(ag.reduce_sum(per_row), per_row.data.shape[0])
 
     dval = delta_n.data
     inter = StateAlignIntermediates(
         P=np.log(-1.0 / a_val) / dval,
-        Q=Q.data,
         P_bar=-1.0 / a_val,
-        Q_bar=q_bar.data,
-        h_next=h_next.data,
         h_back=h_back.data,
         eps_n=Q.data - ext.B_next.data / a_val,
         per_row=per_row.data,
@@ -177,8 +167,9 @@ def state_loss_bound(trace, ext, inter):
         h_n - h_back = (1 + A^-1 e^{dA}) h_n
                        - d (Q - A^-1 B_next) (x) x_n
                        + d A^-1 B_next (x) (x_n - x_next),
-    so the bound is that expansion under the triangle inequality; the
-    first coefficient satisfies |1 + A^-1 e^{dA}| <= 1 whenever A <= -1.
+    so the bound is that expansion under the triangle inequality, divided
+    by d^2 as the loss is; the first coefficient satisfies
+    |1 + A^-1 e^{dA}| <= 1 whenever A <= -1.
     """
     a_val = float(trace.A.data)
     if a_val > -1.0:
@@ -225,8 +216,7 @@ def alignment_losses(params, trace, batch, weights, mu_time, mu_state):
     if mu_time:
         t_loss, _ = batch_time_loss(params, trace, batch, weights)
     if mu_state:
-        s_loss, inter = state_alignment_loss(
-            params, trace, dilution_power=weights.dilution_power)
+        s_loss, inter = state_alignment_loss(params, trace)
         clamp_warnings = inter.clamp_warnings
     return t_loss, s_loss, clamp_warnings
 

@@ -11,7 +11,9 @@ last block's output is read only at each row's last position, the one output
 the head, the losses and the extension read: its scan computes just the
 final state in linear time, and its LayerNorm and FFN run on that one row.
 Earlier blocks scan in the quadratic form, because the next block reads
-every position.
+every position. Both forms take their decay weights from
+autograd.last_decay: the last block its final-state weights, an earlier
+block one row of weights per step.
 """
 
 from __future__ import annotations
@@ -239,24 +241,24 @@ def discretize(delta, A, B):
 def scan(abar, bbar, X, C, mask):
     """Run the recurrence in its quadratic (state-space-dual) form; returns
     per-step outputs Y and the final state. Masked steps carry the state
-    unchanged. Memory is O(m L^2); no per-step state stack is built.
+    unchanged. The decay kernel is last_decay's weights for every prefix;
+    time and memory are O(m L^2), and no per-step state stack is built.
     forward_full runs it for every block but the last, whose outputs the
     next block reads at every position."""
     return ag.sequential_scan(abar, bbar, X, C, mask)
 
 
-def ffn_and_norm(params, Y, rng=None, training=False, block=0, drawn_over=None):
+def ffn_and_norm(params, Y, rng=None, training=False, block=0):
     """LayerNorm(Y + Dropout(FFN(Y))) with a SiLU inner activation.
 
     Position-wise, so Y may be (m, L, d) or the (m, d) rows one position per
-    sequence; drawn_over then names the full shape and the rows taken (see
-    autograd.dropout) so dropout advances the rng as for the full sequence.
+    sequence; dropout draws its mask over Y's shape.
     """
     cfg = params.config
     pre = f"block{block}."
     h = ag.silu(ag.add(ag.matmul(Y, params[pre + "Wf1"]), params[pre + "bf1"]))
     h = ag.add(ag.matmul(h, params[pre + "Wf2"]), params[pre + "bf2"])
-    h = ag.dropout(h, cfg.dropout, rng=rng, training=training, drawn_over=drawn_over)
+    h = ag.dropout(h, cfg.dropout, rng=rng, training=training)
     return ag.layer_norm(ag.add(Y, h), params[pre + "ln_ffn_g"], params[pre + "ln_ffn_b"])
 
 
@@ -316,9 +318,10 @@ def forward_full(params, batch, rng=None, training=False, need_logits=True,
     with w = autograd.last_decay (O(m L), no (m, L, L) kernel), and reads its
     output at the last position as y_last = C[last] h_final; this holds for
     left and right padding because masked steps carry the state unchanged.
-    Its LayerNorm and FFN then run on (m, d) and give o_last. Earlier blocks
-    run the quadratic-form scan and the tail on full sequences because the
-    next block's transform reads every position.
+    Its LayerNorm and FFN then run on (m, d) and give o_last, so its dropout
+    draws an (m, d) mask. Earlier blocks run the quadratic-form scan and the
+    tail on full sequences because the next block's transform reads every
+    position.
 
     need_logits=False skips the prediction head (the adaptation steps only
     need the alignment intermediates); need_extension=False skips the
@@ -337,7 +340,6 @@ def forward_full(params, batch, rng=None, training=False, need_logits=True,
         A = params.decay(b)
         abar, bbar = discretize(delta, A, B)
         Xz = ag.mul(X, ag.reshape(maskf, maskf.shape + (1,)))
-        drawn_over = None
         if b < align_block:
             Y, _ = scan(abar, bbar, Xz, C, mask)
             resid = ag.add(seq, Y)
@@ -345,12 +347,10 @@ def forward_full(params, batch, rng=None, training=False, need_logits=True,
             # masked steps carry the state, so the last output reads h_final
             h_final = ag.einsum("mk,mks,mkd->msd", ag.last_decay(abar, mask), bbar, Xz)
             y_last = ag.einsum("ms,msd->md", C[last], h_final)
-            drawn_over = (seq.shape, last)
             resid = ag.add(seq[last], y_last)
         wrapped = ag.layer_norm(resid, params[f"block{b}.ln_block_g"],
                                 params[f"block{b}.ln_block_b"])
-        seq = ffn_and_norm(params, wrapped, rng=rng, training=training, block=b,
-                           drawn_over=drawn_over)
+        seq = ffn_and_norm(params, wrapped, rng=rng, training=training, block=b)
 
     o_last = seq
     x_last = Xz[last]
@@ -467,6 +467,11 @@ def load_checkpoint(path):
     for name, dtype, shape, offset in entries:
         if name not in shapes:
             raise ModelError(f"{path}: unknown tensor {name!r} (architecture mismatch)")
+        if name in arrays:
+            raise ModelError(f"{path}: tensor {name!r} is stored twice")
+        if dtype != cfg.np_dtype:
+            raise ModelError(f"{path}: tensor {name!r} has dtype {dtype}, "
+                             f"the config's dtype is {cfg.dtype}")
         if shape != shapes[name]:
             raise ModelError(f"{path}: shape mismatch for {name!r} "
                              f"{shape} vs {shapes[name]}")

@@ -44,11 +44,6 @@ def test_sigmoid_saturates_exactly_and_quietly(dtype, big):
     assert s0 == 1.0
 
 
-def test_outer_product_example():
-    out = ag.outer(ag.constant([1.0, 2.0]), ag.constant([3.0, 4.0, 5.0]))
-    assert np.array_equal(out.data, [[3, 4, 5], [6, 8, 10]])
-
-
 def test_scan_telescopes_with_unit_decay():
     # abar=1 and a constant injection accumulate linearly
     m, L, s, d = 1, 3, 2, 2
@@ -358,6 +353,28 @@ def test_last_decay_gradient_is_the_product_rule(rng):
         g = ag.grad(f(), {"a": a})["a"]
         assert np.all(np.isfinite(g))
         assert np.allclose(g, ref, atol=1e-14, rtol=0)
+
+
+def test_last_decay_broadcasts_against_leading_mask_axes(rng):
+    # abar (m, 1, L) against a mask (m, T, L): each leading row t is the 2-D
+    # last_decay under row t's mask, and the gradient sums over the rows
+    for abar, mask in last_decay_cases(rng):
+        m, L = abar.shape
+        rows = np.stack([mask & (rng.random((m, L)) > 0.2) for _ in range(3)], axis=1)
+        G = rng.normal(size=rows.shape)
+        a = ag.parameter(abar)
+        w = ag.last_decay(ag.reshape(a, (m, 1, L)), rows)
+        g = ag.grad(ag.reduce_sum(ag.mul(w, ag.constant(G))), {"a": a})["a"]
+        ref_g = np.zeros((m, L))
+        for t in range(rows.shape[1]):
+            a_t = ag.parameter(abar)
+            w_t = ag.last_decay(a_t, rows[:, t])
+            assert np.array_equal(w.data[:, t], w_t.data)
+            ref_g += ag.grad(ag.reduce_sum(ag.mul(w_t, ag.constant(G[:, t]))),
+                             {"a": a_t})["a"]
+        assert np.allclose(g, ref_g, atol=1e-14, rtol=0)
+    with pytest.raises(ag.ShapeError):
+        ag.last_decay(ag.constant(np.ones((2, 3, 4))), np.ones((2, 4), bool))
         rep = ag.finite_diff_check(f, {"a": a}, eps=1e-6, tol=1e-6,
                                    n_samples=2 * abar.size, rng=rng)
         assert rep.ok, rep.failures[:3]
@@ -446,17 +463,6 @@ def test_grad_for_an_interior_node_is_kept(rng):
     g = ag.grad(ag.reduce_sum(ag.mul(h, 3.0)), {"h": h, "p": p})
     assert np.array_equal(g["h"], np.full((2, 3), 3.0))
     assert np.allclose(g["p"], 6.0 * p.data)
-
-
-def test_scan_step_matches_recurrence(rng):
-    h0 = ag.constant(rng.normal(size=(2, 3, 4)))
-    abar = ag.constant(np.array([0.5, 2.0]))
-    bbar = ag.constant(rng.normal(size=(2, 3)))
-    x = ag.constant(rng.normal(size=(2, 4)))
-    out = ag.scan_step(h0, abar, bbar, x)
-    for i in range(2):
-        ref = float(abar.data[i]) * h0.data[i] + np.outer(bbar.data[i], x.data[i])
-        assert np.allclose(out.data[i], ref, atol=1e-14)
 
 
 def test_causal_conv_matches_direct_sum(rng):

@@ -126,7 +126,6 @@ class TestConfig:
         (lambda: LossWeights(lam=float("inf")), "lam"),
         (lambda: LossWeights(lam=True), "lam"),
         (lambda: LossWeights(mu1_train=float("nan")), "mu1_train"),
-        (lambda: LossWeights(dilution_power=-1), "dilution_power"),
         (lambda: AdaptConfig(batch_size=0), "batch_size"),
         (lambda: ModelConfig(vocab_size=9, dtype="float16"), "dtype"),
         (lambda: GeneratorSpec(regime_weights=[None]), "regime_weights"),
@@ -138,7 +137,7 @@ class TestConfig:
         (lambda: RunConfig(seed=-1), "seed"),
         (lambda: DataConfig(generator={"bogus": 1}), "generator"),
     ], ids=["nan-lam", "inf-lam", "bool-lam", "nan-mu1-train",
-            "negative-dilution-power", "zero-adapt-batch", "float16-dtype",
+            "zero-adapt-batch", "float16-dtype",
             "one-regime", "negative-train-lr", "zero-epochs", "bad-pad-side",
             "float-max-len", "float16-precision", "negative-seed",
             "unknown-generator-key"])
@@ -351,11 +350,17 @@ class TestEvalCommand:
         lambda raw: rewrite_manifest(raw, lambda m: m["config"].update(dtype="float16")),
         lambda raw: rewrite_manifest(
             raw, lambda m: m["config"].update(detach_extension="no")),
+        lambda raw: rewrite_manifest(raw, lambda m: m["tensors"][0].update(dtype="O")),
+        lambda raw: rewrite_manifest(raw, lambda m: m["tensors"][0].update(dtype="int64")),
+        lambda raw: rewrite_manifest(raw, lambda m: m["tensors"][0].update(
+            dtype="float64" if m["config"]["dtype"] == "float32" else "float32")),
+        lambda raw: rewrite_manifest(raw, lambda m: m["tensors"].append(m["tensors"][0])),
     ], ids=["cut-100-bytes", "ten-bytes", "manifest-undecodable",
             "unknown-config-key", "no-tensor-list", "float-offset",
             "lam-string", "lam-null", "lam-negative", "zero-blocks",
             "float-d", "float-conv-width", "float-vocab-size", "float16-dtype",
-            "string-detach-extension"])
+            "string-detach-extension", "object-tensor-dtype", "int64-tensor-dtype",
+            "other-float-tensor-dtype", "duplicate-tensor"])
     def test_damaged_checkpoint_is_numeric_error(self, trained, damage, capsys):
         path, ck, tmp = trained
         bad = tmp / "damaged.bin"
@@ -394,6 +399,16 @@ class TestExitCodes:
         cfg = base_config(tmp_path, data={"path": str(tmp_path / "nope.tsv")})
         path = write_config(tmp_path, cfg)
         assert one_line_error(capsys, ["train", "--config", path]) == 2
+
+    def test_data_file_not_utf8_is_config_error(self, tmp_path, capsys):
+        tsv = tmp_path / "data.tsv"
+        tsv.write_bytes(b"user_id\titem_id\ttimestamp\nu1\t\xff\t10\n")
+        path = write_config(tmp_path, base_config(tmp_path, data={"path": str(tsv)}))
+        capsys.readouterr()
+        assert cli.main(["train", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(tsv) in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["gen", "train"])
     def test_negative_seed_in_config_is_config_error(self, tmp_path, capsys, command):

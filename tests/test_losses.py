@@ -265,15 +265,6 @@ class TestStateLoss:
         assert np.allclose(inter.per_row, refs, atol=1e-12)
         assert abs(float(loss.data) - np.mean(refs)) < 1e-12
 
-    def test_dilution_power_configurable(self, rng):
-        params = tiny_params(seed=19)
-        batch = random_batch(rng)
-        trace = model.forward_full(params, batch, training=False)
-        l2, i2 = losses.state_alignment_loss(params, trace, dilution_power=2)
-        l0, i0 = losses.state_alignment_loss(params, trace, dilution_power=0)
-        d = np.maximum(trace.extension.delta_next.data, 1e-8)
-        assert np.allclose(i0.per_row / d ** 2, i2.per_row, atol=1e-12)
-
 
 class TestTheoremBound:
     def test_zero_gap_zero_bound(self):
