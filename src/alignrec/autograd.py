@@ -223,10 +223,11 @@ def matmul(a, b):
     out_data = a.data @ b.data
 
     def bw(g, acc):
-        acc(a, g @ b.data.T)
-        ga = a.data.reshape(-1, a.data.shape[-1])
-        gg = g.reshape(-1, g.shape[-1])
-        acc(b, ga.T @ gg)
+        if a.requires_grad:
+            acc(a, g @ b.data.T)
+        if b.requires_grad:
+            ga = a.data.reshape(-1, a.data.shape[-1])
+            acc(b, ga.T @ g.reshape(-1, g.shape[-1]))
 
     return _node(out_data, (a, b), bw)
 

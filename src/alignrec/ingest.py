@@ -133,6 +133,8 @@ def load_tsv(path, schema=("user_id", "item_id", "timestamp")):
             raise IngestError(f"{path}:{lineno}: timestamp {ts_raw!r} is not an integer")
         if ts < 0:
             raise IngestError(f"{path}:{lineno}: negative timestamp {ts}")
+        if ts >= 2 ** 63:
+            raise IngestError(f"{path}:{lineno}: timestamp {ts} does not fit in int64")
         if iid not in vocab:
             vocab[iid] = len(vocab) + 1
         if uid not in raw:
@@ -275,21 +277,16 @@ def _build_batch(chunk, max_len, pad_side):
                  t_elig=elig, last_index=last_index)
 
 
-def segment_test_by_time(examples, k):
-    """Sort examples by target timestamp and cut them into k contiguous
-    groups whose sizes differ by at most one (earlier groups take the
-    remainder)."""
-    idx_groups = segment_indices_by_time(examples, k)
-    return [[examples[i] for i in grp] for grp in idx_groups]
-
-
 def segment_indices_by_time(examples, k):
+    """Sort example indices by target timestamp and cut them into k
+    contiguous groups whose sizes differ by at most one (earlier groups take
+    the remainder)."""
     if k < 2:
-        raise IngestError(f"segment_test_by_time: k must be >= 2, got {k}")
+        raise IngestError(f"segment_indices_by_time: k must be >= 2, got {k}")
     if not examples:
-        raise IngestError("segment_test_by_time: empty test set")
+        raise IngestError("segment_indices_by_time: empty test set")
     if k > len(examples):
-        raise IngestError(f"segment_test_by_time: k={k} exceeds {len(examples)} examples")
+        raise IngestError(f"segment_indices_by_time: k={k} exceeds {len(examples)} examples")
     order = sorted(range(len(examples)), key=lambda i: examples[i].target_timestamp)
     n = len(order)
     base, rem = divmod(n, k)

@@ -5,8 +5,9 @@ scan inputs, softplus for the step sizes), zero-order-hold discretization
 with a learnable negative scalar decay, the masked sequential scan, and a
 residual/LayerNorm-wrapped feed-forward stage. The prediction head ties the
 item embedding table. A forward pass returns a trace carrying every
-intermediate the alignment losses need, plus the one-step extension obtained
-by re-feeding the final output embedding through the same transform. The
+intermediate the alignment losses need, plus the one-step extension: the
+alignment block's own transform run one position further, on the final
+output embedding after the sequence's trailing convolution window. The
 last block's output is read only at each row's last position, the one output
 the head, the losses and the extension read: its scan computes just the
 final state in linear time, and its LayerNorm and FFN run on that one row.
@@ -52,7 +53,6 @@ class Architecture:
     dropout: float = 0.2
     n_blocks: int = 1
     detach_extension: bool = True
-    extension_history: str = "batch"   # "batch" | "zeros" conv context for the re-fed step
 
     def __post_init__(self):
         p = type_problems(type(self), vars(self)) or self._range_problems()
@@ -66,8 +66,6 @@ class Architecture:
             p.append(f"d_ff must be >= 0 (0 means 4 * d), got {self.d_ff}")
         if not 0.0 <= self.dropout < 1.0:
             p.append(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.extension_history not in ("batch", "zeros"):
-            p.append(f"extension_history must be batch|zeros, got {self.extension_history!r}")
         return p
 
 
@@ -178,7 +176,6 @@ class StepExtension:
     """The transform of the re-fed output embedding, one step past the end."""
     x_next: Tensor        # (m, d)
     B_next: Tensor        # (m, d_s)
-    C_next: Tensor        # (m, d_s)
     delta_next: Tensor    # (m,)
 
 
@@ -204,12 +201,14 @@ def embed(params, items, rng=None, training=False):
     return ag.dropout(e, params.config.dropout, rng=rng, training=training)
 
 
-def transform(params, seq, mask=None, block=0):
-    """Map a (m, L, d) sequence to scan inputs (X, B, C, delta).
+def transform(params, seq, mask=None, block=0, history=None):
+    """Map a (m, L, d) sequence to scan inputs (X, B, C, delta) and the
+    convolution's input channels.
 
     The linear projection output is zeroed at masked positions before the
     causal convolution so padding behaves exactly like the conv's own zero
-    history.
+    history. With `history`, a (m, w-1, d+2d_s) convolution context, seq is
+    the one (m, d) step after it and every output is that step's row.
     """
     cfg = params.config
     pre = f"block{block}."
@@ -220,7 +219,12 @@ def transform(params, seq, mask=None, block=0):
     inner = cfg.d + 2 * cfg.d_s
     chan = proj[..., :inner]
     dpre = proj[..., inner]
-    conv = ag.causal_conv1d(chan, params[pre + "conv_kernel"], params[pre + "conv_bias"])
+    kernel, bias = params[pre + "conv_kernel"], params[pre + "conv_bias"]
+    if history is None:
+        conv = ag.causal_conv1d(chan, kernel, bias)
+    else:
+        step = ag.reshape(chan, (chan.shape[0], 1, inner))
+        conv = ag.causal_conv1d(ag.concat([history, step], axis=1), kernel, bias)[:, -1, :]
     act = ag.silu(conv)
     X = act[..., :cfg.d]
     B = act[..., cfg.d:cfg.d + cfg.d_s]
@@ -274,38 +278,16 @@ def predict(params, o_last):
     return ag.matmul(o_last, Et)
 
 
-def extend_step(params, o_last, conv_history=None, detach=None, block=0):
-    """Re-feed the final output embedding through the transform as a single
-    extra timestep.
-
-    conv_history: (m, w-1, d+2d_s) trailing pre-activation channels used as
-    the convolution context; zeros when absent. Gradient flow into o_last is
-    stopped when detach is true (the default from the model config).
+def extend_step(params, o_last, history, block=0):
+    """The alignment block's transform one position past the end: the final
+    output embedding o_last (m, d) re-fed as the step after `history`, the
+    (m, w-1, d+2d_s) trailing pre-activation channels. The gradient into
+    o_last stops when the config's detach_extension is set.
     """
-    cfg = params.config
-    pre = f"block{block}."
-    detach = cfg.detach_extension if detach is None else detach
-    o_in = ag.stop_gradient(o_last) if detach else o_last
-    proj = ag.add(ag.matmul(o_in, params[pre + "W1"]), params[pre + "b1"])
-    inner = cfg.d + 2 * cfg.d_s
-    chan = proj[..., :inner]      # (m, inner)
-    dpre = proj[..., inner]       # (m,)
-    m = chan.data.shape[0]
-    w = cfg.conv_width
-
-    if conv_history is None:
-        hist = ag.constant(np.zeros((m, max(w - 1, 0), inner), dtype=cfg.np_dtype))
-    else:
-        hist = conv_history
-    window = ag.concat([hist, ag.reshape(chan, (m, 1, inner))], axis=1)
-    conv = ag.causal_conv1d(window, params[pre + "conv_kernel"], params[pre + "conv_bias"])
-    act = ag.silu(conv[:, -1, :])
-    x_next = act[..., :cfg.d]
-    B_next = act[..., cfg.d:cfg.d + cfg.d_s]
-    C_next = act[..., cfg.d + cfg.d_s:]
-    delta_next = ag.softplus(dpre)
-    return StepExtension(x_next=x_next, B_next=B_next, C_next=C_next,
-                         delta_next=delta_next)
+    o_in = ag.stop_gradient(o_last) if params.config.detach_extension else o_last
+    x_next, B_next, _, delta_next, _ = transform(params, o_in, block=block,
+                                                 history=history)
+    return StepExtension(x_next=x_next, B_next=B_next, delta_next=delta_next)
 
 
 def forward_full(params, batch, rng=None, training=False, need_logits=True,
@@ -322,6 +304,10 @@ def forward_full(params, batch, rng=None, training=False, need_logits=True,
     draws an (m, d) mask. Earlier blocks run the quadratic-form scan and the
     tail on full sequences because the next block's transform reads every
     position.
+
+    The extension re-feeds o_last through the last block's transform after
+    each row's trailing w-1 convolution channels (empty at conv_width 1;
+    zeros before a short sequence's start).
 
     need_logits=False skips the prediction head (the adaptation steps only
     need the alignment intermediates); need_extension=False skips the
@@ -356,15 +342,10 @@ def forward_full(params, batch, rng=None, training=False, need_logits=True,
     x_last = Xz[last]
     logits = predict(params, o_last) if need_logits else None
 
+    ext = None
     if need_extension:
-        w = cfg.conv_width
-        if cfg.extension_history == "batch" and w > 1:
-            hist = _trailing_window(chan, batch.last_index, w - 1, cfg.np_dtype)
-        else:
-            hist = None
-        ext = extend_step(params, o_last, conv_history=hist, block=align_block)
-    else:
-        ext = None
+        hist = _trailing_window(chan, batch.last_index, cfg.conv_width - 1, cfg.np_dtype)
+        ext = extend_step(params, o_last, hist, block=align_block)
 
     return ForwardTrace(X=X, C=C, delta=delta, abar=abar, bbar=bbar,
                         h_final=h_final, o_last=o_last,
@@ -453,19 +434,28 @@ def load_checkpoint(path):
         raise ModelError(f"{path}: unreadable checkpoint manifest ({e})") from None
 
     try:
-        cfg = ModelConfig(**manifest["config"])
+        saved = dict(manifest["config"])
+        # earlier checkpoints name the extension's convolution context;
+        # "batch", the trailing window, is the one context this model has
+        history = saved.pop("extension_history", "batch")
+        cfg = ModelConfig(**saved)
         entries = [(ent["name"], np.dtype(ent["dtype"]),
                     tuple(operator.index(n) for n in ent["shape"]),
                     operator.index(ent["offset"])) for ent in manifest["tensors"]]
         extra = manifest.get("extra", {})
+        if not isinstance(extra, dict):
+            raise TypeError(f"extra must be an object, got {type(extra).__name__}")
     except (KeyError, TypeError, ValueError) as e:
         raise ModelError(f"{path}: malformed checkpoint manifest "
                          f"({type(e).__name__}: {e})") from None
+    if history != "batch":
+        raise ModelError(f"{path}: checkpoint extension_history={history!r} is not "
+                         f"supported; the extension always reads the batch's context")
 
     shapes = {name: shape for name, shape, _ in parameter_layout(cfg)}
     arrays = {}
     for name, dtype, shape, offset in entries:
-        if name not in shapes:
+        if not isinstance(name, str) or name not in shapes:
             raise ModelError(f"{path}: unknown tensor {name!r} (architecture mismatch)")
         if name in arrays:
             raise ModelError(f"{path}: tensor {name!r} is stored twice")

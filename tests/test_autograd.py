@@ -152,6 +152,21 @@ def test_constant_operand_gets_no_gradient_product(rng, op):
     assert peak < 2 * x.data.nbytes, peak / x.data.nbytes
 
 
+def test_matmul_constant_operand_gets_no_gradient_product(rng):
+    c = ag.constant(rng.normal(size=(1000, 1000)))
+    w = ag.parameter(rng.normal(size=(1000, 1)))
+    loss = ag.reduce_sum(ag.matmul(c, w))
+    tracemalloc.start()
+    try:
+        g = ag.grad(loss, {"w": w})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.allclose(g["w"], c.data.sum(axis=0)[:, None])
+    # w's gradient is one column; a product for the constant is a full matrix
+    assert peak < c.data.nbytes / 4, peak / c.data.nbytes
+
+
 def test_grad_rejects_non_scalar_loss():
     p = ag.parameter(np.array([1.0, 2.0]))
     with pytest.raises(ag.ShapeError):

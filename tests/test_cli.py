@@ -111,10 +111,12 @@ class TestConfig:
         {"data": {"generator": {"bogus": 1}}},
         {"data": {"generator": {"n_users": "x"}}},
         {"model": {"extension_history": "foo"}},
+        {"model": {"extension_history": "batch"}},
     ], ids=["negative-d_ff", "zero-adapt-batch", "float-steps",
             "float-dilution-power", "float-max-len", "string-dropout",
             "string-epochs", "list-lam", "unknown-generator-key",
-            "string-generator-users", "unknown-extension-history"])
+            "string-generator-users", "unknown-extension-history",
+            "removed-extension-history-field"])
     def test_bad_field_is_config_error(self, tmp_path, capsys, over):
         path = write_config(tmp_path, base_config(tmp_path, **over))
         assert one_line_error(capsys, ["train", "--config", path]) == 2
@@ -311,7 +313,6 @@ class TestEvalCommand:
             ({"conv_width": 4}, ["conv_width=3", "conv_width=4"]),
             ({"n_blocks": 2}, ["n_blocks=1", "n_blocks=2"]),
             ({"d_ff": 24}, ["d_ff=48", "d_ff=24"]),
-            ({"extension_history": "zeros"}, ["'batch'", "'zeros'"]),
             ({"detach_extension": False}, ["detach_extension=True",
                                            "detach_extension=False"]),
         ]
@@ -332,6 +333,19 @@ class TestEvalCommand:
         path_ok = write_config(tmp_path, cfg, name="ok.json")
         assert cli.main(["eval", "--config", path_ok, "--checkpoint", ck,
                          "--ttt", "off"]) == 0
+
+    def test_checkpoint_naming_the_batch_extension_history_loads(self, trained):
+        # earlier checkpoints store the removed extension_history field
+        path, ck, tmp = trained
+        old = tmp / "old.bin"
+        old.write_bytes(rewrite_manifest(
+            open(ck, "rb").read(), lambda m: m["config"].update(extension_history="batch")))
+        written = []
+        for checkpoint in (ck, str(old)):
+            assert cli.main(["eval", "--config", path, "--checkpoint", checkpoint,
+                             "--ttt", "on"]) == 0
+            written.append(open(tmp / "run" / "metrics_ttt.json", "rb").read())
+        assert written[0] == written[1]
 
     @pytest.mark.parametrize("damage", [
         lambda raw: raw[:-100],                      # payload cut short
@@ -355,12 +369,17 @@ class TestEvalCommand:
         lambda raw: rewrite_manifest(raw, lambda m: m["tensors"][0].update(
             dtype="float64" if m["config"]["dtype"] == "float32" else "float32")),
         lambda raw: rewrite_manifest(raw, lambda m: m["tensors"].append(m["tensors"][0])),
+        lambda raw: rewrite_manifest(raw, lambda m: m["tensors"][0].update(name=["E"])),
+        lambda raw: rewrite_manifest(raw, lambda m: m.update(extra="lam")),
+        lambda raw: rewrite_manifest(
+            raw, lambda m: m["config"].update(extension_history="zeros")),
     ], ids=["cut-100-bytes", "ten-bytes", "manifest-undecodable",
             "unknown-config-key", "no-tensor-list", "float-offset",
             "lam-string", "lam-null", "lam-negative", "zero-blocks",
             "float-d", "float-conv-width", "float-vocab-size", "float16-dtype",
             "string-detach-extension", "object-tensor-dtype", "int64-tensor-dtype",
-            "other-float-tensor-dtype", "duplicate-tensor"])
+            "other-float-tensor-dtype", "duplicate-tensor", "list-tensor-name",
+            "string-extra", "zeros-extension-history"])
     def test_damaged_checkpoint_is_numeric_error(self, trained, damage, capsys):
         path, ck, tmp = trained
         bad = tmp / "damaged.bin"
@@ -409,6 +428,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert str(tsv) in err and "Traceback" not in err
+
+    def test_timestamp_beyond_int64_is_config_error(self, tmp_path, capsys):
+        tsv = tmp_path / "data.tsv"
+        tsv.write_text("user_id\titem_id\ttimestamp\n"
+                       + "".join(f"u1\ti{k}\t{10 * k}\n" for k in range(1, 5))
+                       + f"u1\ti5\t{10 ** 20}\n")
+        path = write_config(tmp_path, base_config(tmp_path, data={"path": str(tsv)}))
+        capsys.readouterr()
+        assert cli.main(["train", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"{tsv}:6:" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["gen", "train"])
     def test_negative_seed_in_config_is_config_error(self, tmp_path, capsys, command):

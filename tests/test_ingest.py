@@ -36,6 +36,11 @@ class TestLoadTsv:
         with pytest.raises(IngestError, match=":3"):
             ingest.load_tsv(path)
 
+    def test_timestamp_beyond_int64_names_line(self, tmp_path):
+        path = write_lines(tmp_path, ["u\ta\t10", f"u\tb\t{2 ** 63 - 1}", f"u\tc\t{2 ** 63}"])
+        with pytest.raises(IngestError, match=":4: .*int64"):
+            ingest.load_tsv(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.tsv"
         path.write_text("")
@@ -243,32 +248,32 @@ class TestSegments:
         return [Example(f"u{i}", [1], [0], 1, ts) for i, ts in enumerate(stamps)]
 
     def test_even_split(self):
-        segs = ingest.segment_test_by_time(self.mk(range(8)), 4)
+        segs = ingest.segment_indices_by_time(self.mk(range(8)), 4)
         assert [len(s) for s in segs] == [2, 2, 2, 2]
 
     def test_remainder_goes_to_early_segments(self):
-        segs = ingest.segment_test_by_time(self.mk(range(10)), 4)
+        segs = ingest.segment_indices_by_time(self.mk(range(10)), 4)
         assert [len(s) for s in segs] == [3, 3, 2, 2]
 
     def test_equal_timestamps_keep_stable_order(self):
         exs = self.mk([7] * 10)
-        segs = ingest.segment_test_by_time(exs, 4)
-        flat = [e.user_id for s in segs for e in s]
+        segs = ingest.segment_indices_by_time(exs, 4)
+        flat = [exs[i].user_id for s in segs for i in s]
         assert flat == [e.user_id for e in exs]
 
     def test_concatenation_is_sorted_input(self, rng):
         exs = self.mk(rng.integers(0, 1000, 23).tolist())
-        segs = ingest.segment_test_by_time(exs, 4)
-        flat = [e.target_timestamp for s in segs for e in s]
+        segs = ingest.segment_indices_by_time(exs, 4)
+        flat = [exs[i].target_timestamp for s in segs for i in s]
         assert flat == sorted(e.target_timestamp for e in exs)
 
     def test_k_larger_than_test_rejected(self):
-        with pytest.raises(IngestError):
-            ingest.segment_test_by_time(self.mk([1, 2]), 3)
+        with pytest.raises(IngestError, match="segment_indices_by_time"):
+            ingest.segment_indices_by_time(self.mk([1, 2]), 3)
 
     def test_k_below_two_rejected(self):
-        with pytest.raises(IngestError):
-            ingest.segment_test_by_time(self.mk([1, 2]), 1)
+        with pytest.raises(IngestError, match="segment_indices_by_time"):
+            ingest.segment_indices_by_time(self.mk([1, 2]), 1)
 
 
 class TestGenerator:

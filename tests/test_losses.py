@@ -180,14 +180,12 @@ def fabricate(params, h_final, x_last, x_next, B_next, delta_next, a_raw=None):
     """Assemble just enough of a trace for the state loss."""
     if a_raw is not None:
         params["block0.a_raw"].data = np.array(a_raw, dtype=np.float64)
-    m = h_final.shape[0]
     trace = type("T", (), {})()
     trace.A = params.decay()
     trace.h_final = ag.constant(h_final)
     trace.x_last = ag.constant(x_last)
     trace.extension = StepExtension(
         x_next=ag.constant(x_next), B_next=ag.constant(B_next),
-        C_next=ag.constant(np.zeros((m, params.config.d_s))),
         delta_next=ag.constant(delta_next))
     return trace
 

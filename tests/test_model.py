@@ -16,6 +16,12 @@ def layer_norm_np(x, g, b, eps=1e-5):
     return g * (x - mu) / np.sqrt(v + eps) + b
 
 
+def zero_history(params, m):
+    """An all-zero (m, w-1, d+2d_s) convolution context for extend_step."""
+    cfg = params.config
+    return ag.constant(np.zeros((m, cfg.conv_width - 1, cfg.d + 2 * cfg.d_s)))
+
+
 def straight_line_row(params, items):
     """Independent single-row recomputation of the whole forward pass."""
     cfg = params.config
@@ -225,21 +231,21 @@ class TestFfnAndPredict:
 
 class TestExtension:
     def test_detach_blocks_gradient_into_o(self, rng):
-        params = tiny_params()
         o = ag.parameter(rng.normal(size=(2, 8)))
-        ext = model.extend_step(params, o, detach=True)
-        loss = ag.reduce_sum(ext.delta_next)
-        g = ag.grad(loss, {"o": o})
-        assert np.all(g["o"] == 0.0)
-        ext2 = model.extend_step(params, o, detach=False)
-        g2 = ag.grad(ag.reduce_sum(ext2.delta_next), {"o": o})
-        assert np.any(g2["o"] != 0.0)
+        grads = {}
+        for detach in (True, False):
+            params = tiny_params(detach_extension=detach)
+            ext = model.extend_step(params, o, zero_history(params, 2))
+            grads[detach] = ag.grad(ag.reduce_sum(ext.delta_next), {"o": o})["o"]
+        assert np.all(grads[True] == 0.0)
+        assert np.any(grads[False] != 0.0)
 
     def test_zero_transform_gives_log_two_step(self, rng):
         params = tiny_params()
         for name in ("block0.W1", "block0.b1"):
             params[name].data = np.zeros_like(params[name].data)
-        ext = model.extend_step(params, ag.constant(rng.normal(size=(2, 8))))
+        ext = model.extend_step(params, ag.constant(rng.normal(size=(2, 8))),
+                                zero_history(params, 2))
         assert np.allclose(ext.delta_next.data, np.log(2.0), atol=1e-12)
 
     def test_matches_concatenated_history_oracle(self, rng):
@@ -268,6 +274,10 @@ class TestExtension:
                            act[cfg.d:cfg.d + cfg.d_s], atol=1e-11)
         assert np.allclose(trace.extension.delta_next.data[0],
                            np.logaddexp(0.0, proj[inner]), atol=1e-11)
+        # the step size reads no convolution context; the scan input does
+        zeros = model.extend_step(params, trace.o_last, zero_history(params, 1))
+        assert np.array_equal(zeros.delta_next.data, trace.extension.delta_next.data)
+        assert not np.array_equal(zeros.x_next.data, trace.extension.x_next.data)
 
     def test_trailing_window_zero_fills_before_start(self, rng):
         chan = ag.parameter(rng.normal(size=(3, 5, 2)))
@@ -284,20 +294,6 @@ class TestExtension:
         for r, t in enumerate(last):
             hit[r, max(t - 2, 0):t + 1] = 1.0
         assert np.array_equal(g, hit)
-
-    def test_zeros_history_drops_the_batch_context(self, rng):
-        batch = random_batch(rng, n_examples=3, max_len=6)
-        zeros = tiny_params(seed=7, extension_history="zeros")
-        trace = model.forward_full(zeros, batch, training=False)
-        ext = trace.extension
-        ref = model.extend_step(zeros, trace.o_last, conv_history=None)
-        for f in ("x_next", "B_next", "C_next", "delta_next"):
-            assert np.array_equal(getattr(ext, f).data, getattr(ref, f).data), f
-        assert zeros.config.conv_width > 1
-        with_batch = model.forward_full(tiny_params(seed=7), batch, training=False)
-        assert not np.array_equal(with_batch.extension.x_next.data, ext.x_next.data)
-        # the step size reads no convolution context
-        assert np.array_equal(with_batch.extension.delta_next.data, ext.delta_next.data)
 
 
 def full_tail_reference(params, batch):

@@ -22,7 +22,9 @@ Shapes (comma-separated, default all three benchmark shapes):
   the left);
 - tiny-f32, tiny-f64: tiny pinned to float32 and to float64. Every other
   shape runs at the run config's default precision, so against a checkout
-  with another default only these two compare like with like.
+  with another default only these two compare like with like;
+- tiny-w1: tiny with conv_width 1, so the extension step has an empty
+  convolution context.
 
 Adaptation configs: the shape's own (M=2), M=3 at lr 0.5, zero steps, each
 loss alone, and an overflowing embedding table that aborts adaptation.
@@ -41,7 +43,7 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHAPES = ("train-shift", "adapt-long", "adapt-catalog", "tiny", "tiny-2block",
-          "tiny-right", "tiny-f32", "tiny-f64")
+          "tiny-right", "tiny-f32", "tiny-f64", "tiny-w1")
 N_BATCHES = 6
 CONFIGS = {
     "m2": {},
@@ -60,7 +62,8 @@ TINY = {
 SMOKE_SHAPES = {"tiny": TINY, "tiny-2block": {**TINY, "n_blocks": 2},
                 "tiny-right": {**TINY, "pad_side": "right"},
                 "tiny-f32": {**TINY, "precision": "float32"},
-                "tiny-f64": {**TINY, "precision": "float64"}}
+                "tiny-f64": {**TINY, "precision": "float64"},
+                "tiny-w1": {**TINY, "conv_width": 1}}
 
 
 def _load_shape(name, seed):
@@ -84,7 +87,8 @@ def _load_shape(name, seed):
         "seed": seed, **pinned,
         "data": {"generator": w["generator"], "max_len": w["max_len"],
                  "min_interactions": 0, "pad_side": w.get("pad_side", "left")},
-        "model": {"d": w["d"], "d_s": w["d_s"], "n_blocks": w.get("n_blocks", 1)},
+        "model": {"d": w["d"], "d_s": w["d_s"], "n_blocks": w.get("n_blocks", 1),
+                  "conv_width": w.get("conv_width", 4)},
         "adapt": {"steps": 2, "batch_policy": "fixed",
                   "batch_size": w["request_size"]},
     })
