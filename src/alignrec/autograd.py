@@ -695,7 +695,8 @@ def grad(loss, params):
     The gradients are held in a table local to this call and stored on no
     tensor, so a graph can be differentiated more than once. A node's entry
     is dropped once its closure has passed it on, unless the node is one of
-    `params`. Parameters not reachable from the loss get zero gradients.
+    `params`. A parameter the loss does not reach gets no entry: its
+    gradient is zero, and no buffer is made for it.
     """
     if loss.data.size != 1:
         raise ShapeError(f"grad: loss must be scalar, got shape {loss.shape}")
@@ -732,8 +733,7 @@ def grad(loss, params):
             node._backward(g, acc)
             if id(node) not in keep:
                 del grads[id(node)]
-    return {name: grads[id(p)] if id(p) in grads else np.zeros_like(p.data)
-            for name, p in params.items()}
+    return {name: grads[id(p)] for name, p in params.items() if id(p) in grads}
 
 
 class FiniteDiffReport:
@@ -764,8 +764,8 @@ def finite_diff_check(f, params, eps=1e-5, tol=1e-4, n_samples=20, rng=None):
 
     f is a deterministic closure over `params` returning a loss Tensor. A
     random subset of coordinates across all parameters is perturbed by
-    +/- eps; a coordinate fails when
-    |analytic - numeric| / max(|analytic|, eps) > tol.
+    +/- eps; a parameter with no analytic entry has gradient 0. A
+    coordinate fails when |analytic - numeric| / max(|analytic|, eps) > tol.
     """
     if not (0.0 < eps <= 1e-2):
         raise ValueError(f"finite_diff_check: eps {eps} outside (0, 1e-2]")
@@ -791,7 +791,7 @@ def finite_diff_check(f, params, eps=1e-5, tol=1e-4, n_samples=20, rng=None):
         f_minus = float(f().data)
         p.data[idx] = orig
         numeric = (f_plus - f_minus) / (2.0 * eps)
-        a = float(analytic[name][idx])
+        a = float(analytic[name][idx]) if name in analytic else 0.0
         rel = abs(a - numeric) / max(abs(a), eps)
         entry = (name, idx, a, numeric, rel)
         report.checked.append(entry)

@@ -33,15 +33,15 @@ class DataConfig:
     generator: dict = field(default_factory=dict)
     max_len: int = 50
     min_interactions: int = 10       # 0 disables filtering
-    pad_side: str = "left"
+    pad_side: str = "left"           # the only layout; perfbench/workloads.py reads it
 
     def __post_init__(self):
         p = type_problems(type(self), vars(self))
         if not p:
             if self.max_len < 1:
                 p.append(f"max_len must be >= 1, got {self.max_len}")
-            if self.pad_side not in ("left", "right"):
-                p.append(f"pad_side must be left|right, got {self.pad_side!r}")
+            if self.pad_side != "left":
+                p.append(f"pad_side must be left, got {self.pad_side!r}")
             if self.min_interactions != 0 and self.min_interactions < 3:
                 p.append("min_interactions must be 0 (off) or >= 3")
             known = {f.name for f in fields(GeneratorSpec)}

@@ -68,7 +68,9 @@ class SplitDataset:
 
 @dataclass
 class Batch:
-    """Left- or right-padded batch with interval ground truth.
+    """Left-padded batch with interval ground truth: every row's last valid
+    item sits at position L-1, so the model reads each row's last step by
+    slicing.
 
     T has L+1 columns: column j holds the time gap ending at position j,
     with the row's first valid position set to 0 (no earlier event is
@@ -76,14 +78,10 @@ class Batch:
     t_elig marks the T columns that participate in the pairwise time loss.
     """
     items: np.ndarray             # (m, L) int64
-    timestamps: np.ndarray        # (m, L) int64
     mask: np.ndarray              # (m, L) bool
-    lengths: np.ndarray           # (m,) int64
     target_item: np.ndarray       # (m,) int64
-    target_timestamp: np.ndarray  # (m,) int64
     T: np.ndarray                 # (m, L+1) float64
     t_elig: np.ndarray            # (m, L+1) bool
-    last_index: np.ndarray        # (m,) position of the last valid item
 
     @property
     def size(self):
@@ -214,24 +212,24 @@ def leave_one_out_split(ds):
 
 
 def make_batches(examples, max_len, batch_size, pad_side="left"):
-    """Group examples into padded Batch objects.
+    """Group examples into left-padded Batch objects.
 
     Sequences longer than max_len keep their most recent max_len items.
     The interval matrix T is built by integer subtraction of timestamps
-    before the float cast.
+    before the float cast. "left" is the only pad_side.
     """
     if max_len < 1:
         raise IngestError(f"make_batches: max_len must be >= 1, got {max_len}")
-    if pad_side not in ("left", "right"):
-        raise IngestError(f"make_batches: pad_side must be left|right, got {pad_side!r}")
+    if pad_side != "left":
+        raise IngestError(f"make_batches: pad_side must be left, got {pad_side!r}")
     batches = []
     for start in range(0, len(examples), batch_size):
         chunk = examples[start:start + batch_size]
-        batches.append(_build_batch(chunk, max_len, pad_side))
+        batches.append(_build_batch(chunk, max_len))
     return batches
 
 
-def _build_batch(chunk, max_len, pad_side):
+def _build_batch(chunk, max_len):
     m = len(chunk)
     trimmed = []
     for ex in chunk:
@@ -245,36 +243,24 @@ def _build_batch(chunk, max_len, pad_side):
     L = max(len(items) for items, _, _ in trimmed)
 
     items_m = np.full((m, L), PAD_INDEX, dtype=np.int64)
-    ts_m = np.zeros((m, L), dtype=np.int64)
     mask = np.zeros((m, L), dtype=bool)
-    lengths = np.zeros(m, dtype=np.int64)
     tgt_item = np.zeros(m, dtype=np.int64)
-    tgt_ts = np.zeros(m, dtype=np.int64)
     T = np.zeros((m, L + 1), dtype=np.float64)
     elig = np.zeros((m, L + 1), dtype=bool)
-    last_index = np.zeros(m, dtype=np.int64)
 
     for i, (items, tss, ex) in enumerate(trimmed):
-        n = len(items)
-        lo = L - n if pad_side == "left" else 0
-        hi = lo + n
-        items_m[i, lo:hi] = items
-        ts_m[i, lo:hi] = tss
-        mask[i, lo:hi] = True
-        lengths[i] = n
+        lo = L - len(items)
+        items_m[i, lo:] = items
+        mask[i, lo:] = True
         tgt_item[i] = ex.target_item
-        tgt_ts[i] = ex.target_timestamp
-        last_index[i] = hi - 1
         # gaps as integers first, float only afterwards
-        T[i, lo + 1:hi] = np.diff(np.asarray(tss, dtype=np.int64))
-        elig[i, lo + 1:hi] = True
+        T[i, lo + 1:L] = np.diff(np.asarray(tss, dtype=np.int64))
+        elig[i, lo + 1:L] = True
         T[i, lo] = 0.0  # no event precedes the window
         T[i, L] = float(int(ex.target_timestamp) - int(tss[-1]))
         elig[i, L] = True
 
-    return Batch(items=items_m, timestamps=ts_m, mask=mask, lengths=lengths,
-                 target_item=tgt_item, target_timestamp=tgt_ts, T=T,
-                 t_elig=elig, last_index=last_index)
+    return Batch(items=items_m, mask=mask, target_item=tgt_item, T=T, t_elig=elig)
 
 
 def segment_indices_by_time(examples, k):
@@ -308,10 +294,10 @@ class GeneratorSpec:
 
     Items are partitioned into n_clusters equal groups. Before the global
     switch time users draw clusters from regime_weights[0], afterwards from
-    regime_weights[1] (or later regimes for multi-switch configs). Within a
-    cluster, consecutive picks follow a cyclic successor walk, which gives a
-    frozen model something learnable. Per-user event windows are staggered
-    over the horizon so that leave-one-out targets spread across time.
+    regime_weights[1]. Within a cluster, consecutive picks follow a cyclic
+    successor walk, which gives a frozen model something learnable. Per-user
+    event windows are staggered over the horizon so that leave-one-out
+    targets spread across time.
     """
     n_users: int = 500
     n_items: int = 200
@@ -342,8 +328,8 @@ class GeneratorSpec:
                   if not 0.0 <= getattr(self, n) <= 1.0]
             p += [f"{n} must be a positive finite number, got {getattr(self, n)}"
                   for n in ("gap_mean_pre", "gap_mean_post") if not positive(getattr(self, n))]
-            if len(self.regime_weights) < 2:
-                p.append(f"regime_weights needs at least two regimes, got {self.regime_weights!r}")
+            if len(self.regime_weights) != 2:
+                p.append(f"regime_weights needs exactly two regimes, got {self.regime_weights!r}")
             for r, w in enumerate(self.regime_weights):
                 if w is not None and not (
                         isinstance(w, list) and len(w) == self.n_clusters
@@ -357,7 +343,6 @@ class GeneratorSpec:
 
 def synth_shift_generate(spec, seed):
     """Deterministically generate an interest-shift dataset."""
-    n_regimes = len(spec.regime_weights)
     rng = np.random.default_rng(seed)
 
     per = spec.n_items // spec.n_clusters
@@ -370,7 +355,7 @@ def synth_shift_generate(spec, seed):
     for r, w in enumerate(spec.regime_weights):
         if w is None:
             # default: regime r concentrates on its own half of the clusters
-            half = spec.n_clusters // n_regimes or 1
+            half = spec.n_clusters // 2 or 1
             w = np.full(spec.n_clusters, 1e-3)
             lo = min(r * half, spec.n_clusters - half)
             w[lo:lo + half] = 1.0
@@ -393,8 +378,6 @@ def synth_shift_generate(spec, seed):
         prev_regime = None
         for t in tss:
             regime = 0 if t < switch_t else 1
-            if n_regimes > 2:
-                regime = min(int(t / spec.horizon * n_regimes), n_regimes - 1)
             if regime != prev_regime:
                 cur_cluster = None  # the shift is sharp
                 prev_regime = regime

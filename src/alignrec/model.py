@@ -207,7 +207,7 @@ def transform(params, seq, mask=None, block=0, history=None):
 
     The linear projection output is zeroed at masked positions before the
     causal convolution so padding behaves exactly like the conv's own zero
-    history. With `history`, a (m, w-1, d+2d_s) convolution context, seq is
+    history. With `history`, a (m, <= w-1, d+2d_s) convolution context, seq is
     the one (m, d) step after it and every output is that step's row.
     """
     cfg = params.config
@@ -281,7 +281,8 @@ def predict(params, o_last):
 def extend_step(params, o_last, history, block=0):
     """The alignment block's transform one position past the end: the final
     output embedding o_last (m, d) re-fed as the step after `history`, the
-    (m, w-1, d+2d_s) trailing pre-activation channels. The gradient into
+    (m, <= w-1, d+2d_s) trailing pre-activation channels; a shorter history
+    is preceded by the convolution's zero history. The gradient into
     o_last stops when the config's detach_extension is set.
     """
     o_in = ag.stop_gradient(o_last) if params.config.detach_extension else o_last
@@ -292,22 +293,24 @@ def extend_step(params, o_last, history, block=0):
 
 def forward_full(params, batch, rng=None, training=False, need_logits=True,
                  need_extension=True):
-    """Full pass over a batch; returns the trace (with extension attached).
+    """Full pass over a left-padded batch; returns the trace (with extension
+    attached).
 
     Only each row's last output is read downstream (head, losses, extension),
     and everything after the last block's scan is position-wise. So the last
     block computes only the final state, h_final = sum_k w_k bbar_k (x) x_k
     with w = autograd.last_decay (O(m L), no (m, L, L) kernel), and reads its
-    output at the last position as y_last = C[last] h_final; this holds for
-    left and right padding because masked steps carry the state unchanged.
-    Its LayerNorm and FFN then run on (m, d) and give o_last, so its dropout
-    draws an (m, d) mask. Earlier blocks run the quadratic-form scan and the
-    tail on full sequences because the next block's transform reads every
-    position.
+    output at the last position, L-1 in every row, as y_last = C[:, -1]
+    h_final. Its LayerNorm and FFN then run on (m, d) and give o_last, so its
+    dropout draws an (m, d) mask. Earlier blocks run the quadratic-form scan
+    and the tail on full sequences because the next block's transform reads
+    every position.
 
     The extension re-feeds o_last through the last block's transform after
-    each row's trailing w-1 convolution channels (empty at conv_width 1;
-    zeros before a short sequence's start).
+    the trailing w-1 convolution channels, a slice of the last block's
+    channels (empty at conv_width 1). Padded positions of those channels are
+    zero, and a batch shorter than w-1 gets the convolution's own zero
+    history, so a short row's window is zeros before its start.
 
     need_logits=False skips the prediction head (the adaptation steps only
     need the alignment intermediates); need_extension=False skips the
@@ -318,7 +321,6 @@ def forward_full(params, batch, rng=None, training=False, need_logits=True,
     maskf = ag.constant(np.asarray(mask, dtype=cfg.np_dtype))
 
     align_block = cfg.n_blocks - 1
-    last = (np.arange(batch.size), batch.last_index)
 
     seq = embed(params, batch.items, rng=rng, training=training)
     for b in range(cfg.n_blocks):   # n_blocks >= 1: the last block's values stay bound
@@ -332,34 +334,25 @@ def forward_full(params, batch, rng=None, training=False, need_logits=True,
         else:
             # masked steps carry the state, so the last output reads h_final
             h_final = ag.einsum("mk,mks,mkd->msd", ag.last_decay(abar, mask), bbar, Xz)
-            y_last = ag.einsum("ms,msd->md", C[last], h_final)
-            resid = ag.add(seq[last], y_last)
+            y_last = ag.einsum("ms,msd->md", C[:, -1], h_final)
+            resid = ag.add(seq[:, -1], y_last)
         wrapped = ag.layer_norm(resid, params[f"block{b}.ln_block_g"],
                                 params[f"block{b}.ln_block_b"])
         seq = ffn_and_norm(params, wrapped, rng=rng, training=training, block=b)
 
     o_last = seq
-    x_last = Xz[last]
+    x_last = Xz[:, -1]
     logits = predict(params, o_last) if need_logits else None
 
     ext = None
     if need_extension:
-        hist = _trailing_window(chan, batch.last_index, cfg.conv_width - 1, cfg.np_dtype)
+        # not chan[:, -(w-1):], which at conv_width 1 is the whole sequence
+        hist = chan[:, max(0, batch.seq_len - (cfg.conv_width - 1)):]
         ext = extend_step(params, o_last, hist, block=align_block)
 
     return ForwardTrace(X=X, C=C, delta=delta, abar=abar, bbar=bbar,
                         h_final=h_final, o_last=o_last,
                         x_last=x_last, logits=logits, A=A, extension=ext)
-
-
-def _trailing_window(chan, last_index, width, dtype):
-    """Gather the `width` pre-activation steps preceding each row's extension
-    position; steps falling before the sequence start contribute zeros."""
-    idx = np.asarray(last_index)[:, None] - np.arange(width - 1, -1, -1)
-    valid = idx >= 0
-    rows = np.arange(idx.shape[0])[:, None]
-    window = chan[rows, np.where(valid, idx, 0)]
-    return ag.mul(window, ag.constant(valid.astype(dtype)[..., None]))
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ def test_stop_gradient_blocks_flow():
     p = ag.parameter(np.array([2.0, 3.0]))
     loss = ag.reduce_sum(ag.mul(ag.stop_gradient(p), ag.constant([1.0, 1.0])))
     g = ag.grad(loss, {"p": p})
-    assert np.all(g["p"] == 0.0)
+    assert "p" not in g
 
 
 def test_no_grad_records_no_graph_and_restores():
@@ -82,12 +82,12 @@ def test_no_grad_records_no_graph_and_restores():
     assert ag.mul(p, p).requires_grad   # recording resumes after an error
 
 
-def test_unreachable_parameter_gets_zero_gradient():
+def test_unreachable_parameter_gets_no_gradient_entry():
     p = ag.parameter(np.array([1.0]))
     q = ag.parameter(np.array([5.0]))
     loss = ag.reduce_sum(ag.mul(p, p))
     g = ag.grad(loss, {"p": p, "q": q})
-    assert np.all(g["q"] == 0.0)
+    assert set(g) == {"p"}
 
 
 def test_getitem_gradient_adds_repeated_indices():
@@ -438,7 +438,7 @@ def test_grad_zeroes_parameters_an_earlier_loss_reached():
     first = ag.grad(ag.reduce_sum(ag.mul(p, q)), {"p": p, "q": q})
     assert np.all(first["q"] != 0.0)
     g = ag.grad(ag.reduce_sum(ag.mul(p, p)), {"p": p, "q": q})
-    assert np.array_equal(g["q"], [0.0])
+    assert "q" not in g
     assert np.allclose(g["p"], 2.0 * p.data)
 
 

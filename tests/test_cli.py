@@ -112,11 +112,12 @@ class TestConfig:
         {"data": {"generator": {"n_users": "x"}}},
         {"model": {"extension_history": "foo"}},
         {"model": {"extension_history": "batch"}},
+        {"data": {"pad_side": "right"}},
     ], ids=["negative-d_ff", "zero-adapt-batch", "float-steps",
             "float-dilution-power", "float-max-len", "string-dropout",
             "string-epochs", "list-lam", "unknown-generator-key",
             "string-generator-users", "unknown-extension-history",
-            "removed-extension-history-field"])
+            "removed-extension-history-field", "right-pad-side"])
     def test_bad_field_is_config_error(self, tmp_path, capsys, over):
         path = write_config(tmp_path, base_config(tmp_path, **over))
         assert one_line_error(capsys, ["train", "--config", path]) == 2
@@ -131,16 +132,19 @@ class TestConfig:
         (lambda: AdaptConfig(batch_size=0), "batch_size"),
         (lambda: ModelConfig(vocab_size=9, dtype="float16"), "dtype"),
         (lambda: GeneratorSpec(regime_weights=[None]), "regime_weights"),
+        (lambda: GeneratorSpec(regime_weights=[None, None, None]), "exactly two regimes"),
         (lambda: TrainConfig(lr=-1.0), "lr"),
         (lambda: TrainConfig(epochs=0), "epochs"),
         (lambda: DataConfig(pad_side="up"), "pad_side"),
+        (lambda: DataConfig(pad_side="right"), "pad_side"),
         (lambda: DataConfig(max_len=2.5), "max_len"),
         (lambda: RunConfig(precision="float16"), "precision"),
         (lambda: RunConfig(seed=-1), "seed"),
         (lambda: DataConfig(generator={"bogus": 1}), "generator"),
     ], ids=["nan-lam", "inf-lam", "bool-lam", "nan-mu1-train",
             "zero-adapt-batch", "float16-dtype",
-            "one-regime", "negative-train-lr", "zero-epochs", "bad-pad-side",
+            "one-regime", "three-regimes", "negative-train-lr", "zero-epochs", "bad-pad-side",
+            "right-pad-side",
             "float-max-len", "float16-precision", "negative-seed",
             "unknown-generator-key"])
     def test_section_type_rejects_out_of_range_value(self, build, field):
@@ -170,8 +174,10 @@ class TestConfig:
         {"max_events": 5},
         {"gap_mean_pre": 0.0},
         {"noise_rate": 1.5},
+        {"regime_weights": [None, None, None]},
     ], ids=["zero-clusters", "string-regime-weight", "negative-regime-weight",
-            "negative-users", "max-below-min-events", "zero-gap", "noise-above-one"])
+            "negative-users", "max-below-min-events", "zero-gap", "noise-above-one",
+            "three-regimes"])
     def test_generator_out_of_range_is_config_error(self, tmp_path, capsys, gen):
         cfg = base_config(tmp_path)
         cfg["data"]["generator"].update(gen)

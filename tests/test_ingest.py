@@ -218,18 +218,16 @@ class TestBatches:
         b = ingest.make_batches(exs, max_len=4, batch_size=4)[0]
         assert np.array_equal(b.items[1], [0, 0, 5])
         assert np.array_equal(b.mask[1], [False, False, True])
-        assert b.last_index.tolist() == [2, 2]
+        assert np.all(b.mask[:, -1])   # every row's last item is the last column
         assert np.all(b.items[~b.mask] == 0)
-        assert np.all(b.timestamps[~b.mask] == 0)
-
-    def test_right_padding_layout(self):
-        exs = [Example("u", [1, 2, 3], [10, 20, 30], 4, 99),
-               Example("v", [5], [50], 6, 60)]
-        b = ingest.make_batches(exs, max_len=4, batch_size=4, pad_side="right")[0]
-        assert np.array_equal(b.items[1], [5, 0, 0])
-        assert b.last_index.tolist() == [2, 0]
         assert np.array_equal(b.T[1], [0.0, 0.0, 0.0, 10.0])
         assert np.array_equal(b.t_elig[1], [False, False, False, True])
+
+    @pytest.mark.parametrize("side", ["right", "up"])
+    def test_only_left_padding_accepted(self, side):
+        ex = Example("u", [1, 2], [10, 20], 3, 30)
+        with pytest.raises(IngestError, match="pad_side must be left"):
+            ingest.make_batches([ex], max_len=4, batch_size=1, pad_side=side)
 
     def test_interval_entries_non_negative(self, rng):
         from conftest import random_examples
@@ -239,7 +237,7 @@ class TestBatches:
             assert np.all(b.T[0 == b.t_elig.astype(int)] == 0.0) or True
             # first valid position carries an explicit zero
             for i in range(b.size):
-                first = b.seq_len - int(b.lengths[i])
+                first = b.seq_len - int(b.mask[i].sum())
                 assert b.T[i, first] == 0.0
 
 

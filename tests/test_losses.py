@@ -125,7 +125,7 @@ class TestTimeLoss:
             d, np.zeros((1, 2)), np.array([[False, True]]), 1.0, 4)
         assert pairs == 0 and float(out.data) == 0.0
         g = ag.grad(out, {"d": d})
-        assert np.all(g["d"] == 0.0)
+        assert "d" not in g
 
     def test_nan_in_masked_positions_never_read(self, rng):
         params = tiny_params(seed=3)

@@ -39,12 +39,12 @@ BYTE_IDENTITY = os.path.join(ROOT, "tools", "byte_identity.py")
 
 def test_byte_identity_passes_against_this_checkout():
     res = subprocess.run([sys.executable, BYTE_IDENTITY, "--other", ROOT,
-                          "--shapes", "tiny,tiny-2block,tiny-right,tiny-f32,tiny-f64,tiny-w1"],
+                          "--shapes", "tiny,tiny-2block,tiny-short,tiny-f32,tiny-f64,tiny-w1"],
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stdout + res.stderr
     assert "tiny: 216 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
     assert "tiny-2block: 216 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
-    assert "tiny-right: 216 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
+    assert "tiny-short: 216 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
     assert "tiny-f32: 216 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
     assert "tiny-f64: 216 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
     assert "tiny-w1: 216 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout

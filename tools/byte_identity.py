@@ -18,8 +18,8 @@ Shapes (comma-separated, default all three benchmark shapes):
 - tiny: a seconds-long shape for smoke tests;
 - tiny-2block: tiny with two blocks, so an earlier block runs in front of
   the last one;
-- tiny-right: tiny with right-padded sequences (every other shape pads on
-  the left);
+- tiny-short: tiny with max_len 2, so every sequence is shorter than the
+  extension's w-1 convolution context;
 - tiny-f32, tiny-f64: tiny pinned to float32 and to float64. Every other
   shape runs at the run config's default precision, so against a checkout
   with another default only these two compare like with like;
@@ -43,7 +43,7 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHAPES = ("train-shift", "adapt-long", "adapt-catalog", "tiny", "tiny-2block",
-          "tiny-right", "tiny-f32", "tiny-f64", "tiny-w1")
+          "tiny-short", "tiny-f32", "tiny-f64", "tiny-w1")
 N_BATCHES = 6
 CONFIGS = {
     "m2": {},
@@ -60,7 +60,7 @@ TINY = {
     "max_len": 8, "d": 8, "d_s": 4, "request_size": 4,
 }
 SMOKE_SHAPES = {"tiny": TINY, "tiny-2block": {**TINY, "n_blocks": 2},
-                "tiny-right": {**TINY, "pad_side": "right"},
+                "tiny-short": {**TINY, "max_len": 2},
                 "tiny-f32": {**TINY, "precision": "float32"},
                 "tiny-f64": {**TINY, "precision": "float64"},
                 "tiny-w1": {**TINY, "conv_width": 1}}
@@ -86,7 +86,7 @@ def _load_shape(name, seed):
     cfg = load_config({
         "seed": seed, **pinned,
         "data": {"generator": w["generator"], "max_len": w["max_len"],
-                 "min_interactions": 0, "pad_side": w.get("pad_side", "left")},
+                 "min_interactions": 0},
         "model": {"d": w["d"], "d_s": w["d_s"], "n_blocks": w.get("n_blocks", 1),
                   "conv_width": w.get("conv_width", 4)},
         "adapt": {"steps": 2, "batch_policy": "fixed",
