@@ -66,7 +66,7 @@ def _parser():
     return p
 
 
-def _load(args, need_out=True):
+def _load(args):
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -74,11 +74,10 @@ def _load(args, need_out=True):
         overrides["out_dir"] = args.out
     cfg = load_config(args.config, preset=args.preset, overrides=overrides,
                       ablate=args.ablate)
-    if need_out:
-        try:
-            os.makedirs(cfg.out_dir, exist_ok=True)
-        except OSError as e:
-            raise ConfigError([f"cannot create out_dir {cfg.out_dir}: {e.strerror}"]) from None
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as e:
+        raise ConfigError([f"cannot create out_dir {cfg.out_dir}: {e.strerror}"]) from None
     return cfg
 
 
@@ -104,16 +103,14 @@ def cmd_gen(args):
 
 def cmd_train(args):
     cfg = _load(args)
-    log = []
     params, weights, split, history = pipeline.train_model(
-        cfg, log_lines=log,
-        progress=lambda r: print(
+        cfg, progress=lambda r: print(
             f"epoch {r['epoch']}: loss {r['loss']:.4f}"
             + (f" valid ndcg {r['valid_ndcg']:.4f}" if "valid_ndcg" in r else ""),
             file=sys.stderr))
     ck = os.path.join(cfg.out_dir, "checkpoint.bin")
     model.save_checkpoint(ck, params, extra={"lam": weights.lam})
-    pipeline.write_log(os.path.join(cfg.out_dir, "train_log.jsonl"), log)
+    pipeline.write_log(os.path.join(cfg.out_dir, "train_log.jsonl"), history)
     pipeline.write_json(os.path.join(cfg.out_dir, "manifest.json"), {
         "config": asdict(cfg),
         "lam": weights.lam,

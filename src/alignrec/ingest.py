@@ -92,7 +92,10 @@ class Batch:
         return self.items.shape[1]
 
 
-def load_tsv(path, schema=("user_id", "item_id", "timestamp")):
+TSV_COLUMNS = ("user_id", "item_id", "timestamp")
+
+
+def load_tsv(path):
     """Read a UTF-8 TSV with a header row into an InteractionDataset.
 
     Per-user sequences are sorted by timestamp (stable: ties keep file
@@ -110,7 +113,7 @@ def load_tsv(path, schema=("user_id", "item_id", "timestamp")):
         raise IngestError(f"{path}: empty file")
     header = lines[0].split("\t")
     try:
-        cols = [header.index(c) for c in schema]
+        cols = [header.index(c) for c in TSV_COLUMNS]
     except ValueError as e:
         raise IngestError(f"{path}: missing column in header {header!r}: {e}")
     need = max(cols) + 1
@@ -256,7 +259,6 @@ def _build_batch(chunk, max_len):
         # gaps as integers first, float only afterwards
         T[i, lo + 1:L] = np.diff(np.asarray(tss, dtype=np.int64))
         elig[i, lo + 1:L] = True
-        T[i, lo] = 0.0  # no event precedes the window
         T[i, L] = float(int(ex.target_timestamp) - int(tss[-1]))
         elig[i, L] = True
 
@@ -423,7 +425,7 @@ def write_tsv(ds, path):
     """Serialize a dataset back to the TSV interchange format."""
     inv = {v: k for k, v in ds.vocab.items()}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("user_id\titem_id\ttimestamp\n")
+        fh.write("\t".join(TSV_COLUMNS) + "\n")
         for u in ds.users:
             for it, ts in zip(u.item_indices, u.timestamps):
                 fh.write(f"{u.user_id}\t{inv[it]}\t{ts}\n")

@@ -182,7 +182,7 @@ class StepExtension:
 @dataclass
 class ForwardTrace:
     """Intermediates retained for the losses and for verification."""
-    X: Tensor             # (m, L, d) scan input (masked)
+    X: Tensor             # (m, L, d) scan input; padded steps get zero scan weight
     C: Tensor             # (m, L, d_s)
     delta: Tensor         # (m, L)
     abar: Tensor          # (m, L)
@@ -318,8 +318,6 @@ def forward_full(params, batch, rng=None, training=False, need_logits=True,
     """
     cfg = params.config
     mask = batch.mask
-    maskf = ag.constant(np.asarray(mask, dtype=cfg.np_dtype))
-
     align_block = cfg.n_blocks - 1
 
     seq = embed(params, batch.items, rng=rng, training=training)
@@ -327,13 +325,12 @@ def forward_full(params, batch, rng=None, training=False, need_logits=True,
         X, B, C, delta, chan = transform(params, seq, mask=mask, block=b)
         A = params.decay(b)
         abar, bbar = discretize(delta, A, B)
-        Xz = ag.mul(X, ag.reshape(maskf, maskf.shape + (1,)))
         if b < align_block:
-            Y, _ = scan(abar, bbar, Xz, C, mask)
+            Y, _ = scan(abar, bbar, X, C, mask)
             resid = ag.add(seq, Y)
         else:
             # masked steps carry the state, so the last output reads h_final
-            h_final = ag.einsum("mk,mks,mkd->msd", ag.last_decay(abar, mask), bbar, Xz)
+            h_final = ag.einsum("mk,mks,mkd->msd", ag.last_decay(abar, mask), bbar, X)
             y_last = ag.einsum("ms,msd->md", C[:, -1], h_final)
             resid = ag.add(seq[:, -1], y_last)
         wrapped = ag.layer_norm(resid, params[f"block{b}.ln_block_g"],
@@ -341,7 +338,7 @@ def forward_full(params, batch, rng=None, training=False, need_logits=True,
         seq = ffn_and_norm(params, wrapped, rng=rng, training=training, block=b)
 
     o_last = seq
-    x_last = Xz[:, -1]
+    x_last = X[:, -1]
     logits = predict(params, o_last) if need_logits else None
 
     ext = None
@@ -464,6 +461,8 @@ def load_checkpoint(path):
                              f"payload (truncated checkpoint)")
         arr = np.frombuffer(payload, dtype=dtype.newbyteorder("<"), count=count,
                             offset=offset).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise ModelError(f"{path}: tensor {name!r} holds a non-finite value")
         arrays[name] = arr.astype(dtype.newbyteorder("="), copy=False)  # copied once, below
     missing = set(shapes) - set(arrays)
     if missing:

@@ -1,5 +1,5 @@
-"""Optimization utilities: Adam, SGD for the adaptation step, exact
-parameter snapshot/restore, and NDCG-driven early stopping."""
+"""Optimization utilities: Adam, SGD for the adaptation step, and exact
+parameter snapshot/restore."""
 
 from __future__ import annotations
 
@@ -83,27 +83,3 @@ class Snapshot:
 
 def snapshot(params):
     return Snapshot(params)
-
-
-class EarlyStopper:
-    """Stop after `patience` consecutive evaluations without improvement.
-
-    Plateaus (equal values) count as non-improvement.
-    """
-
-    def __init__(self, patience=3):
-        if patience < 1:
-            raise OptimError(f"patience must be >= 1, got {patience}")
-        self.patience = patience
-        self.best = -np.inf
-        self.bad_evals = 0
-
-    def update(self, metric):
-        """Record one evaluation; returns "continue" or "stop"."""
-        if metric > self.best:
-            self.best = metric
-            self.bad_evals = 0
-        else:
-            self.bad_evals += 1
-        return "stop" if self.bad_evals >= self.patience else "continue"
-

@@ -49,11 +49,15 @@ def build_model(cfg, vocab_size, rng):
     return model.ModelParams(mc, rng=rng)
 
 
-def train_model(cfg, log_lines=None, progress=None):
-    """Train with Adam on the combined objective, validating by NDCG@10.
+def train_model(cfg, progress=None):
+    """Train with Adam on the combined objective, validating by NDCG@10
+    every eval_every epochs and at the last one.
 
-    Returns (params, weights, split, history). `log_lines`, when given,
-    collects deterministic JSON-serializable per-epoch records.
+    A strictly higher NDCG snapshots the parameters; training stops after
+    cfg.train.patience evaluations in a row without one (a plateau counts
+    as none), and the best snapshot is restored. Returns (params, weights,
+    split, history): one deterministic JSON-serializable record per epoch
+    run, each also passed to `progress` when given.
     """
     rng = np.random.default_rng(cfg.seed)
     ds = load_dataset(cfg)
@@ -65,13 +69,13 @@ def train_model(cfg, log_lines=None, progress=None):
     params = build_model(cfg, ds.vocab_size, rng)
     adam = optim.Adam(params, lr=cfg.train.lr, beta1=cfg.train.beta1,
                       beta2=cfg.train.beta2, eps=cfg.train.eps)
-    stopper = optim.EarlyStopper(cfg.train.patience)
     valid_batches = ingest.make_batches(split.valid, cfg.data.max_len,
                                         max(1, cfg.train.batch_size),
                                         cfg.data.pad_side)
     pdict = params.as_dict()
     best = optim.snapshot(params)
     best_ndcg = -1.0
+    stale = 0
     history = []
 
     order = np.arange(len(split.train))
@@ -107,16 +111,14 @@ def train_model(cfg, log_lines=None, progress=None):
             if ndcg > best_ndcg:
                 best_ndcg = ndcg
                 best = optim.snapshot(params)
-            verdict = stopper.update(ndcg)
-        else:
-            verdict = "continue"
+                stale = 0
+            else:
+                stale += 1
 
         history.append(record)
-        if log_lines is not None:
-            log_lines.append(record)
         if progress is not None:
             progress(record)
-        if verdict == "stop":
+        if stale >= cfg.train.patience:
             break
 
     best.restore(params)
@@ -174,37 +176,23 @@ SHIFT_EXPERIMENT_CONFIG = {
 }
 
 
-def shift_experiment(base_config, seeds, k_segments=4, progress=None):
+def shift_experiment(base_config, seeds):
     """Train on the synthetic shift dataset and compare frozen vs adapted
     per-segment NDCG@10, once per seed.
 
-    Returns a dict with per-seed segment NDCG arrays (frozen and adapted)
-    and their seed means.
+    Each seed makes one adapted evaluate_run whose baseline delta carries
+    the frozen model's per-segment NDCG. Returns {"frozen", "adapted"}, each
+    a (len(seeds), 4) array of segment NDCG.
     """
-    frozen_all, adapted_all = [], []
+    frozen, adapted = [], []
     for seed in seeds:
         cfg = replace(base_config, seed=int(seed))
         params, weights, split, _ = train_model(cfg)
-        rep_frozen, _, _ = evaluate_run(cfg, params, weights, split, ttt=False,
-                                     k_segments=k_segments)
-        rep_ttt, _, _ = evaluate_run(cfg, params, weights, split, ttt=True,
-                                  k_segments=k_segments)
-        fr = [s["ndcg_at_k"] for s in rep_frozen.segments]
-        ad = [s["ndcg_at_k"] for s in rep_ttt.segments]
-        frozen_all.append(fr)
-        adapted_all.append(ad)
-        if progress is not None:
-            progress(seed, fr, ad)
-    frozen = np.asarray(frozen_all)
-    adapted = np.asarray(adapted_all)
-    return {
-        "seeds": list(seeds),
-        "frozen": frozen,
-        "adapted": adapted,
-        "frozen_mean": frozen.mean(axis=0),
-        "adapted_mean": adapted.mean(axis=0),
-        "delta_mean": (adapted - frozen).mean(axis=0),
-    }
+        report, _, _ = evaluate_run(cfg, params, weights, split, ttt=True,
+                                    with_baseline_delta=True)
+        frozen.append([s["baseline_ndcg_at_k"] for s in report.segments])
+        adapted.append([s["ndcg_at_k"] for s in report.segments])
+    return {"frozen": np.asarray(frozen), "adapted": np.asarray(adapted)}
 
 
 def write_json(path, payload):

@@ -1,9 +1,11 @@
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from alignrec import cli
@@ -40,6 +42,15 @@ def base_config(tmp_path, **over):
 def keep_only_embedding_with_no_blocks(manifest):
     manifest["config"]["n_blocks"] = 0
     manifest["tensors"] = [t for t in manifest["tensors"] if t["name"] == "E"]
+
+
+def nan_over_first_payload_float(raw):
+    """Checkpoint bytes with NaN written over the first float of the payload."""
+    (mlen,) = struct.unpack("<Q", raw[8:16])
+    dtype = np.dtype(json.loads(raw[16:16 + mlen])["config"]["dtype"])
+    nan = np.array(np.nan, dtype=dtype.newbyteorder("<")).tobytes()
+    start = 16 + mlen
+    return raw[:start] + nan + raw[start + len(nan):]
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -135,6 +146,7 @@ class TestConfig:
         (lambda: GeneratorSpec(regime_weights=[None, None, None]), "exactly two regimes"),
         (lambda: TrainConfig(lr=-1.0), "lr"),
         (lambda: TrainConfig(epochs=0), "epochs"),
+        (lambda: TrainConfig(patience=0), "patience"),
         (lambda: DataConfig(pad_side="up"), "pad_side"),
         (lambda: DataConfig(pad_side="right"), "pad_side"),
         (lambda: DataConfig(max_len=2.5), "max_len"),
@@ -143,7 +155,8 @@ class TestConfig:
         (lambda: DataConfig(generator={"bogus": 1}), "generator"),
     ], ids=["nan-lam", "inf-lam", "bool-lam", "nan-mu1-train",
             "zero-adapt-batch", "float16-dtype",
-            "one-regime", "three-regimes", "negative-train-lr", "zero-epochs", "bad-pad-side",
+            "one-regime", "three-regimes", "negative-train-lr", "zero-epochs", "zero-patience",
+            "bad-pad-side",
             "right-pad-side",
             "float-max-len", "float16-precision", "negative-seed",
             "unknown-generator-key"])
@@ -379,13 +392,14 @@ class TestEvalCommand:
         lambda raw: rewrite_manifest(raw, lambda m: m.update(extra="lam")),
         lambda raw: rewrite_manifest(
             raw, lambda m: m["config"].update(extension_history="zeros")),
+        nan_over_first_payload_float,
     ], ids=["cut-100-bytes", "ten-bytes", "manifest-undecodable",
             "unknown-config-key", "no-tensor-list", "float-offset",
             "lam-string", "lam-null", "lam-negative", "zero-blocks",
             "float-d", "float-conv-width", "float-vocab-size", "float16-dtype",
             "string-detach-extension", "object-tensor-dtype", "int64-tensor-dtype",
             "other-float-tensor-dtype", "duplicate-tensor", "list-tensor-name",
-            "string-extra", "zeros-extension-history"])
+            "string-extra", "zeros-extension-history", "nan-tensor"])
     def test_damaged_checkpoint_is_numeric_error(self, trained, damage, capsys):
         path, ck, tmp = trained
         bad = tmp / "damaged.bin"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from alignrec import model, optim
-from alignrec.optim import Adam, EarlyStopper, Snapshot
+from alignrec.optim import Adam, Snapshot
 from conftest import random_batch, tiny_params
 
 
@@ -124,29 +124,3 @@ class TestSnapshot:
         snap.restore(params)
         after = model.forward_full(params, batch, training=False).logits.data
         assert np.array_equal(after, frozen)
-
-
-def verdicts(history, patience):
-    st = EarlyStopper(patience)
-    return [st.update(v) for v in history]
-
-
-class TestEarlyStopper:
-    def test_strict_improvement_never_stops(self):
-        assert verdicts([0.1, 0.2, 0.3, 0.4, 0.5], patience=3) == ["continue"] * 5
-
-    def test_stops_after_patience_bad_evals(self):
-        st = EarlyStopper(patience=3)
-        verdicts = [st.update(v) for v in [0.5, 0.4, 0.4, 0.4]]
-        assert verdicts == ["continue", "continue", "continue", "stop"]
-
-    def test_plateau_counts_as_non_improvement(self):
-        assert verdicts([0.5, 0.5, 0.5, 0.5], patience=3) == [
-            "continue", "continue", "continue", "stop"]
-
-    def test_recovery_resets_the_counter(self):
-        assert verdicts([0.5, 0.4, 0.6, 0.5, 0.5], patience=3) == ["continue"] * 5
-
-    def test_invalid_patience(self):
-        with pytest.raises(optim.OptimError):
-            EarlyStopper(patience=0)

@@ -24,7 +24,11 @@ Shapes (comma-separated, default all three benchmark shapes):
   shape runs at the run config's default precision, so against a checkout
   with another default only these two compare like with like;
 - tiny-w1: tiny with conv_width 1, so the extension step has an empty
-  convolution context.
+  convolution context;
+- tiny-stop: tiny trained through pipeline.train_model with eval_every 1
+  and patience 1 for up to 20 epochs. At the default seed 0 the validation
+  NDCG of epoch 4 equals epoch 3's, so training stops early at epoch 4, and
+  the requests run on the restored parameters of epoch 3.
 
 Adaptation configs: the shape's own (M=2), M=3 at lr 0.5, zero steps, each
 loss alone, and an overflowing embedding table that aborts adaptation.
@@ -43,7 +47,7 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHAPES = ("train-shift", "adapt-long", "adapt-catalog", "tiny", "tiny-2block",
-          "tiny-short", "tiny-f32", "tiny-f64", "tiny-w1")
+          "tiny-short", "tiny-f32", "tiny-f64", "tiny-w1", "tiny-stop")
 N_BATCHES = 6
 CONFIGS = {
     "m2": {},
@@ -63,7 +67,9 @@ SMOKE_SHAPES = {"tiny": TINY, "tiny-2block": {**TINY, "n_blocks": 2},
                 "tiny-short": {**TINY, "max_len": 2},
                 "tiny-f32": {**TINY, "precision": "float32"},
                 "tiny-f64": {**TINY, "precision": "float64"},
-                "tiny-w1": {**TINY, "conv_width": 1}}
+                "tiny-w1": {**TINY, "conv_width": 1},
+                "tiny-stop": {**TINY, "train": {"epochs": 20, "eval_every": 1,
+                                                "patience": 1}}}
 
 
 def _load_shape(name, seed):
@@ -89,13 +95,17 @@ def _load_shape(name, seed):
                  "min_interactions": 0},
         "model": {"d": w["d"], "d_s": w["d_s"], "n_blocks": w.get("n_blocks", 1),
                   "conv_width": w.get("conv_width", 4)},
+        "train": w.get("train", {}),
         "adapt": {"steps": 2, "batch_policy": "fixed",
                   "batch_size": w["request_size"]},
     })
-    ds = pipeline.load_dataset(cfg)
-    split = ingest.leave_one_out_split(ds)
-    weights = pipeline.resolve_weights(cfg, split.train)
-    params = pipeline.build_model(cfg, ds.vocab_size, np.random.default_rng(seed))
+    if "train" in w:
+        params, weights, split, _ = pipeline.train_model(cfg)
+    else:
+        ds = pipeline.load_dataset(cfg)
+        split = ingest.leave_one_out_split(ds)
+        weights = pipeline.resolve_weights(cfg, split.train)
+        params = pipeline.build_model(cfg, ds.vocab_size, np.random.default_rng(seed))
     batches = pipeline.test_batches(cfg, split)[:N_BATCHES]
     return params, weights, batches, cfg.adapt
 
