@@ -7,7 +7,7 @@ Item index 0 is reserved for padding throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,18 +59,65 @@ class Example:
     target_timestamp: int
 
 
+@dataclass(frozen=True, eq=False)
+class Examples:
+    """(input sequence -> next item) instances as index ranges over one copy
+    of the events, held user by user: example r reads events [first[r],
+    end[r]) and predicts event end[r]. An int index gives that Example with
+    list fields; a slice or an integer array gives an Examples over the same
+    event arrays."""
+    user_ids: list                # user id of each event run
+    items: np.ndarray             # (n_events,) int64
+    times: np.ndarray             # (n_events,) int64
+    first: np.ndarray             # (n,) int64
+    end: np.ndarray               # (n,) int64
+    user: np.ndarray              # (n,) int64 index into user_ids
+
+    def __len__(self):
+        return len(self.first)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            a, b = int(self.first[key]), int(self.end[key])
+            return Example(self.user_ids[self.user[key]], self.items[a:b].tolist(),
+                           self.times[a:b].tolist(), int(self.items[b]), int(self.times[b]))
+        return replace(self, first=self.first[key], end=self.end[key], user=self.user[key])
+
+    def __iter__(self):
+        return (self[r] for r in range(len(self)))
+
+    @classmethod
+    def of(cls, examples):
+        """`examples` itself if it is an Examples; a list of Example becomes
+        one run of len(items) + 1 events per example."""
+        if isinstance(examples, cls):
+            return examples
+        for ex in examples:
+            if not ex.items or len(ex.items) != len(ex.timestamps):
+                raise IngestError(f"example for user {ex.user_id}: {len(ex.items)} input items, "
+                                  f"{len(ex.timestamps)} timestamps; need equal, nonzero counts")
+        n = np.fromiter((len(ex.items) + 1 for ex in examples), np.int64, len(examples))
+        end = np.cumsum(n) - 1
+        items = [v for ex in examples for v in (*ex.items, ex.target_item)]
+        times = [v for ex in examples for v in (*ex.timestamps, ex.target_timestamp)]
+        return cls([ex.user_id for ex in examples], np.array(items, dtype=np.int64),
+                   np.array(times, dtype=np.int64), end - n + 1, end,
+                   np.arange(len(examples), dtype=np.int64))
+
+
 @dataclass
 class SplitDataset:
-    train: list
-    valid: list
-    test: list
+    train: Examples
+    valid: Examples
+    test: Examples
 
 
 @dataclass
 class Batch:
     """Left-padded batch with interval ground truth: every row's last valid
     item sits at position L-1, so the model reads each row's last step by
-    slicing.
+    slicing. Row r, column j holds event end[r] - L + j of its Examples,
+    for the last min(end[r] - first[r], max_len) columns.
 
     T has L+1 columns: column j holds the time gap ending at position j,
     with the row's first valid position set to 0 (no earlier event is
@@ -197,25 +244,33 @@ def leave_one_out_split(ds):
 
     A user [v1..vn] yields train pairs (v1..v_{j-1} -> v_j) for 2 <= j <= n-2,
     so train, valid and test targets plus the first item partition the user's
-    interactions exactly.
+    interactions exactly. All three parts index one copy of the events, user
+    by user, with targets ascending within a user.
     """
-    train, valid, test = [], [], []
-    for u in ds.users:
-        n = len(u)
-        if n < 3:
-            raise IngestError(f"leave_one_out_split: user {u.user_id} has {n} < 3 interactions")
-        test.append(Example(u.user_id, u.item_indices[:n - 1], u.timestamps[:n - 1],
-                            u.item_indices[n - 1], u.timestamps[n - 1]))
-        valid.append(Example(u.user_id, u.item_indices[:n - 2], u.timestamps[:n - 2],
-                             u.item_indices[n - 2], u.timestamps[n - 2]))
-        for j in range(2, n - 1):  # targets v_2 .. v_{n-2}, 1-indexed
-            train.append(Example(u.user_id, u.item_indices[:j - 1], u.timestamps[:j - 1],
-                                 u.item_indices[j - 1], u.timestamps[j - 1]))
-    return SplitDataset(train=train, valid=valid, test=test)
+    n = np.fromiter((len(u) for u in ds.users), np.int64, len(ds.users))
+    short = np.flatnonzero(n < 3)
+    if short.size:
+        u = ds.users[short[0]]
+        raise IngestError(f"leave_one_out_split: user {u.user_id} has {len(u)} < 3 interactions")
+    start = np.cumsum(n) - n
+    user_ids = [u.user_id for u in ds.users]
+    items = np.fromiter((v for u in ds.users for v in u.item_indices), np.int64, n.sum())
+    times = np.fromiter((t for u in ds.users for t in u.timestamps), np.int64, n.sum())
+
+    def part(user, end):
+        return Examples(user_ids, items, times, start[user], end, user)
+
+    users = np.arange(len(n))
+    per = n - 3                               # train pairs per user
+    tr_user = np.repeat(users, per)
+    tr_end = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per) + start[tr_user] + 1
+    return SplitDataset(train=part(tr_user, tr_end), valid=part(users, start + n - 2),
+                        test=part(users, start + n - 1))
 
 
 def make_batches(examples, max_len, batch_size, pad_side="left"):
-    """Group examples into left-padded Batch objects.
+    """Group examples (an Examples or a list of Example) into left-padded
+    Batch objects.
 
     Sequences longer than max_len keep their most recent max_len items.
     The interval matrix T is built by integer subtraction of timestamps
@@ -225,44 +280,33 @@ def make_batches(examples, max_len, batch_size, pad_side="left"):
         raise IngestError(f"make_batches: max_len must be >= 1, got {max_len}")
     if pad_side != "left":
         raise IngestError(f"make_batches: pad_side must be left, got {pad_side!r}")
-    batches = []
-    for start in range(0, len(examples), batch_size):
-        chunk = examples[start:start + batch_size]
-        batches.append(_build_batch(chunk, max_len))
-    return batches
+    examples = Examples.of(examples)
+    return [_build_batch(examples[start:start + batch_size], max_len)
+            for start in range(0, len(examples), batch_size)]
 
 
 def _build_batch(chunk, max_len):
-    m = len(chunk)
-    trimmed = []
-    for ex in chunk:
-        items = ex.items[-max_len:]
-        tss = ex.timestamps[-max_len:]
-        if ex.target_timestamp < tss[-1]:
-            raise IngestError(
-                f"non-causal target for user {ex.user_id}: "
-                f"target at {ex.target_timestamp} before last input at {tss[-1]}")
-        trimmed.append((items, tss, ex))
-    L = max(len(items) for items, _, _ in trimmed)
-
-    items_m = np.full((m, L), PAD_INDEX, dtype=np.int64)
-    mask = np.zeros((m, L), dtype=bool)
-    tgt_item = np.zeros(m, dtype=np.int64)
-    T = np.zeros((m, L + 1), dtype=np.float64)
-    elig = np.zeros((m, L + 1), dtype=bool)
-
-    for i, (items, tss, ex) in enumerate(trimmed):
-        lo = L - len(items)
-        items_m[i, lo:] = items
-        mask[i, lo:] = True
-        tgt_item[i] = ex.target_item
-        # gaps as integers first, float only afterwards
-        T[i, lo + 1:L] = np.diff(np.asarray(tss, dtype=np.int64))
-        elig[i, lo + 1:L] = True
-        T[i, L] = float(int(ex.target_timestamp) - int(tss[-1]))
-        elig[i, L] = True
-
-    return Batch(items=items_m, mask=mask, target_item=tgt_item, T=T, t_elig=elig)
+    end = chunk.end
+    last, target = chunk.times[end - 1], chunk.times[end]
+    bad = np.flatnonzero(target < last)
+    if bad.size:
+        r = bad[0]
+        raise IngestError(
+            f"non-causal target for user {chunk.user_ids[chunk.user[r]]}: "
+            f"target at {target[r]} before last input at {last[r]}")
+    n = np.minimum(end - chunk.first, max_len)
+    L = int(n.max())
+    mask = np.arange(L) >= L - n[:, None]
+    pos = np.maximum(end[:, None] - L + np.arange(L), 0)   # padded slots read any event
+    items = np.where(mask, chunk.items[pos], PAD_INDEX)
+    T = np.zeros((len(chunk), L + 1), dtype=np.float64)
+    elig = np.zeros((len(chunk), L + 1), dtype=bool)
+    elig[:, 1:L] = mask[:, :-1]
+    # gaps as integers first, float only afterwards
+    T[:, 1:L] = np.where(elig[:, 1:L], np.diff(chunk.times[pos], axis=1), 0)
+    T[:, L] = target - last
+    elig[:, L] = True
+    return Batch(items=items, mask=mask, target_item=chunk.items[end], T=T, t_elig=elig)
 
 
 def segment_indices_by_time(examples, k):
@@ -275,7 +319,8 @@ def segment_indices_by_time(examples, k):
         raise IngestError("segment_indices_by_time: empty test set")
     if k > len(examples):
         raise IngestError(f"segment_indices_by_time: k={k} exceeds {len(examples)} examples")
-    order = sorted(range(len(examples)), key=lambda i: examples[i].target_timestamp)
+    ex = Examples.of(examples)
+    order = np.argsort(ex.times[ex.end], kind="stable").tolist()
     n = len(order)
     base, rem = divmod(n, k)
     groups, pos = [], 0
@@ -433,15 +478,20 @@ def write_tsv(ds, path):
 
 def median_positive_interval(examples):
     """Median of the positive time gaps over a split; the default scale for
-    the pairwise time loss."""
-    gaps = []
-    for ex in examples:
-        tss = ex.timestamps
-        for a, b in zip(tss, tss[1:]):
-            if b - a > 0:
-                gaps.append(b - a)
-        if ex.target_timestamp - tss[-1] > 0:
-            gaps.append(ex.target_timestamp - tss[-1])
-    if not gaps:
+    the pairwise time loss. Each example holds the gaps ending at events
+    first < p <= end; the median weights each gap by how many examples hold
+    it, so memory stays linear in the events, and equals np.median over the
+    gaps listed example by example."""
+    ex = Examples.of(examples)
+    cover = np.cumsum(np.bincount(ex.first + 1, minlength=len(ex.times) + 1)
+                      - np.bincount(ex.end + 1, minlength=len(ex.times) + 1))[1:-1]
+    gaps = np.diff(ex.times)
+    keep = (cover > 0) & (gaps > 0)
+    order = np.argsort(gaps[keep])
+    vals = gaps[keep][order].astype(np.float64)
+    ranks = np.cumsum(cover[keep][order])
+    if not len(vals):
         return 1.0
-    return float(np.median(np.asarray(gaps, dtype=np.float64)))
+    N = int(ranks[-1])
+    i, j = np.searchsorted(ranks, [(N - 1) // 2, N // 2], side="right")
+    return float(np.mean(vals[[i, j]])) if N % 2 == 0 else float(vals[i])

@@ -81,7 +81,7 @@ def train_model(cfg, progress=None):
     order = np.arange(len(split.train))
     for epoch in range(1, cfg.train.epochs + 1):
         rng.shuffle(order)
-        examples = [split.train[i] for i in order]
+        examples = split.train[order]
         batches = ingest.make_batches(examples, cfg.data.max_len,
                                       cfg.train.batch_size, cfg.data.pad_side)
         sums = np.zeros(4)

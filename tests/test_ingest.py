@@ -179,7 +179,7 @@ class TestSplit:
         ds = InteractionDataset(users=users, vocab={f"i{j}": j for j in range(1, 7)})
         sp = ingest.leave_one_out_split(ds)
         seen = []
-        for ex in sp.train + sp.valid + sp.test:
+        for ex in [*sp.train, *sp.valid, *sp.test]:
             seen.append((ex.user_id, ex.target_item, ex.target_timestamp))
         for ex in sp.test:  # each user appears once in test; add its first item
             seen.append((ex.user_id, ex.items[0], ex.timestamps[0]))
@@ -211,6 +211,20 @@ class TestBatches:
         ex = Example("u", [1, 2], [100, 200], 3, 150)
         with pytest.raises(IngestError, match="non-causal"):
             ingest.make_batches([ex], max_len=4, batch_size=1)
+
+    def test_non_causal_message_names_the_first_offending_row(self):
+        exs = [Example("u", [1], [10], 2, 20), Example("v", [1, 2], [100, 200], 3, 150),
+               Example("w", [1], [500], 2, 400)]
+        with pytest.raises(IngestError, match="user v: target at 150 before last input at 200"):
+            ingest.make_batches(exs, max_len=4, batch_size=4)
+
+    @pytest.mark.parametrize("fn", [
+        lambda exs: ingest.make_batches(exs, max_len=4, batch_size=4),
+        ingest.median_positive_interval])
+    def test_example_without_input_items_rejected(self, fn):
+        exs = [Example("u", [1], [10], 2, 20), Example("v", [], [], 3, 150)]
+        with pytest.raises(IngestError, match="example for user v: 0 input items"):
+            fn(exs)
 
     def test_left_padding_layout(self):
         exs = [Example("u", [1, 2, 3], [10, 20, 30], 4, 99),
@@ -327,3 +341,133 @@ def test_median_positive_interval():
     exs = [Example("u", [1, 2, 3], [0, 10, 40], 4, 100)]
     # gaps 10, 30, 60 -> median 30
     assert ingest.median_positive_interval(exs) == 30.0
+
+
+# ---------------------------------------------------------------------------
+# the per-example loops that batching and the lambda median replaced, kept as
+# references: the flat versions must agree with them exactly
+
+
+def loop_build_batch(chunk, max_len):
+    m = len(chunk)
+    trimmed = [(ex.items[-max_len:], ex.timestamps[-max_len:], ex) for ex in chunk]
+    L = max(len(items) for items, _, _ in trimmed)
+    items_m = np.full((m, L), ingest.PAD_INDEX, dtype=np.int64)
+    mask = np.zeros((m, L), dtype=bool)
+    tgt_item = np.zeros(m, dtype=np.int64)
+    T = np.zeros((m, L + 1), dtype=np.float64)
+    elig = np.zeros((m, L + 1), dtype=bool)
+    for i, (items, tss, ex) in enumerate(trimmed):
+        lo = L - len(items)
+        items_m[i, lo:] = items
+        mask[i, lo:] = True
+        tgt_item[i] = ex.target_item
+        T[i, lo + 1:L] = np.diff(np.asarray(tss, dtype=np.int64))
+        elig[i, lo + 1:L] = True
+        T[i, L] = float(int(ex.target_timestamp) - int(tss[-1]))
+        elig[i, L] = True
+    return items_m, mask, tgt_item, T, elig
+
+
+def loop_median_positive_interval(examples):
+    gaps = []
+    for ex in examples:
+        tss = ex.timestamps
+        gaps += [b - a for a, b in zip(tss, tss[1:]) if b - a > 0]
+        if ex.target_timestamp - tss[-1] > 0:
+            gaps.append(ex.target_timestamp - tss[-1])
+    if not gaps:
+        return 1.0
+    return float(np.median(np.asarray(gaps, dtype=np.float64)))
+
+
+def random_split(rng, n_users, max_events, t_choices):
+    users = []
+    for u in range(n_users):
+        n = int(rng.integers(3, max_events + 1))
+        tss = np.cumsum(rng.choice(t_choices, n)).tolist()   # ties and zero gaps
+        users.append(UserRecord(f"u{u}", rng.integers(1, 9, n).tolist(), tss))
+    return ingest.leave_one_out_split(
+        InteractionDataset(users=users, vocab={f"i{j}": j for j in range(1, 9)}))
+
+
+def assert_batches_match_loop(examples, max_len, batch_size):
+    ex_list = list(examples)
+    got = ingest.make_batches(examples, max_len=max_len, batch_size=batch_size)
+    assert len(got) == -(-len(ex_list) // batch_size)
+    for k, b in enumerate(got):
+        want = loop_build_batch(ex_list[k * batch_size:(k + 1) * batch_size], max_len)
+        for name, w in zip(("items", "mask", "target_item", "T", "t_elig"), want):
+            g = getattr(b, name)
+            assert g.dtype == w.dtype and np.array_equal(g, w), name
+
+
+class TestAgainstLoops:
+    @pytest.mark.parametrize("max_len", [1, 2, 3, 6, 50])
+    def test_split_batches_match_loop(self, max_len):
+        rng = np.random.default_rng(max_len)
+        sp = random_split(rng, n_users=25, max_events=30, t_choices=[0, 1, 7, 300])
+        for part in (sp.train, sp.valid, sp.test):
+            assert_batches_match_loop(part, max_len, batch_size=16)
+        order = rng.permutation(len(sp.train))
+        assert_batches_match_loop(sp.train[order], max_len, batch_size=16)
+
+    @pytest.mark.parametrize("max_len", [1, 2, 3, 6, 50])
+    def test_example_list_batches_match_loop(self, max_len, rng):
+        from conftest import random_examples
+        exs = random_examples(rng, n_examples=40, min_len=1, max_len=12)
+        assert_batches_match_loop(exs, max_len, batch_size=7)
+
+    @pytest.mark.parametrize("t_choices", [[0, 1, 7, 300], [0, 0, 5], [3], [0]])
+    def test_median_matches_loop(self, t_choices):
+        rng = np.random.default_rng(len(t_choices))
+        for _ in range(30):
+            sp = random_split(rng, n_users=int(rng.integers(1, 8)), max_events=12,
+                              t_choices=t_choices)
+            for part in (sp.train, sp.valid, sp.test, sp.train[::2]):
+                assert (ingest.median_positive_interval(part)
+                        == loop_median_positive_interval(list(part)))
+
+    def test_all_zero_gaps_give_one(self):
+        sp = random_split(np.random.default_rng(0), n_users=5, max_events=9, t_choices=[0])
+        assert ingest.median_positive_interval(sp.train) == 1.0
+
+    def test_example_list_median_matches_loop(self, rng):
+        from conftest import random_examples
+        for n in range(1, 12):
+            exs = random_examples(rng, n_examples=n, min_len=1, max_len=9)
+            assert ingest.median_positive_interval(exs) == loop_median_positive_interval(exs)
+
+
+class TestExamples:
+    def test_parts_share_one_copy_of_the_events(self):
+        ds = InteractionDataset(users=[mk_user("u", [1, 2, 3, 4, 5]), mk_user("v", [6, 7, 8])],
+                                vocab={f"i{j}": j for j in range(1, 9)})
+        sp = ingest.leave_one_out_split(ds)
+        assert sp.train.items is sp.test.items and sp.valid.times is sp.test.times
+        assert [ex.items for ex in sp.train] == [[1], [1, 2]]
+        sub = sp.test[np.array([1])]
+        assert len(sub) == 1 and sub[0] == Example("v", [6, 7], [0, 10], 8, 20)
+        assert sub.items is sp.test.items
+        assert [ex.user_id for ex in sp.valid[-1:]] == ["v"]
+
+    def test_of_is_identity_on_examples(self, rng):
+        from conftest import random_examples
+        exs = random_examples(rng, n_examples=5)
+        flat = ingest.Examples.of(exs)
+        assert ingest.Examples.of(flat) is flat
+        assert list(flat) == exs
+
+    def test_split_and_median_use_linear_memory(self):
+        import tracemalloc
+        ds = InteractionDataset(users=[mk_user("u", [1 + i % 7 for i in range(3000)])],
+                                vocab={f"i{j}": j for j in range(1, 8)})
+        tracemalloc.start()
+        try:
+            sp = ingest.leave_one_out_split(ds)
+            lam = ingest.median_positive_interval(sp.train)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lam == 10.0 and len(sp.train) == 2997
+        assert peak < 2 * 2 ** 20, peak

@@ -5,10 +5,13 @@
 
 Runs one seeded request set on this checkout and on the checkout at PATH,
 each in its own subprocess that imports alignrec from that tree's `src/`.
-For every shape, adaptation config and request batch it records the adapted
-logits, the AdaptReport's per-step losses, clamp warnings and abort flag, and
-the checkpoint digest after the request. The two record sets are compared
-array by array (NaN equals NaN); exit 0 when all are identical, 1 otherwise.
+For every shape it records the resolved time-loss scale lam and the five
+arrays of each request batch, so that a split or batching difference is named
+directly. For every shape, adaptation config and request batch it records the
+adapted logits, the AdaptReport's per-step losses, clamp warnings and abort
+flag, and the checkpoint digest after the request. The two record sets are
+compared array by array (NaN equals NaN); exit 0 when all are identical, 1
+otherwise.
 
 Shapes (comma-separated, default all three benchmark shapes):
 - train-shift: the shift-experiment model trained for one epoch, whole-test
@@ -125,6 +128,10 @@ def worker(src, shapes, seed, out):
         params, weights, batches, base = _load_shape(shape, seed)
         bad = params.overlay()
         bad.tensors["E"] = ag.Tensor(params["E"].data * ABORT_SCALE, requires_grad=True)
+        record[f"{shape}/lam"] = np.asarray(weights.lam)
+        for i, batch in enumerate(batches):
+            for f in dataclasses.fields(batch):
+                record[f"{shape}/batch/{i}/{f.name}"] = getattr(batch, f.name)
         for cname, over in CONFIGS.items():
             acfg = dataclasses.replace(base, **over)
             p = bad if cname == "abort" else params
