@@ -14,9 +14,10 @@ brute-force checks of the tests) build float64 parameters, the dtype a bare
 
 numpy is the only dependency: the sigmoid is numpy's exp, built in one
 buffer. A backward computes no product for an operand that takes no
-gradient, and the causal convolution works through sequences in blocks
-with one scratch buffer, so neither a constant mask nor a convolution tap
-costs a full-size temporary.
+gradient, the causal convolution works through sequences in blocks with
+one scratch buffer, and `linear` adds its bias and applies its row mask in
+the product's own buffer, so neither a constant mask, a bias nor a
+convolution tap costs a full-size array.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 __all__ = [
     "Tensor", "ShapeError", "DomainError",
     "constant", "parameter",
-    "add", "sub", "neg", "mul", "div", "matmul", "exp",
+    "add", "sub", "neg", "mul", "div", "matmul", "linear", "exp",
     "softplus", "silu", "relu", "concat", "reshape",
     "reduce_sum", "clip_min", "stop_gradient", "embedding",
     "causal_conv1d", "layer_norm", "dropout",
@@ -226,6 +227,41 @@ def matmul(a, b):
             acc(b, ga.T @ g.reshape(-1, g.shape[-1]))
 
     return _node(out_data, (a, b), bw)
+
+
+def linear(x, W, b, mask=None):
+    """(x @ W + b) * mask[..., None]: the affine map, with rows where mask is
+    0 zeroed. x: (..., k) of rank >= 2; W: (k, n); b: (n,); mask: x.shape[:-1].
+
+    The bias and the mask are applied in place in the product's buffer, so
+    the graph keeps one output array where matmul, add and mul keep three.
+    The values and gradients are those of mul(add(matmul(x, W), b), mask):
+    the backward masks g once and makes the same products and bias sum.
+    """
+    x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
+    if x.data.ndim < 2 or W.data.ndim != 2 or x.data.shape[-1] != W.data.shape[0] \
+            or b.data.shape != W.data.shape[1:]:
+        raise ShapeError(f"linear: incompatible shapes {x.shape} @ {W.shape} + {b.shape}")
+    out_data = x.data @ W.data
+    out_data += b.data
+    if mask is not None:
+        mask = np.asarray(mask, dtype=out_data.dtype)
+        if mask.shape != x.data.shape[:-1]:
+            raise ShapeError(f"linear: mask {mask.shape} vs rows {x.shape[:-1]}")
+        mask = mask[..., None]
+        out_data *= mask
+
+    def bw(g, acc):
+        if mask is not None:
+            g = g * mask
+        if b.requires_grad:
+            acc(b, _unbroadcast(g, b.data.shape))
+        if x.requires_grad:
+            acc(x, g @ W.data.T)
+        if W.requires_grad:
+            acc(W, x.data.reshape(-1, x.data.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+
+    return _node(out_data, (x, W, b), bw)
 
 
 def _parse_einsum(spec, operands):

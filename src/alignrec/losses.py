@@ -106,7 +106,7 @@ def backward_projection(params, x_last):
     """Q = W2 x_n + b2 (purely linear, no activation), with the alignment
     block's W2 and b2."""
     pre = f"block{params.config.n_blocks - 1}."
-    return ag.add(ag.matmul(x_last, params[pre + "W2"]), params[pre + "b2"])
+    return ag.linear(x_last, params[pre + "W2"], params[pre + "b2"])
 
 
 DELTA_GUARD = 1e-8

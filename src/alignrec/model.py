@@ -125,7 +125,9 @@ class ModelParams:
     """Every learnable tensor, addressable by name for grads and snapshots.
 
     Built from `arrays` (name -> array, in any order) when given; otherwise
-    each tensor of `parameter_layout` is drawn from `rng` in layout order."""
+    each tensor of `parameter_layout` is drawn from `rng` in layout order.
+    The tensors hold these arrays themselves, not copies: the caller hands
+    over arrays nothing else writes."""
 
     def __init__(self, config, rng=None, arrays=None):
         self.config = config
@@ -137,7 +139,8 @@ class ModelParams:
                              np.ones(shape, dt) if init == "ones" else
                              rng.normal(0.0, init, shape).astype(dt))
                       for name, shape, init in layout}
-        self.tensors = {name: ag.parameter(arrays[name]) for name, _, _ in layout}
+        self.tensors = {name: ag.Tensor(arrays[name], requires_grad=True)
+                        for name, _, _ in layout}
 
     def __getitem__(self, name):
         return self.tensors[name]
@@ -207,15 +210,13 @@ def transform(params, seq, mask=None, block=0, history=None):
 
     The linear projection output is zeroed at masked positions before the
     causal convolution so padding behaves exactly like the conv's own zero
-    history. With `history`, a (m, <= w-1, d+2d_s) convolution context, seq is
-    the one (m, d) step after it and every output is that step's row.
+    history; `ag.linear` does both in one output buffer. With `history`, a
+    (m, <= w-1, d+2d_s) convolution context, seq is the one (m, d) step after
+    it and every output is that step's row.
     """
     cfg = params.config
     pre = f"block{block}."
-    proj = ag.add(ag.matmul(seq, params[pre + "W1"]), params[pre + "b1"])
-    if mask is not None:
-        proj = ag.mul(proj, ag.constant(
-            np.asarray(mask, dtype=cfg.np_dtype)[..., None]))
+    proj = ag.linear(seq, params[pre + "W1"], params[pre + "b1"], mask=mask)
     inner = cfg.d + 2 * cfg.d_s
     chan = proj[..., :inner]
     dpre = proj[..., inner]
@@ -260,8 +261,8 @@ def ffn_and_norm(params, Y, rng=None, training=False, block=0):
     """
     cfg = params.config
     pre = f"block{block}."
-    h = ag.silu(ag.add(ag.matmul(Y, params[pre + "Wf1"]), params[pre + "bf1"]))
-    h = ag.add(ag.matmul(h, params[pre + "Wf2"]), params[pre + "bf2"])
+    h = ag.silu(ag.linear(Y, params[pre + "Wf1"], params[pre + "bf1"]))
+    h = ag.linear(h, params[pre + "Wf2"], params[pre + "bf2"])
     h = ag.dropout(h, cfg.dropout, rng=rng, training=training)
     return ag.layer_norm(ag.add(Y, h), params[pre + "ln_ffn_g"], params[pre + "ln_ffn_b"])
 
@@ -417,7 +418,9 @@ def load_checkpoint(path):
         if 16 + mlen > size:
             raise ModelError(f"{path}: truncated checkpoint manifest")
         blob = fh.read(mlen)
-        payload = fh.read()
+        # one writable buffer: the tensors are views into it, not copies
+        payload = bytearray(size - fh.tell())
+        del payload[fh.readinto(payload):]
     try:
         manifest = json.loads(blob.decode("utf-8"))
     except ValueError as e:   # UnicodeDecodeError and JSONDecodeError
@@ -444,6 +447,7 @@ def load_checkpoint(path):
 
     shapes = {name: shape for name, shape, _ in parameter_layout(cfg)}
     arrays = {}
+    spans = []
     for name, dtype, shape, offset in entries:
         if not isinstance(name, str) or name not in shapes:
             raise ModelError(f"{path}: unknown tensor {name!r} (architecture mismatch)")
@@ -463,10 +467,19 @@ def load_checkpoint(path):
                             offset=offset).reshape(shape)
         if not np.isfinite(arr).all():
             raise ModelError(f"{path}: tensor {name!r} holds a non-finite value")
-        arrays[name] = arr.astype(dtype.newbyteorder("="), copy=False)  # copied once, below
+        # a view on little-endian hosts, a copy elsewhere; writable either way
+        arrays[name] = arr.astype(dtype.newbyteorder("="), copy=False)
+        spans.append((offset, offset + count * dtype.itemsize, name))
     missing = set(shapes) - set(arrays)
     if missing:
         raise ModelError(f"{path}: missing tensors {sorted(missing)} (architecture mismatch)")
+    # views into one buffer must not overlap, or an update to one tensor
+    # would write into another
+    spans.sort()
+    for (_, end, first), (start, _, second) in zip(spans, spans[1:]):
+        if start < end:
+            raise ModelError(f"{path}: tensors {first!r} and {second!r} overlap "
+                             f"in the payload")
     params = ModelParams(cfg, arrays=arrays)
     return params, extra
 

@@ -167,6 +167,40 @@ def test_matmul_constant_operand_gets_no_gradient_product(rng):
     assert peak < c.data.nbytes / 4, peak / c.data.nbytes
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("masked", [False, True], ids=["no-mask", "mask"])
+@pytest.mark.parametrize("rows", [(5,), (3, 4)], ids=["2d", "3d"])
+def test_linear_equals_the_composed_chain_bit_for_bit(rng, dtype, masked, rows):
+    k, n = 6, 7
+    x = ag.parameter(rng.normal(size=rows + (k,)).astype(dtype))
+    W = ag.parameter(rng.normal(size=(k, n)).astype(dtype))
+    b = ag.parameter(rng.normal(size=n).astype(dtype))
+    mask = rng.random(rows) < 0.6 if masked else None
+    G = ag.constant(rng.normal(size=rows + (n,)).astype(dtype))
+    params = {"x": x, "W": W, "b": b}
+
+    def chain():
+        out = ag.add(ag.matmul(x, W), b)
+        if mask is not None:
+            out = ag.mul(out, ag.constant(mask.astype(dtype)[..., None]))
+        return out
+
+    def fused():
+        return ag.linear(x, W, b, mask=mask)
+
+    ref, got = chain(), fused()
+    assert got.dtype == dtype and np.array_equal(got.data, ref.data)
+    ref_g = ag.grad(ag.reduce_sum(ag.mul(ref, G)), params)
+    got_g = ag.grad(ag.reduce_sum(ag.mul(got, G)), params)
+    for name in params:
+        assert got_g[name].dtype == dtype
+        assert np.array_equal(got_g[name], ref_g[name]), name
+    if dtype == np.float64:
+        rep = ag.finite_diff_check(lambda: ag.reduce_sum(ag.mul(ag.silu(fused()), G)),
+                                   params, eps=1e-6, tol=1e-6, n_samples=30, rng=rng)
+        assert rep.ok, rep.failures[:3]
+
+
 def test_grad_rejects_non_scalar_loss():
     p = ag.parameter(np.array([1.0, 2.0]))
     with pytest.raises(ag.ShapeError):
@@ -180,6 +214,14 @@ def test_shape_errors_name_the_primitive():
         ag.add(a, b)
     with pytest.raises(ag.ShapeError, match="matmul"):
         ag.matmul(a, b)
+    for args, kw in [((a, b, np.ones(5)), {}),                       # x @ W
+                     ((np.ones(2), np.ones((2, 5)), np.ones(5)), {}),  # x of rank 1
+                     ((a, np.ones((3, 5, 1)), np.ones(5)), {}),        # W of rank 3
+                     ((a, np.ones((3, 5)), np.ones(4)), {}),           # bias
+                     ((a, np.ones((3, 5)), np.ones((1, 5))), {}),
+                     ((a, np.ones((3, 5)), np.ones(5)), {"mask": np.ones((2, 3))})]:
+        with pytest.raises(ag.ShapeError, match="linear"):
+            ag.linear(*args, **kw)
 
 
 def test_domain_errors():

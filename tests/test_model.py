@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -516,6 +518,31 @@ class TestForwardFull:
                     assert cur == prev
                 prev = cur
 
+    @pytest.mark.parametrize("n_blocks", [1, 2])
+    def test_graph_keeps_one_projection_buffer_per_block(self, rng, n_blocks):
+        # bias and padding mask are applied in the projection's own buffer:
+        # a matmul -> add -> mul chain would keep three per block
+        params = tiny_params(seed=4, n_blocks=n_blocks)
+        batch = random_batch(rng, n_examples=4, max_len=6)
+        assert not batch.mask.all()     # some rows are left-padded
+        tr = model.forward_full(params, batch, training=False)
+        roots = [*vars(tr).values(), *vars(tr.extension).values()]
+        seen, stack = set(), [t for t in roots if isinstance(t, ag.Tensor)]
+        bases = {}
+        while stack:
+            t = stack.pop()
+            if id(t) in seen:
+                continue
+            seen.add(id(t))
+            stack.extend(t._parents)
+            arr = t.data
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            bases[id(arr)] = arr.shape
+        cfg = params.config
+        proj_shape = (batch.size, batch.seq_len, cfg.d + 2 * cfg.d_s + 1)
+        assert sum(shape == proj_shape for shape in bases.values()) == n_blocks
+
     def test_multi_block_forward_runs(self, rng):
         params = tiny_params(seed=10, n_blocks=2)
         batch = random_batch(rng)
@@ -621,7 +648,10 @@ class TestCheckpoint:
         (lambda m: m["tensors"].pop(), "missing tensors"),
         (lambda m: m["tensors"][0].update(offset=10 ** 9), "runs past the end"),
         (lambda m: m["tensors"][0].update(offset=-8), "runs past the end"),
-    ], ids=["unknown", "shape", "missing", "offset-past-end", "offset-negative"])
+        (lambda m: m["tensors"][1].update(offset=m["tensors"][0]["offset"] + 8),
+         "'E' and 'block0.W1' overlap"),
+    ], ids=["unknown", "shape", "missing", "offset-past-end", "offset-negative",
+            "overlap"])
     def test_tensor_list_must_match_the_architecture(self, tmp_path, edit, message):
         path = tmp_path / "ck.bin"
         model.save_checkpoint(str(path), tiny_params(seed=26))
@@ -642,6 +672,25 @@ class TestCheckpoint:
         assert loaded.names() == params.names()
         assert model.checkpoint_digest(loaded) == model.checkpoint_digest(params)
         assert all(loaded[n].data.flags.writeable for n in loaded.names())
+
+    def test_load_holds_the_payload_once_in_writable_tensors(self, tmp_path):
+        # a table large beside the manifest, in the float32 runs serve in
+        params = tiny_params(seed=29, vocab_size=20_000, dtype="float32")
+        path = str(tmp_path / "ck.bin")
+        model.save_checkpoint(path, params)
+        nbytes = sum(params[n].data.nbytes for n in params.names())
+        tracemalloc.start()
+        try:
+            loaded, _ = model.load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.checkpoint_digest(loaded) == model.checkpoint_digest(params)
+        for name in loaded.names():
+            loaded[name].data[...] = 0.0    # raises on a read-only tensor
+        # the payload and a copy of every tensor would be 2x; the finiteness
+        # check's boolean mask of the largest tensor is a quarter of it
+        assert peak < 1.3 * nbytes, peak / nbytes
 
     def test_layout_names_the_initialised_tensors(self):
         params = tiny_params(seed=28, n_blocks=2)
