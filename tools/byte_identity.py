@@ -8,8 +8,12 @@ each in its own subprocess that imports alignrec from that tree's `src/`.
 For every shape it records the resolved time-loss scale lam and the five
 arrays of each request batch, so that a split or batching difference is named
 directly. For every shape, adaptation config and request batch it records the
-adapted logits, the AdaptReport's per-step losses, clamp warnings and abort
-flag, and the checkpoint digest after the request. The two record sets are
+adapted logits, their metric rows at k=10 (recall, reciprocal rank, NDCG,
+rank; `evaluation.batch_rank_metrics`), the AdaptReport's per-step losses,
+clamp warnings and abort flag, and the checkpoint digest after the request.
+Every request batch's frozen metric rows (`adapt.evaluate_frozen`) are
+recorded once per shape, so a change to the ranking shows even where
+adaptation aborts. The two record sets are
 compared array by array (NaN equals NaN); exit 0 when all are identical, 1
 otherwise.
 
@@ -118,7 +122,7 @@ def worker(src, shapes, seed, out):
     recorded array to the .npz file `out`."""
     sys.path[:0] = [src, os.path.join(ROOT, "perfbench")]
     import alignrec
-    from alignrec import adapt, model
+    from alignrec import adapt, evaluation, model
     from alignrec import autograd as ag
     if not os.path.abspath(alignrec.__file__).startswith(os.path.abspath(src) + os.sep):
         raise SystemExit(f"alignrec imported from {alignrec.__file__}, not {src}")
@@ -132,6 +136,7 @@ def worker(src, shapes, seed, out):
         for i, batch in enumerate(batches):
             for f in dataclasses.fields(batch):
                 record[f"{shape}/batch/{i}/{f.name}"] = getattr(batch, f.name)
+            record[f"{shape}/frozen/{i}/rows"] = adapt.evaluate_frozen(params, [batch])
         for cname, over in CONFIGS.items():
             acfg = dataclasses.replace(base, **over)
             p = bad if cname == "abort" else params
@@ -140,6 +145,8 @@ def worker(src, shapes, seed, out):
                     logits, rep = adapt.adapt_and_predict(p, batch, acfg, weights)
                 key = f"{shape}/{cname}/{i}/"
                 record[key + "logits"] = logits
+                record[key + "rows"] = evaluation.batch_rank_metrics(
+                    logits, batch.target_item, 10)
                 record[key + "time_losses"] = np.asarray(rep.time_losses, dtype=float)
                 record[key + "state_losses"] = np.asarray(rep.state_losses, dtype=float)
                 record[key + "clamp_warnings"] = np.asarray(rep.clamp_warnings)
