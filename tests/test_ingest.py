@@ -59,6 +59,115 @@ class TestLoadTsv:
         assert ds.vocab_size == 3  # padding slot included
 
 
+HEADER = b"user_id\titem_id\ttimestamp\n"
+
+
+def write_bytes(tmp_path, data):
+    path = tmp_path / "raw.tsv"
+    path.write_bytes(data)
+    return str(path)
+
+
+def as_lists(ds):
+    return [(u.user_id, u.item_indices, u.timestamps) for u in ds.users], ds.vocab
+
+
+class TestTsvContract:
+    """The accepted TSV format, pinned line break by line break and field by
+    field."""
+
+    WANT = ([("u", [1, 2], [1, 2]), ("v", [3], [5])], {"a": 1, "b": 2, "c": 3})
+
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"])
+    def test_line_breaks(self, tmp_path, eol):
+        data = eol.join([b"user_id\titem_id\ttimestamp", b"u\ta\t1", b"u\tb\t2",
+                         b"v\tc\t5"]) + eol
+        assert as_lists(ingest.load_tsv(write_bytes(tmp_path, data))) == self.WANT
+
+    def test_mixed_line_breaks(self, tmp_path):
+        data = HEADER + b"u\ta\t1\r\nu\tb\t2\rv\tc\t5\n"
+        assert as_lists(ingest.load_tsv(write_bytes(tmp_path, data))) == self.WANT
+
+    def test_no_final_newline(self, tmp_path):
+        data = HEADER + b"u\ta\t1\nu\tb\t2\nv\tc\t5"
+        assert as_lists(ingest.load_tsv(write_bytes(tmp_path, data))) == self.WANT
+
+    def test_blank_and_whitespace_only_lines_are_skipped(self, tmp_path):
+        data = (HEADER + b"\nu\ta\t1\n   \n\t\t\nu\tb\t2\n \t \n\xe3\x80\x80\n"
+                b"v\tc\t5\n\n")
+        assert as_lists(ingest.load_tsv(write_bytes(tmp_path, data))) == self.WANT
+
+    def test_skipped_lines_still_count_for_line_numbers(self, tmp_path):
+        data = HEADER + b"u\ta\t1\n\n\t\t\nu\tb\tnope\n"
+        with pytest.raises(IngestError, match=r"raw\.tsv:5: timestamp 'nope' is not an integer$"):
+            ingest.load_tsv(write_bytes(tmp_path, data))
+
+    def test_extra_columns(self, tmp_path):
+        data = (b"user_id\titem_id\ttimestamp\tnote\n"
+                b"u\ta\t1\tx\nu\tb\t2\t\nv\tc\t5\ty\tz\n")
+        assert as_lists(ingest.load_tsv(write_bytes(tmp_path, data))) == self.WANT
+
+    def test_header_in_another_column_order(self, tmp_path):
+        data = b"timestamp\tnote\titem_id\tuser_id\n1\t\ta\tu\n2\t\tb\tu\n5\t\tc\tv\n"
+        assert as_lists(ingest.load_tsv(write_bytes(tmp_path, data))) == self.WANT
+
+    def test_ids_are_taken_verbatim(self, tmp_path):
+        data = HEADER + b"u\ta\t1\nu \ta\t2\nu\t a\t3\n"
+        users, vocab = as_lists(ingest.load_tsv(write_bytes(tmp_path, data)))
+        assert users == [("u", [1, 2], [1, 3]), ("u ", [1], [2])]
+        assert vocab == {"a": 1, " a": 2}
+
+    def test_non_ascii_ids(self, tmp_path):
+        data = HEADER + "usér\títem☃\t3\n用户\t物品\t1\nusér\t物品\t2\n".encode()
+        users, vocab = as_lists(ingest.load_tsv(write_bytes(tmp_path, data)))
+        assert users == [("usér", [2, 1], [2, 3]), ("用户", [2], [1])]
+        assert vocab == {"ítem☃": 1, "物品": 2}
+
+    @pytest.mark.parametrize("raw, value", [
+        (b" 12", 12), (b"12 ", 12), (b"+12", 12), (b"1_000", 1000), (b"007", 7),
+        (b"0", 0), (b"999999999999999999", 10 ** 18 - 1),
+        (b"1000000000000000000", 10 ** 18),
+        (b"9223372036854775807", 2 ** 63 - 1)])
+    def test_timestamp_spellings(self, tmp_path, raw, value):
+        data = HEADER + b"u\ta\t" + raw + b"\n"
+        users, _ = as_lists(ingest.load_tsv(write_bytes(tmp_path, data)))
+        assert users == [("u", [1], [value])]
+
+    def test_too_few_columns(self, tmp_path):
+        data = HEADER + b"u\ta\t1\nu\tb\n"
+        with pytest.raises(IngestError, match=r"raw\.tsv:3: expected 3 columns, got 2$"):
+            ingest.load_tsv(write_bytes(tmp_path, data))
+
+    def test_too_few_columns_for_a_reordered_header(self, tmp_path):
+        data = b"item_id\tuser_id\tnote\ttimestamp\na\tu\t\t1\na\tu\t2\n"
+        with pytest.raises(IngestError, match=r"raw\.tsv:3: expected 4 columns, got 3$"):
+            ingest.load_tsv(write_bytes(tmp_path, data))
+
+    def test_negative_timestamp(self, tmp_path):
+        data = HEADER + b"u\ta\t1\nu\tb\t-5\n"
+        with pytest.raises(IngestError, match=r"raw\.tsv:3: negative timestamp -5$"):
+            ingest.load_tsv(write_bytes(tmp_path, data))
+
+    def test_first_bad_line_is_named(self, tmp_path):
+        data = HEADER + b"u\ta\t-1\nu\tb\n"
+        with pytest.raises(IngestError, match=r"raw\.tsv:2: negative timestamp -1$"):
+            ingest.load_tsv(write_bytes(tmp_path, data))
+
+    def test_not_utf8(self, tmp_path):
+        data = HEADER + b"u\t\xff\t1\n"
+        with pytest.raises(IngestError, match=r"raw\.tsv: not UTF-8 text \(invalid start byte\)$"):
+            ingest.load_tsv(write_bytes(tmp_path, data))
+
+    @pytest.mark.parametrize("body", [b"", b"\n", b"\n \n\t\t\n"])
+    def test_header_only(self, tmp_path, body):
+        with pytest.raises(IngestError, match=r"raw\.tsv: no data rows$"):
+            ingest.load_tsv(write_bytes(tmp_path, HEADER + body))
+
+    def test_header_only_without_newline(self, tmp_path):
+        with pytest.raises(IngestError, match=r"raw\.tsv: no data rows$"):
+            ingest.load_tsv(write_bytes(tmp_path, HEADER[:-1]))
+
+
 def mk_user(uid, items, start=0, step=10):
     return UserRecord(uid, list(items), [start + step * i for i in range(len(items))])
 
