@@ -140,29 +140,73 @@ class Batch:
 
 
 TSV_COLUMNS = ("user_id", "item_id", "timestamp")
+# Line boundaries of str.splitlines beyond the control bytes, UTF-8 encoded.
+_UNICODE_BREAKS = tuple(c.encode() for c in "\x85\u2028\u2029")
+_MAX_DIGITS = 18                      # 10**18 - 1 < 2**63: no int64 overflow
 
 
 def load_tsv(path):
     """Read a UTF-8 TSV with a header row into an InteractionDataset.
 
+    The header names the columns user_id, item_id and timestamp, in any
+    order and among any others; the first column of each name counts. Lines
+    end in "\\n", "\\r\\n", "\\r" or any other line boundary of
+    str.splitlines, and the last one may lack it. Blank and whitespace-only
+    lines are skipped but still count for line numbers. Each other line is
+    split at tabs and needs at least as many fields as the position of the
+    last named column; fields beyond it are ignored. Ids are taken verbatim,
+    whitespace included. A timestamp is whatever Python's int() reads
+    (" 12", "+12", "1_000"), in [0, 2**63). A malformed line is an
+    IngestError naming path:line; so are an empty file, a header without
+    the three columns, text that is not UTF-8 and a file without data rows.
+
     Per-user sequences are sorted by timestamp (stable: ties keep file
-    order); the vocabulary is built in first-seen order, index 0 reserved
-    for padding.
+    order); users come in first-seen order, and the vocabulary is built in
+    first-seen order, index 0 reserved for padding.
+
+    A regular file (only "\\n" line breaks, no control byte but tab and
+    newline, and every line with the header's field count and a timestamp of
+    1 to 18 ASCII digits) is parsed over its bytes with numpy; any other file
+    by _load_lines, one line at a time, which gives the same dataset.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as e:
         raise IngestError(f"{path}: cannot read ({e.strerror})") from None
-    except UnicodeDecodeError as e:
-        raise IngestError(f"{path}: not UTF-8 text ({e.reason})") from None
+    if not data.isascii():
+        try:
+            data.decode("utf-8")      # checked here; the text itself is not kept
+        except UnicodeDecodeError as e:
+            raise IngestError(f"{path}: not UTF-8 text ({e.reason})") from None
+    parsed = _parse_regular(path, data)
+    if parsed is None:
+        return _load_lines(path, data.decode("utf-8").splitlines())
+    del data
+    user_ids, item_ids, items, times, counts = parsed
+    index = list(range(1, len(item_ids) + 1))         # one int object per vocabulary index
+    items = np.array([PAD_INDEX] + index, dtype=object)[items]
+    bounds = np.cumsum(counts).tolist()
+    users = [UserRecord(uid, items[a:b].tolist(), times[a:b].tolist())
+             for uid, a, b in zip(user_ids, [0] + bounds[:-1], bounds)]
+    return InteractionDataset(users=users, vocab=dict(zip(item_ids, index)))
+
+
+def _columns(path, header):
+    """Field positions of TSV_COLUMNS in a header line."""
+    fields = header.split("\t")
+    try:
+        return [fields.index(c) for c in TSV_COLUMNS]
+    except ValueError as e:
+        raise IngestError(f"{path}: missing column in header {fields!r}: {e}") from None
+
+
+def _load_lines(path, lines):
+    """load_tsv over the file's lines, one line at a time; the reference for
+    the byte parse and the only path for a file that is not regular."""
     if not lines:
         raise IngestError(f"{path}: empty file")
-    header = lines[0].split("\t")
-    try:
-        cols = [header.index(c) for c in TSV_COLUMNS]
-    except ValueError as e:
-        raise IngestError(f"{path}: missing column in header {header!r}: {e}")
+    cols = _columns(path, lines[0])
     need = max(cols) + 1
 
     raw = {}
@@ -197,6 +241,123 @@ def load_tsv(path):
         rows = sorted(raw[uid], key=lambda r: r[0])  # stable: ties keep file order
         users.append(UserRecord(uid, [i for _, i in rows], [t for t, _ in rows]))
     return InteractionDataset(users=users, vocab=vocab)
+
+
+def _parse_regular(path, data):
+    """The bytes of a regular file parsed into (user ids and item ids in
+    first-seen order, then each event's item index, timestamp, and the event
+    count of each user, with events grouped by user and sorted by
+    timestamp), or None when the file is not regular. Each step is one pass
+    over the bytes or one O(lines) pass per field byte position; offsets
+    are int32 where they fit."""
+    if not data.isascii() and any(c in data for c in _UNICODE_BREAKS):
+        return None
+    raw = np.frombuffer(data, np.uint8)
+    sep = np.flatnonzero(raw < 32)                    # tabs, newlines and other control bytes
+    sep = sep.astype(np.int32) if raw.size < 2 ** 31 - 1 else sep
+    kind = raw[sep]
+    is_nl = kind == 10
+    if not np.all(is_nl | (kind == 9)):               # "\r", NUL, another control byte
+        return None
+    del kind
+    if not data.endswith(b"\n"):
+        sep = np.append(sep, sep.dtype.type(raw.size))
+        is_nl = np.append(is_nl, True)
+    k = int(np.argmax(is_nl)) + 1                     # fields in the header
+    n = len(sep) // k                                 # lines, the header included
+    if (n < 2 or len(sep) != n * k or np.count_nonzero(is_nl) != n
+            or not np.all(is_nl[k - 1::k])):
+        return None                                   # a line with another field count
+    del is_nl
+    cols = _columns(path, data[:sep[k - 1]].decode("utf-8"))
+    ends = sep.reshape(n, k)
+    starts = np.empty_like(ends)
+    starts[0, 0] = 0
+    starts[1:, 0] = ends[:-1, -1] + 1
+    starts[:, 1:] = ends[:, :-1] + 1
+    del sep
+    (us, ue), (is_, ie), (ts_, te) = ((starts[1:, c].copy(), ends[1:, c].copy())
+                                      for c in cols)
+    del starts, ends
+
+    times = _ascii_digits(raw, ts_, te)
+    if times is None:
+        return None
+    del ts_, te
+    user, first = _first_seen(_byte_keys(raw, us, ue))
+    user_ids = _decode_fields(raw, us[first], ue[first])
+    del us, ue
+    item, first = _first_seen(_byte_keys(raw, is_, ie))
+    item_ids = _decode_fields(raw, is_[first], ie[first])
+    del is_, ie, first
+    order = np.argsort(user, kind="stable")          # linear when the file is grouped by user
+    t, u = times[order], user[order]
+    if np.any((t[1:] < t[:-1]) & (u[1:] == u[:-1])):
+        order = order[np.lexsort((t, u))]             # stable: ties keep file order
+    return user_ids, item_ids, item[order] + 1, times[order], np.bincount(user)
+
+
+def _ascii_digits(raw, starts, ends):
+    """int64 values of the fields raw[starts:ends], one pass per digit
+    position, or None unless every field is 1 to _MAX_DIGITS ASCII digits."""
+    width = ends - starts
+    if width.min() < 1 or width.max() > _MAX_DIGITS:
+        return None
+    value = np.zeros(len(starts), np.int64)
+    last = raw.size - 1
+    for j in range(int(width.max())):
+        live = width > j
+        digit = raw[np.minimum(starts + j, last)] - np.uint8(48)   # bytes below '0' wrap high
+        if np.any(live & (digit > 9)):
+            return None
+        value = np.where(live, value * 10 + digit, value)
+    return value
+
+
+def _byte_keys(raw, starts, ends):
+    """The fields raw[starts:ends] as uint64 words, one per 8 bytes, each
+    read big-endian from an 8-byte window and cut to the bytes of its field.
+    With no NUL in the file a word's leading byte is nonzero, so two fields
+    are equal exactly when all their words are."""
+    width = ends - starts
+    windows = np.lib.stride_tricks.sliding_window_view(raw, 8)
+    last = len(windows) - 1
+    words = []
+    for w in range(0, max(int(width.max()), 1), 8):
+        at = starts + w
+        row = np.minimum(at, last)                    # a window near the end starts early
+        word = windows[row].view(">u8")[:, 0].astype(np.uint64)
+        word <<= (8 * (at - row)).astype(np.uint64)
+        cut = (8 * np.clip(w + 8 - width, 0, 8)).astype(np.uint64)
+        words.append(np.where(cut < 64, word >> np.minimum(cut, np.uint64(56)), 0))
+    return words
+
+
+def _first_seen(words):
+    """(dense index of each row's key in first-seen order, the row where
+    each index is first seen) for rows keyed by equal-length word arrays."""
+    order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words)
+    new = np.zeros(len(order), dtype=bool)
+    new[0] = True
+    for word in words:
+        sorted_word = word[order]
+        new[1:] |= sorted_word[1:] != sorted_word[:-1]
+    first = np.minimum.reduceat(order, np.flatnonzero(new))   # each key's first row
+    rank = np.empty(len(first), np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    dense = np.empty(len(order), np.int64)
+    dense[order] = rank[np.cumsum(new) - 1]
+    return dense, np.sort(first)
+
+
+def _decode_fields(raw, starts, ends):
+    """The fields raw[starts:ends] as str, decoded with one call."""
+    width = ends - starts + 1                         # each field and a tab after it
+    offset = np.cumsum(width) - width
+    pos = np.repeat(starts - offset, width) + np.arange(int(width.sum()))
+    text = raw[np.minimum(pos, raw.size - 1)]
+    text[offset + width - 1] = 9
+    return text[:-1].tobytes().decode("utf-8").split("\t")
 
 
 def filter_min_interactions(ds, k):
@@ -268,21 +429,48 @@ def leave_one_out_split(ds):
                         test=part(users, start + n - 1))
 
 
+# make_batches builds the rows of whole batches in blocks of about this many
+# rows, which holds its transient arrays to those of one batch of 256
+BATCH_BLOCK_ROWS = 256
+
+
 def make_batches(examples, max_len, batch_size, pad_side="left"):
     """Group examples (an Examples or a list of Example) into left-padded
-    Batch objects.
+    Batch objects of batch_size examples each (the last may be smaller).
 
     Sequences longer than max_len keep their most recent max_len items.
     The interval matrix T is built by integer subtraction of timestamps
     before the float cast. "left" is the only pad_side.
+
+    The rows of a block of whole batches are built at once; each batch is
+    then its rows' last columns, since left padding makes a batch with
+    shorter sequences the right end of a wider one.
     """
     if max_len < 1:
         raise IngestError(f"make_batches: max_len must be >= 1, got {max_len}")
+    if batch_size < 1:
+        raise IngestError(f"make_batches: batch_size must be >= 1, got {batch_size}")
     if pad_side != "left":
         raise IngestError(f"make_batches: pad_side must be left, got {pad_side!r}")
     examples = Examples.of(examples)
-    return [_build_batch(examples[start:start + batch_size], max_len)
-            for start in range(0, len(examples), batch_size)]
+    per = max(1, BATCH_BLOCK_ROWS // batch_size) * batch_size
+    batches = []
+    for start in range(0, len(examples), per):
+        chunk = examples[start:start + per]
+        block = _build_batch(chunk, max_len)
+        if len(chunk) <= batch_size:
+            batches.append(block)
+            continue
+        heads = np.arange(0, len(chunk), batch_size)
+        widths = np.maximum.reduceat(np.minimum(chunk.end - chunk.first, max_len), heads)
+        for a, w in zip(heads.tolist(), widths.tolist()):
+            rows, cols = slice(a, a + batch_size), slice(block.seq_len - w, None)
+            batches.append(Batch(items=block.items[rows, cols].copy(),
+                                 mask=block.mask[rows, cols].copy(),
+                                 target_item=block.target_item[rows].copy(),
+                                 T=block.T[rows, cols].copy(),
+                                 t_elig=block.t_elig[rows, cols].copy()))
+    return batches
 
 
 def _build_batch(chunk, max_len):

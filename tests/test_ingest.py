@@ -1,3 +1,6 @@
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
@@ -580,3 +583,193 @@ class TestExamples:
             tracemalloc.stop()
         assert lam == 10.0 and len(sp.train) == 2997
         assert peak < 2 * 2 ** 20, peak
+
+
+# ---------------------------------------------------------------------------
+# the byte parse and the block batching against the per-line loop and the
+# per-chunk batch they replaced: both must agree with them exactly
+
+ID_CHARS = ["a", "b", "z", "0", "9", " ", "-", "é", "☃", "用"]
+
+
+def random_id(rng):
+    # up to 12 characters and 36 bytes, so keys span several 8-byte words
+    return "".join(rng.choice(ID_CHARS, int(rng.integers(0, 13))))
+
+
+def random_tsv_lines(rng):
+    """Header and data lines of a regular TSV: columns in random order among
+    extra ones, ids of mixed lengths and scripts (empty ones included),
+    timestamps with ties and leading zeros, rows grouped by user, grouped
+    and sorted, or shuffled."""
+    header = list(ingest.TSV_COLUMNS) + ["note", "x"][:int(rng.integers(0, 3))]
+    header = [header[i] for i in rng.permutation(len(header))]
+    users = [random_id(rng) for _ in range(int(rng.integers(1, 12)))]
+    items = [random_id(rng) for _ in range(int(rng.integers(1, 30)))]
+    hi = int(rng.choice([3, 1000, 10 ** 18]))
+    rows = []
+    for _ in range(int(rng.integers(1, 150))):
+        ts = str(int(rng.integers(0, hi)))
+        if rng.random() < 0.1:
+            ts = ts.zfill(min(18, len(ts) + 3))
+        row = {"user_id": rng.choice(users), "item_id": rng.choice(items), "timestamp": ts,
+               "note": random_id(rng), "x": ""}
+        rows.append([row[c] for c in header])
+    how = rng.integers(0, 3)
+    if how > 0:
+        key = (lambda r: (users.index(r[header.index("user_id")]),)) if how == 1 else (
+            lambda r: (users.index(r[header.index("user_id")]), int(r[header.index("timestamp")])))
+        rows.sort(key=key)
+    return ["\t".join(header)] + ["\t".join(r) for r in rows]
+
+
+def with_timestamp(value):
+    def edit(lines, i):
+        fields = lines[0].split("\t")
+        parts = lines[i].split("\t")
+        parts[fields.index("timestamp")] = value
+        lines[i] = "\t".join(parts)
+    return edit
+
+
+def in_an_id(text):
+    def edit(lines, i):
+        fields = lines[0].split("\t")
+        parts = lines[i].split("\t")
+        c = fields.index("item_id" if i % 2 else "user_id")
+        parts[c] = parts[c][:1] + text + parts[c][1:]
+        lines[i] = "\t".join(parts)
+    return edit
+
+
+def inserted(line):
+    def edit(lines, i):
+        lines.insert(i, line(lines))
+    return edit
+
+
+IRREGULAR = {
+    "crlf": lambda lines, i: lines.__setitem__(i, lines[i] + "\r"),
+    "lone-cr": lambda lines, i: lines.__setitem__(slice(i, i + 2), ["\r".join(lines[i:i + 2])]),
+    "blank": inserted(lambda lines: ""),
+    "spaces": inserted(lambda lines: "  "),
+    "tabs-only": inserted(lambda lines: "\t" * lines[0].count("\t")),
+    "tab-and-space-only": inserted(lambda lines: " \t" * lines[0].count("\t")),
+    "extra-column": lambda lines, i: lines.__setitem__(i, lines[i] + "\textra"),
+    "too-few-columns": lambda lines, i: lines.__setitem__(i, lines[i].rsplit("\t", 1)[0]),
+    "space-before-timestamp": with_timestamp(" 12"),
+    "space-after-timestamp": with_timestamp("12 "),
+    "plus-timestamp": with_timestamp("+12"),
+    "underscore-timestamp": with_timestamp("1_000"),
+    "19-digit-timestamp": with_timestamp("1234567890123456789"),
+    "int64-overflow": with_timestamp(str(2 ** 63)),
+    "negative-timestamp": with_timestamp("-3"),
+    "empty-timestamp": with_timestamp(""),
+    "word-timestamp": with_timestamp("soon"),
+    **{f"break-{ord(c):x}": in_an_id(c)
+       for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"},
+    "nul-in-id": in_an_id("\0"),
+    "unit-separator-in-id": in_an_id("\x1f"),
+}
+
+
+def outcome(load):
+    """(users, vocab items in order) of a load, or its error message."""
+    try:
+        ds = load()
+    except IngestError as e:
+        return str(e)
+    return ([(u.user_id, u.item_indices, u.timestamps) for u in ds.users],
+            list(ds.vocab.items()))
+
+
+def reference_outcome(path):
+    """The per-line loop, fed the file as load_tsv always read it."""
+    def load():
+        with open(path, encoding="utf-8") as fh:
+            return ingest._load_lines(path, fh.read().splitlines())
+    return outcome(load)
+
+
+def write_tsv_text(tmp_path, lines, rng):
+    text = "\n".join(lines) + ("\n" if rng.random() < 0.8 else "")
+    return write_bytes(tmp_path, text.encode("utf-8"))
+
+
+class TestByteParse:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_regular_files_match_the_line_loop(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        path = write_tsv_text(tmp_path, random_tsv_lines(rng), rng)
+        with open(path, "rb") as fh:
+            assert ingest._parse_regular(path, fh.read()) is not None
+        got = outcome(lambda: ingest.load_tsv(path))
+        assert not isinstance(got, str) and got == reference_outcome(path)
+
+    @pytest.mark.parametrize("kind", sorted(IRREGULAR))
+    def test_irregular_files_match_the_line_loop(self, tmp_path, kind):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            lines = random_tsv_lines(rng)
+            lines.append(lines[-1])              # at least two data lines
+            IRREGULAR[kind](lines, int(rng.integers(1, len(lines) - 1)))
+            path = write_tsv_text(tmp_path, lines, rng)
+            with open(path, "rb") as fh:
+                assert ingest._parse_regular(path, fh.read()) is None
+            assert outcome(lambda: ingest.load_tsv(path)) == reference_outcome(path)
+
+    def test_ids_near_the_end_of_the_file(self, tmp_path):
+        # the last fields sit inside the file's final 8 bytes
+        for tail in (b"u\ta\t1", b"u\ta\t1\n", b"uu\tbbbbbbbbb\t7", b"\t\t0\n"):
+            path = write_bytes(tmp_path, HEADER + b"v\tlonger-item-id\t3\n" + tail)
+            assert outcome(lambda: ingest.load_tsv(path)) == reference_outcome(path)
+
+    def test_item_indices_are_the_vocabulary_objects(self, tmp_path):
+        data = HEADER + "".join(f"u{i % 7}\ti{i % 300}\t{i}\n" for i in range(2000)).encode()
+        ds = ingest.load_tsv(write_bytes(tmp_path, data))
+        shared = {id(v) for v in ds.vocab.values()}
+        assert all(id(v) in shared for u in ds.users for v in u.item_indices)
+
+    def test_traced_peak_at_the_catalog_shape(self, tmp_path):
+        import tracemalloc
+        # the generator shape of the adapt-catalog benchmark: about 80k lines
+        spec = GeneratorSpec(n_users=2500, n_items=20000, n_clusters=8,
+                             min_events=24, max_events=40, noise_rate=0.3)
+        path = str(tmp_path / "catalog.tsv")
+        ingest.write_tsv(ingest.synth_shift_generate(spec, seed=1), path)
+        size = os.path.getsize(path)
+        tracemalloc.start()
+        try:
+            ds = ingest.load_tsv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.n_interactions > 75_000
+        assert peak <= 10 * size, f"traced peak {peak / size:.1f}x the file's size"
+
+
+class TestBlockBatches:
+    @pytest.mark.parametrize("batch_size", [1, 7, 8, 256])
+    @pytest.mark.parametrize("max_len", [3, 50])
+    def test_matches_build_batch_per_chunk(self, batch_size, max_len):
+        rng = np.random.default_rng(batch_size * 100 + max_len)
+        sp = random_split(rng, n_users=120, max_events=30, t_choices=[0, 1, 7, 300])
+        for part in (sp.train, sp.test, sp.train[rng.permutation(len(sp.train))]):
+            got = ingest.make_batches(part, max_len=max_len, batch_size=batch_size)
+            assert len(got) == -(-len(part) // batch_size)
+            for k, b in enumerate(got):
+                want = ingest._build_batch(part[k * batch_size:(k + 1) * batch_size], max_len)
+                for f in dataclasses.fields(ingest.Batch):
+                    g, w = getattr(b, f.name), getattr(want, f.name)
+                    assert g.dtype == w.dtype and np.array_equal(g, w), f.name
+                    assert g.flags.c_contiguous and g.flags.owndata, f.name
+
+    def test_non_causal_message_names_the_first_offending_row_of_a_later_block(self):
+        ok = [Example(f"u{i}", [1], [10], 2, 20) for i in range(ingest.BATCH_BLOCK_ROWS + 5)]
+        bad = [Example("v", [1, 2], [100, 200], 3, 150), Example("w", [1], [500], 2, 400)]
+        with pytest.raises(IngestError, match="user v: target at 150 before last input at 200"):
+            ingest.make_batches(ok + bad, max_len=4, batch_size=3)
+
+    def test_batch_size_below_one_rejected(self):
+        with pytest.raises(IngestError, match="batch_size must be >= 1"):
+            ingest.make_batches([Example("u", [1], [10], 2, 20)], max_len=4, batch_size=0)

@@ -5,6 +5,9 @@
 
 Runs one seeded request set on this checkout and on the checkout at PATH,
 each in its own subprocess that imports alignrec from that tree's `src/`.
+Each shape's data is generated, written as a TSV in a temporary directory
+and read back with `ingest.load_tsv`, as the benchmark does, so the loader
+is compared too.
 For every shape it records the resolved time-loss scale lam and the five
 arrays of each request batch, so that a split or batching difference is named
 directly. For every shape, adaptation config and request batch it records the
@@ -34,11 +37,13 @@ Shapes (comma-separated, default all three benchmark shapes):
   convolution context;
 - tiny-stop: tiny trained through pipeline.train_model with eval_every 1
   and patience 1 for up to 20 epochs. At the default seed 0 the validation
-  NDCG of epoch 4 equals epoch 3's, so training stops early at epoch 4, and
-  the requests run on the restored parameters of epoch 3.
+  NDCG of epoch 5 equals epoch 4's, so training stops early at epoch 5, and
+  the requests run on the restored parameters of epoch 4.
 
 Adaptation configs: the shape's own (M=2), M=3 at lr 0.5, zero steps, each
-loss alone, and an overflowing embedding table that aborts adaptation.
+loss alone, and an embedding table scaled so that its largest entry is
+ABORT_FRACTION of its dtype's largest finite value: the table stays finite,
+the forward pass overflows, and adaptation aborts.
 """
 
 from __future__ import annotations
@@ -62,9 +67,9 @@ CONFIGS = {
     "steps0": {"steps": 0},
     "time-only": {"mu2_test": 0.0},
     "state-only": {"mu1_test": 0.0},
-    "abort": {},     # run on a table scaled by ABORT_SCALE
+    "abort": {},     # run on a table scaled to ABORT_FRACTION of its dtype's range
 }
-ABORT_SCALE = 1e200
+ABORT_FRACTION = 0.25
 TINY = {
     "generator": {"n_users": 40, "n_items": 30, "n_clusters": 3,
                   "min_events": 8, "max_events": 12},
@@ -79,14 +84,28 @@ SMOKE_SHAPES = {"tiny": TINY, "tiny-2block": {**TINY, "n_blocks": 2},
                                                 "patience": 1}}}
 
 
-def _load_shape(name, seed):
-    """(params, weights, request batches, adaptation config) of one shape."""
+def _write_data(generator, seed, tmp):
+    """Generate a shape's data and write it as a TSV under `tmp`; returns
+    its path."""
+    from alignrec import ingest
+
+    path = os.path.join(tmp, "data.tsv")
+    ds = ingest.synth_shift_generate(ingest.GeneratorSpec(**generator), seed=seed)
+    ingest.write_tsv(ds, path)
+    return path
+
+
+def _load_shape(name, seed, tmp):
+    """(params, weights, request batches, adaptation config) of one shape,
+    its data read from a TSV written under `tmp`."""
     from alignrec import ingest, pipeline
     from alignrec.config import load_config
 
     if name == "train-shift":
-        cfg = load_config(pipeline.SHIFT_EXPERIMENT_CONFIG, overrides={
-            "seed": seed, "train": {"epochs": 1, "eval_every": 1}})
+        shift = pipeline.SHIFT_EXPERIMENT_CONFIG
+        cfg = load_config(shift, overrides={
+            "seed": seed, "data": {"path": _write_data(shift["data"]["generator"], seed, tmp)},
+            "train": {"epochs": 1, "eval_every": 1}})
         params, weights, split, _ = pipeline.train_model(cfg)
         return params, weights, pipeline.test_batches(cfg, split)[:N_BATCHES], cfg.adapt
 
@@ -98,7 +117,7 @@ def _load_shape(name, seed):
     pinned = {"precision": w["precision"]} if "precision" in w else {}
     cfg = load_config({
         "seed": seed, **pinned,
-        "data": {"generator": w["generator"], "max_len": w["max_len"],
+        "data": {"path": _write_data(w["generator"], seed, tmp), "max_len": w["max_len"],
                  "min_interactions": 0},
         "model": {"d": w["d"], "d_s": w["d_s"], "n_blocks": w.get("n_blocks", 1),
                   "conv_width": w.get("conv_width", 4)},
@@ -129,9 +148,13 @@ def worker(src, shapes, seed, out):
 
     record = {}
     for shape in shapes:
-        params, weights, batches, base = _load_shape(shape, seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            params, weights, batches, base = _load_shape(shape, seed, tmp)
+        E = params["E"].data
+        top = np.finfo(E.dtype).max * ABORT_FRACTION
         bad = params.overlay()
-        bad.tensors["E"] = ag.Tensor(params["E"].data * ABORT_SCALE, requires_grad=True)
+        bad.tensors["E"] = ag.Tensor(E / np.abs(E).max() * E.dtype.type(top),
+                                     requires_grad=True)
         record[f"{shape}/lam"] = np.asarray(weights.lam)
         for i, batch in enumerate(batches):
             for f in dataclasses.fields(batch):
@@ -173,6 +196,7 @@ def _run_tree(tree, shapes, seed, out):
     res = subprocess.run(cmd, capture_output=True, text=True)
     if res.returncode != 0:
         raise SystemExit(f"byte_identity: run on {tree} failed:\n{res.stderr}")
+    sys.stderr.write(res.stderr)      # warnings of a run that finished
     with np.load(out) as z:
         return {k: z[k] for k in z.files}
 
