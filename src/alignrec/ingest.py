@@ -248,8 +248,8 @@ def _parse_regular(path, data):
     first-seen order, then each event's item index, timestamp, and the event
     count of each user, with events grouped by user and sorted by
     timestamp), or None when the file is not regular. Each step is one pass
-    over the bytes or one O(lines) pass per field byte position; offsets
-    are int32 where they fit."""
+    over the bytes or an O(lines) pass per digit position or 8-byte key word;
+    offsets are int32 where they fit."""
     if not data.isascii() and any(c in data for c in _UNICODE_BREAKS):
         return None
     raw = np.frombuffer(data, np.uint8)
@@ -276,20 +276,20 @@ def _parse_regular(path, data):
     starts[1:, 0] = ends[:-1, -1] + 1
     starts[:, 1:] = ends[:, :-1] + 1
     del sep
-    (us, ue), (is_, ie), (ts_, te) = ((starts[1:, c].copy(), ends[1:, c].copy())
-                                      for c in cols)
+    (u0, u1), (i0, i1), (t0, t1) = ((starts[1:, c].copy(), ends[1:, c].copy())
+                                    for c in cols)
     del starts, ends
 
-    times = _ascii_digits(raw, ts_, te)
+    times = _ascii_digits(raw, t0, t1)
     if times is None:
         return None
-    del ts_, te
-    user, first = _first_seen(_byte_keys(raw, us, ue))
-    user_ids = _decode_fields(raw, us[first], ue[first])
-    del us, ue
-    item, first = _first_seen(_byte_keys(raw, is_, ie))
-    item_ids = _decode_fields(raw, is_[first], ie[first])
-    del is_, ie, first
+    del t0, t1
+    user, first = _first_seen(_byte_keys(raw, u0, u1))
+    user_ids = _decode_fields(raw, u0[first], u1[first])
+    del u0, u1
+    item, first = _first_seen(_byte_keys(raw, i0, i1))
+    item_ids = _decode_fields(raw, i0[first], i1[first])
+    del i0, i1, first
     order = np.argsort(user, kind="stable")          # linear when the file is grouped by user
     t, u = times[order], user[order]
     if np.any((t[1:] < t[:-1]) & (u[1:] == u[:-1])):
@@ -431,7 +431,7 @@ def leave_one_out_split(ds):
 
 # make_batches builds the rows of whole batches in blocks of about this many
 # rows, which holds its transient arrays to those of one batch of 256
-BATCH_BLOCK_ROWS = 256
+_BATCH_BLOCK_ROWS = 256
 
 
 def make_batches(examples, max_len, batch_size, pad_side="left"):
@@ -453,7 +453,7 @@ def make_batches(examples, max_len, batch_size, pad_side="left"):
     if pad_side != "left":
         raise IngestError(f"make_batches: pad_side must be left, got {pad_side!r}")
     examples = Examples.of(examples)
-    per = max(1, BATCH_BLOCK_ROWS // batch_size) * batch_size
+    per = max(1, _BATCH_BLOCK_ROWS // batch_size) * batch_size
     batches = []
     for start in range(0, len(examples), per):
         chunk = examples[start:start + per]

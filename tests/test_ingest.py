@@ -161,14 +161,11 @@ class TestTsvContract:
         with pytest.raises(IngestError, match=r"raw\.tsv: not UTF-8 text \(invalid start byte\)$"):
             ingest.load_tsv(write_bytes(tmp_path, data))
 
-    @pytest.mark.parametrize("body", [b"", b"\n", b"\n \n\t\t\n"])
-    def test_header_only(self, tmp_path, body):
+    @pytest.mark.parametrize("data", [HEADER[:-1], HEADER, HEADER + b"\n",
+                                      HEADER + b"\n \n\t\t\n"])
+    def test_header_only(self, tmp_path, data):
         with pytest.raises(IngestError, match=r"raw\.tsv: no data rows$"):
-            ingest.load_tsv(write_bytes(tmp_path, HEADER + body))
-
-    def test_header_only_without_newline(self, tmp_path):
-        with pytest.raises(IngestError, match=r"raw\.tsv: no data rows$"):
-            ingest.load_tsv(write_bytes(tmp_path, HEADER[:-1]))
+            ingest.load_tsv(write_bytes(tmp_path, data))
 
 
 def mk_user(uid, items, start=0, step=10):
@@ -615,61 +612,57 @@ def random_tsv_lines(rng):
         row = {"user_id": rng.choice(users), "item_id": rng.choice(items), "timestamp": ts,
                "note": random_id(rng), "x": ""}
         rows.append([row[c] for c in header])
-    how = rng.integers(0, 3)
-    if how > 0:
-        key = (lambda r: (users.index(r[header.index("user_id")]),)) if how == 1 else (
-            lambda r: (users.index(r[header.index("user_id")]), int(r[header.index("timestamp")])))
-        rows.sort(key=key)
+    u, t = header.index("user_id"), header.index("timestamp")
+    order = rng.integers(0, 3)               # shuffled, grouped by user, or also by time
+    if order == 1:
+        rows.sort(key=lambda r: users.index(r[u]))
+    if order == 2:
+        rows.sort(key=lambda r: (users.index(r[u]), int(r[t])))
     return ["\t".join(header)] + ["\t".join(r) for r in rows]
 
 
-def with_timestamp(value):
+def on_line(change):
     def edit(lines, i):
-        fields = lines[0].split("\t")
+        lines[i] = change(lines[i])
+    return edit
+
+
+def on_field(name, change):
+    def edit(lines, i):
         parts = lines[i].split("\t")
-        parts[fields.index("timestamp")] = value
+        c = lines[0].split("\t").index(name)
+        parts[c] = change(parts[c])
         lines[i] = "\t".join(parts)
     return edit
 
 
-def in_an_id(text):
+def inserted(make):
     def edit(lines, i):
-        fields = lines[0].split("\t")
-        parts = lines[i].split("\t")
-        c = fields.index("item_id" if i % 2 else "user_id")
-        parts[c] = parts[c][:1] + text + parts[c][1:]
-        lines[i] = "\t".join(parts)
+        lines.insert(i, make(lines[0].count("\t")))
     return edit
 
 
-def inserted(line):
-    def edit(lines, i):
-        lines.insert(i, line(lines))
-    return edit
+def merged_with_next(lines, i):
+    lines[i:i + 2] = ["\r".join(lines[i:i + 2])]
 
 
+# edits of data line i, each of which makes a regular file irregular
 IRREGULAR = {
-    "crlf": lambda lines, i: lines.__setitem__(i, lines[i] + "\r"),
-    "lone-cr": lambda lines, i: lines.__setitem__(slice(i, i + 2), ["\r".join(lines[i:i + 2])]),
-    "blank": inserted(lambda lines: ""),
-    "spaces": inserted(lambda lines: "  "),
-    "tabs-only": inserted(lambda lines: "\t" * lines[0].count("\t")),
-    "tab-and-space-only": inserted(lambda lines: " \t" * lines[0].count("\t")),
-    "extra-column": lambda lines, i: lines.__setitem__(i, lines[i] + "\textra"),
-    "too-few-columns": lambda lines, i: lines.__setitem__(i, lines[i].rsplit("\t", 1)[0]),
-    "space-before-timestamp": with_timestamp(" 12"),
-    "space-after-timestamp": with_timestamp("12 "),
-    "plus-timestamp": with_timestamp("+12"),
-    "underscore-timestamp": with_timestamp("1_000"),
-    "19-digit-timestamp": with_timestamp("1234567890123456789"),
-    "int64-overflow": with_timestamp(str(2 ** 63)),
-    "negative-timestamp": with_timestamp("-3"),
-    "empty-timestamp": with_timestamp(""),
-    "word-timestamp": with_timestamp("soon"),
-    **{f"break-{ord(c):x}": in_an_id(c)
-       for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"},
-    "nul-in-id": in_an_id("\0"),
-    "unit-separator-in-id": in_an_id("\x1f"),
+    "crlf": on_line(lambda line: line + "\r"),
+    "lone-cr": merged_with_next,
+    "blank": inserted(lambda tabs: ""),
+    "spaces": inserted(lambda tabs: "  "),
+    "tabs-only": inserted(lambda tabs: "\t" * tabs),
+    "tab-and-space-only": inserted(lambda tabs: " \t" * tabs),
+    "extra-column": on_line(lambda line: line + "\textra"),
+    "too-few-columns": on_line(lambda line: line.rsplit("\t", 1)[0]),
+    **{f"timestamp-{name}": on_field("timestamp", lambda v, new=new: new) for name, new in [
+        ("space-before", " 12"), ("space-after", "12 "), ("plus", "+12"),
+        ("underscore", "1_000"), ("19-digits", "1234567890123456789"),
+        ("int64-overflow", str(2 ** 63)), ("negative", "-3"), ("empty", ""),
+        ("word", "soon")]},
+    **{f"id-with-{ord(c):x}": on_field("item_id", lambda v, c=c: v[:1] + c + v[1:])
+       for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\0\x1f"},
 }
 
 
@@ -765,7 +758,7 @@ class TestBlockBatches:
                     assert g.flags.c_contiguous and g.flags.owndata, f.name
 
     def test_non_causal_message_names_the_first_offending_row_of_a_later_block(self):
-        ok = [Example(f"u{i}", [1], [10], 2, 20) for i in range(ingest.BATCH_BLOCK_ROWS + 5)]
+        ok = [Example(f"u{i}", [1], [10], 2, 20) for i in range(ingest._BATCH_BLOCK_ROWS + 5)]
         bad = [Example("v", [1, 2], [100, 200], 3, 150), Example("w", [1], [500], 2, 400)]
         with pytest.raises(IngestError, match="user v: target at 150 before last input at 200"):
             ingest.make_batches(ok + bad, max_len=4, batch_size=3)
