@@ -157,8 +157,9 @@ def load_tsv(path):
     last named column; fields beyond it are ignored. Ids are taken verbatim,
     whitespace included. A timestamp is whatever Python's int() reads
     (" 12", "+12", "1_000"), in [0, 2**63). A malformed line is an
-    IngestError naming path:line; so are an empty file, a header without
-    the three columns, text that is not UTF-8 and a file without data rows.
+    IngestError naming path:line; an empty file, a header without the three
+    columns, text that is not UTF-8 and a file without data rows are
+    IngestErrors naming the path.
 
     Per-user sequences are sorted by timestamp (stable: ties keep file
     order); users come in first-seen order, and the vocabulary is built in
