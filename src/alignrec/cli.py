@@ -92,12 +92,12 @@ def cmd_gen(args):
     pipeline.write_json(os.path.join(cfg.out_dir, "gen_manifest.json"), {
         "seed": cfg.seed,
         "spec": asdict(spec),
-        "n_users": len(ds.users),
+        "n_users": len(ds.user_ids),
         "n_interactions": ds.n_interactions,
         "vocab_size": ds.vocab_size,
         "path": tsv,
     })
-    print(f"wrote {tsv} ({len(ds.users)} users, {ds.n_interactions} interactions)")
+    print(f"wrote {tsv} ({len(ds.user_ids)} users, {ds.n_interactions} interactions)")
     return EXIT_OK
 
 
@@ -171,10 +171,9 @@ def cmd_eval(args):
         with open(os.path.join(cfg.out_dir, f"ranks_{tag}.csv"), "w",
                   encoding="utf-8") as fh:
             fh.write("example,target_timestamp,rank,recall,rr,ndcg\n")
-            for i, ex in enumerate(split.test):
-                r = per_example[i]
-                fh.write(f"{i},{ex.target_timestamp},{int(r[3])},"
-                         f"{r[0]},{r[1]},{r[2]}\n")
+            targets = split.test.times[split.test.end].tolist()
+            for i, (ts, r) in enumerate(zip(targets, per_example)):
+                fh.write(f"{i},{ts},{int(r[3])},{r[0]},{r[1]},{r[2]}\n")
     print(f"{tag}: recall@{report.k} {report.recall_at_k:.4f} "
           f"mrr@{report.k} {report.mrr_at_k:.4f} ndcg@{report.k} {report.ndcg_at_k:.4f}")
 

@@ -1,8 +1,9 @@
 """Timestamped interaction data: loading, filtering, splitting, batching.
 
-Datasets are plain immutable-by-convention containers over numpy arrays and
-python lists; every function here is pure and safe to call concurrently.
-Item index 0 is reserved for padding throughout.
+Datasets and splits are immutable-by-convention containers over flat numpy
+arrays of events, grouped by user and sorted by time within each user; every
+function here is pure and safe to call concurrently. Item index 0 is
+reserved for padding throughout.
 """
 
 from __future__ import annotations
@@ -26,19 +27,37 @@ class UserRecord:
     item_indices: list          # dense indices into the vocabulary, >= 1
     timestamps: list            # integer seconds, non-decreasing
 
-    def __len__(self):
-        return len(self.item_indices)
 
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class InteractionDataset:
-    """Per-user chronological sequences plus the item vocabulary.
+    """Every user's chronological events plus the item vocabulary, in the
+    layout Examples indexes: the events of user_ids[0], then of user_ids[1],
+    and so on, counts[u] of them each, sorted by timestamp within a user.
 
     vocab maps item_id -> dense index in [1, n_items]; index 0 is padding.
     vocab_size includes the padding slot.
     """
-    users: list
+    user_ids: list                # first-seen order
+    items: np.ndarray             # (n_events,) int64
+    times: np.ndarray             # (n_events,) int64
+    counts: np.ndarray            # (n_users,) int64
     vocab: dict
+
+    @classmethod
+    def of(cls, records, vocab):
+        """The dataset of per-user records (UserRecord or alike), each
+        already sorted by timestamp."""
+        return cls([r.user_id for r in records],
+                   np.array([v for r in records for v in r.item_indices], dtype=np.int64),
+                   np.array([t for r in records for t in r.timestamps], dtype=np.int64),
+                   np.array([len(r.item_indices) for r in records], dtype=np.int64), vocab)
+
+    @property
+    def users(self):
+        """Per-user records with list fields, built anew on each read."""
+        bounds = np.cumsum(self.counts)[:-1]
+        return [UserRecord(uid, items.tolist(), times.tolist()) for uid, items, times in
+                zip(self.user_ids, np.split(self.items, bounds), np.split(self.times, bounds))]
 
     @property
     def vocab_size(self):
@@ -46,7 +65,7 @@ class InteractionDataset:
 
     @property
     def n_interactions(self):
-        return sum(len(u) for u in self.users)
+        return len(self.items)
 
 
 @dataclass
@@ -161,7 +180,7 @@ def load_tsv(path):
     columns, text that is not UTF-8 and a file without data rows are
     IngestErrors naming the path.
 
-    Per-user sequences are sorted by timestamp (stable: ties keep file
+    Each user's events are sorted by timestamp (stable: ties keep file
     order); users come in first-seen order, and the vocabulary is built in
     first-seen order, index 0 reserved for padding.
 
@@ -180,17 +199,8 @@ def load_tsv(path):
             data.decode("utf-8")      # checked here; the text itself is not kept
         except UnicodeDecodeError as e:
             raise IngestError(f"{path}: not UTF-8 text ({e.reason})") from None
-    parsed = _parse_regular(path, data)
-    if parsed is None:
-        return _load_lines(path, data.decode("utf-8").splitlines())
-    del data
-    user_ids, item_ids, items, times, counts = parsed
-    index = list(range(1, len(item_ids) + 1))         # one int object per vocabulary index
-    items = np.array([PAD_INDEX] + index, dtype=object)[items]
-    bounds = np.cumsum(counts).tolist()
-    users = [UserRecord(uid, items[a:b].tolist(), times[a:b].tolist())
-             for uid, a, b in zip(user_ids, [0] + bounds[:-1], bounds)]
-    return InteractionDataset(users=users, vocab=dict(zip(item_ids, index)))
+    ds = _parse_regular(path, data)
+    return _load_lines(path, data.decode("utf-8").splitlines()) if ds is None else ds
 
 
 def _columns(path, header):
@@ -241,16 +251,14 @@ def _load_lines(path, lines):
     for uid in order:
         rows = sorted(raw[uid], key=lambda r: r[0])  # stable: ties keep file order
         users.append(UserRecord(uid, [i for _, i in rows], [t for t, _ in rows]))
-    return InteractionDataset(users=users, vocab=vocab)
+    return InteractionDataset.of(users, vocab)
 
 
 def _parse_regular(path, data):
-    """The bytes of a regular file parsed into (user ids and item ids in
-    first-seen order, then each event's item index, timestamp, and the event
-    count of each user, with events grouped by user and sorted by
-    timestamp), or None when the file is not regular. Each step is one pass
-    over the bytes or an O(lines) pass per digit position or 8-byte key word;
-    offsets are int32 where they fit."""
+    """The InteractionDataset of a regular file's bytes, or None when the
+    file is not regular. Each step is one pass over the bytes or an O(lines)
+    pass per digit position or 8-byte key word; offsets are int32 where they
+    fit."""
     if not data.isascii() and any(c in data for c in _UNICODE_BREAKS):
         return None
     raw = np.frombuffer(data, np.uint8)
@@ -295,7 +303,8 @@ def _parse_regular(path, data):
     t, u = times[order], user[order]
     if np.any((t[1:] < t[:-1]) & (u[1:] == u[:-1])):
         order = order[np.lexsort((t, u))]             # stable: ties keep file order
-    return user_ids, item_ids, item[order] + 1, times[order], np.bincount(user)
+    return InteractionDataset(user_ids, item[order] + 1, times[order], np.bincount(user),
+                              dict(zip(item_ids, range(1, len(item_ids) + 1))))
 
 
 def _ascii_digits(raw, starts, ends):
@@ -363,41 +372,28 @@ def _decode_fields(raw, starts, ends):
 
 def filter_min_interactions(ds, k):
     """Iteratively drop users with < k interactions and items occurring
-    < k times, until a fixpoint; the vocabulary is re-densified."""
+    < k times, until a fixpoint; the vocabulary is re-densified in
+    first-seen order over the kept events."""
     if k < 3:
         raise IngestError(f"filter_min_interactions: k must be >= 3, got {k}")
-    inv_vocab = {v: key for key, v in ds.vocab.items()}
-    users = [(u.user_id, list(u.item_indices), list(u.timestamps)) for u in ds.users]
-
+    user = np.repeat(np.arange(len(ds.counts)), ds.counts)
+    keep = np.ones(len(ds.items), dtype=bool)
     while True:
-        users = [(uid, items, tss) for uid, items, tss in users if len(items) >= k]
-        counts = {}
-        for _, items, _ in users:
-            for it in items:
-                counts[it] = counts.get(it, 0) + 1
-        bad = {it for it, c in counts.items() if c < k}
-        if not bad:
+        keep &= np.bincount(user[keep], minlength=len(ds.counts))[user] >= k
+        rare = keep & (np.bincount(ds.items[keep], minlength=ds.vocab_size)[ds.items] < k)
+        if not rare.any():
             break
-        pruned = []
-        for uid, items, tss in users:
-            kept = [(it, ts) for it, ts in zip(items, tss) if it not in bad]
-            pruned.append((uid, [it for it, _ in kept], [ts for _, ts in kept]))
-        users = pruned
-
-    if not users:
+        keep &= ~rare
+    items = ds.items[keep]
+    if not items.size:
         raise IngestError("dataset exhausted by filtering")
-
-    new_vocab = {}
-    out = []
-    for uid, items, tss in users:
-        remapped = []
-        for it in items:
-            iid = inv_vocab[it]
-            if iid not in new_vocab:
-                new_vocab[iid] = len(new_vocab) + 1
-            remapped.append(new_vocab[iid])
-        out.append(UserRecord(uid, remapped, tss))
-    return InteractionDataset(users=out, vocab=new_vocab)
+    dense, first = _first_seen([items])
+    item_id = {v: key for key, v in ds.vocab.items()}
+    vocab = {item_id[v]: j for j, v in enumerate(items[first].tolist(), 1)}
+    counts = np.bincount(user[keep], minlength=len(ds.counts))
+    kept = np.flatnonzero(counts)
+    return InteractionDataset([ds.user_ids[u] for u in kept], dense + 1, ds.times[keep],
+                              counts[kept], vocab)
 
 
 def leave_one_out_split(ds):
@@ -406,21 +402,19 @@ def leave_one_out_split(ds):
 
     A user [v1..vn] yields train pairs (v1..v_{j-1} -> v_j) for 2 <= j <= n-2,
     so train, valid and test targets plus the first item partition the user's
-    interactions exactly. All three parts index one copy of the events, user
-    by user, with targets ascending within a user.
+    interactions exactly. All three parts index the dataset's own event
+    arrays, with targets ascending within a user.
     """
-    n = np.fromiter((len(u) for u in ds.users), np.int64, len(ds.users))
+    n = ds.counts
     short = np.flatnonzero(n < 3)
     if short.size:
-        u = ds.users[short[0]]
-        raise IngestError(f"leave_one_out_split: user {u.user_id} has {len(u)} < 3 interactions")
+        u = short[0]
+        raise IngestError(
+            f"leave_one_out_split: user {ds.user_ids[u]} has {n[u]} < 3 interactions")
     start = np.cumsum(n) - n
-    user_ids = [u.user_id for u in ds.users]
-    items = np.fromiter((v for u in ds.users for v in u.item_indices), np.int64, n.sum())
-    times = np.fromiter((t for u in ds.users for t in u.timestamps), np.int64, n.sum())
 
     def part(user, end):
-        return Examples(user_ids, items, times, start[user], end, user)
+        return Examples(ds.user_ids, ds.items, ds.times, start[user], end, user)
 
     users = np.arange(len(n))
     per = n - 3                               # train pairs per user
@@ -630,7 +624,7 @@ def synth_shift_generate(spec, seed):
         users.append(UserRecord(f"u{u}", items, tss))
 
     vocab = {f"i{j}": j for j in range(1, spec.n_items + 1)}
-    return InteractionDataset(users=users, vocab=vocab)
+    return InteractionDataset.of(users, vocab)
 
 
 def _event_times(rng, start, end, switch_t, n_ev, gap_pre, gap_post):
@@ -658,11 +652,11 @@ def _event_times(rng, start, end, switch_t, n_ev, gap_pre, gap_post):
 def write_tsv(ds, path):
     """Serialize a dataset back to the TSV interchange format."""
     inv = {v: k for k, v in ds.vocab.items()}
+    user_ids = np.repeat(np.array(ds.user_ids, dtype=object), ds.counts)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(TSV_COLUMNS) + "\n")
-        for u in ds.users:
-            for it, ts in zip(u.item_indices, u.timestamps):
-                fh.write(f"{u.user_id}\t{inv[it]}\t{ts}\n")
+        for uid, it, ts in zip(user_ids.tolist(), ds.items.tolist(), ds.times.tolist()):
+            fh.write(f"{uid}\t{inv[it]}\t{ts}\n")
 
 
 def median_positive_interval(examples):

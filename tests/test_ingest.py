@@ -1,10 +1,11 @@
 import dataclasses
+import hashlib
 import os
 
 import numpy as np
 import pytest
 
-from alignrec import ingest
+from alignrec import ingest, pipeline
 from alignrec.ingest import (Example, GeneratorSpec, IngestError,
                              InteractionDataset, UserRecord)
 
@@ -172,19 +173,57 @@ def mk_user(uid, items, start=0, step=10):
     return UserRecord(uid, list(items), [start + step * i for i in range(len(items))])
 
 
+def random_filter_input(rng):
+    """(users, vocab) with users of 2 to 7 events and a long tail of rare
+    items, so that pruning at k=4 often takes several rounds."""
+    users = []
+    for u in range(int(rng.integers(15, 40))):
+        n = int(rng.integers(2, 8))
+        tss = np.cumsum(rng.integers(0, 5, n)).tolist()
+        users.append(UserRecord(f"u{u}", rng.geometric(0.1, n).tolist(), tss))
+    top = max(max(u.item_indices) for u in users)
+    return users, {f"i{j}": j for j in range(1, top + 1)}
+
+
+def brute_force_filter(users, vocab, k):
+    """(user id, item ids, timestamps) of each kept user, the vocabulary
+    re-densified in first-seen order, and the number of item-pruning rounds,
+    by alternating the two filters until nothing changes."""
+    name = {v: key for key, v in vocab.items()}
+    recs = {u.user_id: list(zip(u.item_indices, u.timestamps)) for u in users}
+    rounds = 0
+    while True:
+        recs = {uid: r for uid, r in recs.items() if len(r) >= k}
+        counts = {}
+        for r in recs.values():
+            for it, _ in r:
+                counts[it] = counts.get(it, 0) + 1
+        bad = {it for it, c in counts.items() if c < k}
+        if not bad:
+            break
+        rounds += 1
+        recs = {uid: [(it, ts) for it, ts in r if it not in bad] for uid, r in recs.items()}
+    new_vocab = {}
+    for r in recs.values():
+        for it, _ in r:
+            new_vocab.setdefault(name[it], len(new_vocab) + 1)
+    kept = [(uid, [name[it] for it, _ in r], [ts for _, ts in r]) for uid, r in recs.items()]
+    return kept, new_vocab, rounds
+
+
 class TestFilter:
     def test_short_user_removed(self):
-        ds = InteractionDataset(
-            users=[mk_user("long1", [1, 2] * 5), mk_user("long2", [1, 2] * 5),
-                   mk_user("short", [1, 2] * 4 + [1])],
-            vocab={"a": 1, "b": 2})
+        ds = InteractionDataset.of(
+            [mk_user("long1", [1, 2] * 5), mk_user("long2", [1, 2] * 5),
+             mk_user("short", [1, 2] * 4 + [1])],
+            {"a": 1, "b": 2})
         out = ingest.filter_min_interactions(ds, 10)
         assert [u.user_id for u in out.users] == ["long1", "long2"]
 
     def test_fixpoint_identity(self):
-        ds = InteractionDataset(
-            users=[mk_user(f"u{i}", [1, 2, 3] * 3) for i in range(3)],
-            vocab={"a": 1, "b": 2, "c": 3})
+        ds = InteractionDataset.of(
+            [mk_user(f"u{i}", [1, 2, 3] * 3) for i in range(3)],
+            {"a": 1, "b": 2, "c": 3})
         out = ingest.filter_min_interactions(ds, 3)
         assert [u.item_indices for u in out.users] == [u.item_indices for u in ds.users]
 
@@ -195,62 +234,61 @@ class TestFilter:
             mk_user("b", [1, 2, 1, 2, 1]),
             mk_user("c", [1, 2, 1, 2, 2]),
         ]
-        ds = InteractionDataset(users=users, vocab={"x": 1, "y": 2, "z": 3})
-        out = ingest.filter_min_interactions(ds, 5)
-
-        # brute-force oracle: alternate the two filters until nothing changes
-        recs = {u.user_id: list(u.item_indices) for u in users}
-        while True:
-            recs = {uid: r for uid, r in recs.items() if len(r) >= 5}
-            counts = {}
-            for r in recs.values():
-                for it in r:
-                    counts[it] = counts.get(it, 0) + 1
-            bad = {it for it, c in counts.items() if c < 5}
-            pruned = {uid: [it for it in r if it not in bad] for uid, r in recs.items()}
-            if pruned == recs and not bad:
-                break
-            recs = pruned
-
-        back = {v: k for k, v in out.vocab.items()}
-        orig = {"x": 1, "y": 2, "z": 3}
-        got = {u.user_id: [orig[back[i]] for i in u.item_indices] for u in out.users}
-        assert got == recs
-        assert set(got) == {"b", "c"}
+        cases = [(users, {"x": 1, "y": 2, "z": 3}, 5)]
+        for seed in range(10):
+            cases.append((*random_filter_input(np.random.default_rng(seed)), 4))
+        kept, rounds = [], []
+        for users, vocab, k in cases:
+            ds = InteractionDataset.of(users, vocab)
+            want, want_vocab, n = brute_force_filter(users, vocab, k)
+            kept.append([uid for uid, _, _ in want])
+            rounds.append(n)
+            if not want:
+                with pytest.raises(IngestError, match="exhausted"):
+                    ingest.filter_min_interactions(ds, k)
+                continue
+            out = ingest.filter_min_interactions(ds, k)
+            back = {v: key for key, v in out.vocab.items()}
+            got = [(u.user_id, [back[i] for i in u.item_indices], u.timestamps)
+                   for u in out.users]
+            assert got == want
+            assert list(out.vocab.items()) == list(want_vocab.items())
+        assert kept[0] == ["b", "c"]
+        assert max(rounds) >= 3
 
     def test_two_pruning_rounds(self):
         # item 3 is rare; pruning it drops u1, which leaves item 2 rare; pruning
         # that drops u2 and u3
         users = [mk_user("u1", [3, 2, 1]), mk_user("u2", [2, 1, 1]),
                  mk_user("u3", [2, 1, 1]), mk_user("u4", [1, 1, 1, 1])]
-        ds = InteractionDataset(users=users, vocab={"x": 1, "y": 2, "z": 3})
+        ds = InteractionDataset.of(users, {"x": 1, "y": 2, "z": 3})
         out = ingest.filter_min_interactions(ds, 3)
         assert [u.user_id for u in out.users] == ["u4"]
         assert out.vocab == {"x": 1}
         assert out.users[0].item_indices == [1, 1, 1, 1]
 
     def test_exhausted_dataset_raises(self):
-        ds = InteractionDataset(users=[mk_user("u", [1, 2, 3])], vocab={"a": 1, "b": 2, "c": 3})
+        ds = InteractionDataset.of([mk_user("u", [1, 2, 3])], {"a": 1, "b": 2, "c": 3})
         with pytest.raises(IngestError, match="exhausted"):
             ingest.filter_min_interactions(ds, 4)
 
     def test_k_below_three_rejected(self):
-        ds = InteractionDataset(users=[mk_user("u", [1] * 5)], vocab={"a": 1})
+        ds = InteractionDataset.of([mk_user("u", [1] * 5)], {"a": 1})
         with pytest.raises(IngestError):
             ingest.filter_min_interactions(ds, 2)
 
     def test_vocab_redensified(self):
         users = [mk_user("a", [1, 3, 1, 3, 1, 3, 1, 3, 3]),
                  mk_user("b", [1, 3, 1, 3, 1, 3, 1, 3, 1])]
-        ds = InteractionDataset(users=users, vocab={"x": 1, "y": 2, "z": 3})
+        ds = InteractionDataset.of(users, {"x": 1, "y": 2, "z": 3})
         out = ingest.filter_min_interactions(ds, 3)
         assert sorted(out.vocab.values()) == list(range(1, len(out.vocab) + 1))
 
 
 class TestSplit:
     def test_four_item_user(self):
-        ds = InteractionDataset(users=[mk_user("u", [1, 2, 3, 4])],
-                                vocab={"a": 1, "b": 2, "c": 3, "d": 4})
+        ds = InteractionDataset.of([mk_user("u", [1, 2, 3, 4])],
+                                   {"a": 1, "b": 2, "c": 3, "d": 4})
         sp = ingest.leave_one_out_split(ds)
         assert sp.test[0].items == [1, 2, 3] and sp.test[0].target_item == 4
         assert sp.valid[0].items == [1, 2] and sp.valid[0].target_item == 3
@@ -260,8 +298,8 @@ class TestSplit:
     def test_three_item_user_has_no_train_pair(self):
         # the remaining prefix after holding out valid+test is a single item,
         # which cannot form an input->target pair
-        ds = InteractionDataset(users=[mk_user("u", [1, 2, 3])],
-                                vocab={"a": 1, "b": 2, "c": 3})
+        ds = InteractionDataset.of([mk_user("u", [1, 2, 3])],
+                                   {"a": 1, "b": 2, "c": 3})
         sp = ingest.leave_one_out_split(ds)
         assert len(sp.train) == 0
         assert sp.valid[0].target_item == 2 and sp.test[0].target_item == 3
@@ -271,12 +309,12 @@ class TestSplit:
         for i in range(100):
             n = int(rng.integers(3, 12))
             users.append(mk_user(f"u{i}", rng.integers(1, 9, n).tolist()))
-        ds = InteractionDataset(users=users, vocab={f"i{j}": j for j in range(1, 9)})
+        ds = InteractionDataset.of(users, {f"i{j}": j for j in range(1, 9)})
         sp = ingest.leave_one_out_split(ds)
-        assert len(sp.train) == sum(max(0, len(u) - 3) for u in users)
+        assert len(sp.train) == sum(max(0, len(u.item_indices) - 3) for u in users)
 
     def test_too_short_user_rejected(self):
-        ds = InteractionDataset(users=[mk_user("u", [1, 2])], vocab={"a": 1, "b": 2})
+        ds = InteractionDataset.of([mk_user("u", [1, 2])], {"a": 1, "b": 2})
         with pytest.raises(IngestError):
             ingest.leave_one_out_split(ds)
 
@@ -285,7 +323,7 @@ class TestSplit:
         for i in range(30):
             n = int(rng.integers(3, 9))
             users.append(mk_user(f"u{i}", rng.integers(1, 7, n).tolist(), start=i * 1000))
-        ds = InteractionDataset(users=users, vocab={f"i{j}": j for j in range(1, 7)})
+        ds = InteractionDataset.of(users, {f"i{j}": j for j in range(1, 7)})
         sp = ingest.leave_one_out_split(ds)
         seen = []
         for ex in [*sp.train, *sp.valid, *sp.test]:
@@ -441,9 +479,28 @@ class TestGenerator:
         ds = ingest.synth_shift_generate(spec, seed=4)
         path = tmp_path / "ds.tsv"
         ingest.write_tsv(ds, str(path))
-        back = ingest.load_tsv(str(path))
-        assert back.n_interactions == ds.n_interactions
-        assert len(back.users) == len(ds.users)
+        assert events(ingest.load_tsv(str(path))) == events(ds)
+
+    @pytest.mark.parametrize("generator, digest", [
+        (pipeline.SHIFT_EXPERIMENT_CONFIG["data"]["generator"],
+         "bc38a4c990b6018fd4ad3f10c6701f7e75d14d9af3f4c9eede9ef73deeb5cb54"),
+        # tools/byte_identity.py's tiny shapes
+        ({"n_users": 40, "n_items": 30, "n_clusters": 3, "min_events": 8, "max_events": 12},
+         "1a4a65481ab1e844641430025acf5978f1902cb1b7618967b8faa3f0b1544cbc"),
+    ])
+    def test_written_bytes_are_pinned(self, tmp_path, generator, digest):
+        # the data of acceptance criteria 6 and 7 and of the benchmark's inputs
+        path = tmp_path / "ds.tsv"
+        ingest.write_tsv(ingest.synth_shift_generate(GeneratorSpec(**generator), seed=0),
+                         str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def events(ds):
+    """(user id, item id, timestamp) of every event, in the dataset's order."""
+    name = {v: k for k, v in ds.vocab.items()}
+    return [(u.user_id, name[i], t) for u in ds.users
+            for i, t in zip(u.item_indices, u.timestamps)]
 
 
 def test_median_positive_interval():
@@ -497,7 +554,7 @@ def random_split(rng, n_users, max_events, t_choices):
         tss = np.cumsum(rng.choice(t_choices, n)).tolist()   # ties and zero gaps
         users.append(UserRecord(f"u{u}", rng.integers(1, 9, n).tolist(), tss))
     return ingest.leave_one_out_split(
-        InteractionDataset(users=users, vocab={f"i{j}": j for j in range(1, 9)}))
+        InteractionDataset.of(users, {f"i{j}": j for j in range(1, 9)}))
 
 
 def assert_batches_match_loop(examples, max_len, batch_size):
@@ -550,15 +607,29 @@ class TestAgainstLoops:
 
 class TestExamples:
     def test_parts_share_one_copy_of_the_events(self):
-        ds = InteractionDataset(users=[mk_user("u", [1, 2, 3, 4, 5]), mk_user("v", [6, 7, 8])],
-                                vocab={f"i{j}": j for j in range(1, 9)})
+        ds = InteractionDataset.of([mk_user("u", [1, 2, 3, 4, 5]), mk_user("v", [6, 7, 8])],
+                                   {f"i{j}": j for j in range(1, 9)})
         sp = ingest.leave_one_out_split(ds)
+        assert sp.test.items is ds.items and sp.test.times is ds.times
         assert sp.train.items is sp.test.items and sp.valid.times is sp.test.times
         assert [ex.items for ex in sp.train] == [[1], [1, 2]]
         sub = sp.test[np.array([1])]
         assert len(sub) == 1 and sub[0] == Example("v", [6, 7], [0, 10], 8, 20)
         assert sub.items is sp.test.items
         assert [ex.user_id for ex in sp.valid[-1:]] == ["v"]
+
+    def test_load_filter_split_build_no_user_records(self, tmp_path, monkeypatch):
+        spec = GeneratorSpec(n_users=30, n_items=40, n_clusters=4, min_events=4, max_events=9)
+        path = str(tmp_path / "ds.tsv")
+        ingest.write_tsv(ingest.synth_shift_generate(spec, seed=2), path)
+
+        def refuse(*args):
+            raise AssertionError("a UserRecord was built")
+        monkeypatch.setattr(ingest, "UserRecord", refuse)
+        loaded = ingest.load_tsv(path)
+        ds = ingest.filter_min_interactions(loaded, 3)
+        sp = ingest.leave_one_out_split(ds)
+        assert len(sp.test) == len(ds.user_ids) and sp.test.items is ds.items
 
     def test_of_is_identity_on_examples(self, rng):
         from conftest import random_examples
@@ -569,8 +640,8 @@ class TestExamples:
 
     def test_split_and_median_use_linear_memory(self):
         import tracemalloc
-        ds = InteractionDataset(users=[mk_user("u", [1 + i % 7 for i in range(3000)])],
-                                vocab={f"i{j}": j for j in range(1, 8)})
+        ds = InteractionDataset.of([mk_user("u", [1 + i % 7 for i in range(3000)])],
+                                   {f"i{j}": j for j in range(1, 8)})
         tracemalloc.start()
         try:
             sp = ingest.leave_one_out_split(ds)
@@ -717,12 +788,6 @@ class TestByteParse:
             path = write_bytes(tmp_path, HEADER + b"v\tlonger-item-id\t3\n" + tail)
             assert outcome(lambda: ingest.load_tsv(path)) == reference_outcome(path)
 
-    def test_item_indices_are_the_vocabulary_objects(self, tmp_path):
-        data = HEADER + "".join(f"u{i % 7}\ti{i % 300}\t{i}\n" for i in range(2000)).encode()
-        ds = ingest.load_tsv(write_bytes(tmp_path, data))
-        shared = {id(v) for v in ds.vocab.values()}
-        assert all(id(v) in shared for u in ds.users for v in u.item_indices)
-
     def test_traced_peak_at_the_catalog_shape(self, tmp_path):
         import tracemalloc
         # the generator shape of the adapt-catalog benchmark: about 80k lines
@@ -766,3 +831,41 @@ class TestBlockBatches:
     def test_batch_size_below_one_rejected(self):
         with pytest.raises(IngestError, match="batch_size must be >= 1"):
             ingest.make_batches([Example("u", [1], [10], 2, 20)], max_len=4, batch_size=0)
+
+
+def filtered_generator_data(tmp_path, rng):
+    spec = GeneratorSpec(n_users=30, n_items=60, n_clusters=3, min_events=3, max_events=12,
+                         noise_rate=0.3)
+    ds = ingest.synth_shift_generate(spec, seed=int(rng.integers(1000)))
+    return ingest.filter_min_interactions(ds, 4)
+
+
+def irregular_tsv_data(tmp_path, rng):
+    lines = random_tsv_lines(rng)
+    IRREGULAR["crlf"](lines, 1)
+    return ingest.load_tsv(write_tsv_text(tmp_path, lines, rng))
+
+
+PRODUCERS = {
+    "regular-tsv": lambda tmp_path, rng: ingest.load_tsv(
+        write_tsv_text(tmp_path, random_tsv_lines(rng), rng)),
+    "irregular-tsv": irregular_tsv_data,
+    "generator": lambda tmp_path, rng: ingest.synth_shift_generate(
+        GeneratorSpec(n_users=20, n_items=30, n_clusters=3, min_events=3, max_events=12),
+        seed=int(rng.integers(1000))),
+    "filter": filtered_generator_data,
+    "of": lambda tmp_path, rng: InteractionDataset.of(*random_filter_input(rng)),
+}
+
+
+@pytest.mark.parametrize("producer", sorted(PRODUCERS))
+def test_every_producer_gives_the_event_layout(tmp_path, producer):
+    for seed in range(5):
+        ds = PRODUCERS[producer](tmp_path, np.random.default_rng(seed))
+        assert ds.items.dtype == ds.times.dtype == ds.counts.dtype == np.int64
+        assert ds.counts.sum() == len(ds.items) == len(ds.times)
+        assert len(ds.user_ids) == len(ds.counts)
+        user = np.repeat(np.arange(len(ds.counts)), ds.counts)
+        assert np.all((np.diff(ds.times) >= 0) | (np.diff(user) != 0))
+        assert ds.items.min() >= 1 and ds.items.max() <= len(ds.vocab)
+        assert sorted(ds.vocab.values()) == list(range(1, len(ds.vocab) + 1))

@@ -8,12 +8,14 @@ each in its own subprocess that imports alignrec from that tree's `src/`.
 Each shape's data is generated, written as a TSV in a temporary directory
 and read back with `ingest.load_tsv`, as the benchmark does, so the loader
 is compared too.
-For every shape it records the resolved time-loss scale lam and the five
-arrays of each request batch, so that a split or batching difference is named
-directly. For every shape, adaptation config and request batch it records the
-adapted logits, their metric rows at k=10 (recall, reciprocal rank, NDCG,
-rank; `evaluation.batch_rank_metrics`), the AdaptReport's per-step losses,
-clamp warnings and abort flag, and the checkpoint digest after the request.
+For every shape it records the split (the shared `items` and `times` and
+each part's `first`, `end` and `user`), the resolved time-loss scale lam and
+the five arrays of each request batch, so that a loader, filter, split or
+batching difference is named directly, in any batch. For every shape,
+adaptation config and request batch it records the adapted logits, their
+metric rows at k=10 (recall, reciprocal rank, NDCG, rank;
+`evaluation.batch_rank_metrics`), the AdaptReport's per-step losses, clamp
+warnings and abort flag, and the checkpoint digest after the request.
 Every request batch's frozen metric rows (`adapt.evaluate_frozen`) are
 recorded once per shape, so a change to the ranking shows even where
 adaptation aborts. The two record sets are
@@ -96,8 +98,8 @@ def _write_data(generator, seed, tmp):
 
 
 def _load_shape(name, seed, tmp):
-    """(params, weights, request batches, adaptation config) of one shape,
-    its data read from a TSV written under `tmp`."""
+    """(params, weights, split, request batches, adaptation config) of one
+    shape, its data read from a TSV written under `tmp`."""
     from alignrec import ingest, pipeline
     from alignrec.config import load_config
 
@@ -107,7 +109,7 @@ def _load_shape(name, seed, tmp):
             "seed": seed, "data": {"path": _write_data(shift["data"]["generator"], seed, tmp)},
             "train": {"epochs": 1, "eval_every": 1}})
         params, weights, split, _ = pipeline.train_model(cfg)
-        return params, weights, pipeline.test_batches(cfg, split)[:N_BATCHES], cfg.adapt
+        return params, weights, split, pipeline.test_batches(cfg, split)[:N_BATCHES], cfg.adapt
 
     if name in SMOKE_SHAPES:
         w = SMOKE_SHAPES[name]
@@ -133,7 +135,7 @@ def _load_shape(name, seed, tmp):
         weights = pipeline.resolve_weights(cfg, split.train)
         params = pipeline.build_model(cfg, ds.vocab_size, np.random.default_rng(seed))
     batches = pipeline.test_batches(cfg, split)[:N_BATCHES]
-    return params, weights, batches, cfg.adapt
+    return params, weights, split, batches, cfg.adapt
 
 
 def worker(src, shapes, seed, out):
@@ -149,12 +151,17 @@ def worker(src, shapes, seed, out):
     record = {}
     for shape in shapes:
         with tempfile.TemporaryDirectory() as tmp:
-            params, weights, batches, base = _load_shape(shape, seed, tmp)
+            params, weights, split, batches, base = _load_shape(shape, seed, tmp)
         E = params["E"].data
         top = np.finfo(E.dtype).max * ABORT_FRACTION
         bad = params.overlay()
         bad.tensors["E"] = ag.Tensor(E / np.abs(E).max() * E.dtype.type(top),
                                      requires_grad=True)
+        record[f"{shape}/split/items"] = split.test.items
+        record[f"{shape}/split/times"] = split.test.times
+        for part in ("train", "valid", "test"):
+            for f in ("first", "end", "user"):
+                record[f"{shape}/split/{part}/{f}"] = getattr(getattr(split, part), f)
         record[f"{shape}/lam"] = np.asarray(weights.lam)
         for i, batch in enumerate(batches):
             for f in dataclasses.fields(batch):
