@@ -128,7 +128,7 @@ def evaluate_with_adaptation(params, batches, cfg, weights, k=10):
         logits, report = adapt_and_predict(params, batch, cfg, weights)
         rows.append(batch_rank_metrics(logits, batch.target_item, k))
         reports.append(report)
-    per_example = np.concatenate(rows, axis=0) if rows else np.zeros((0, 3))
+    per_example = np.concatenate(rows, axis=0) if rows else np.zeros((0, 4))
     return per_example, reports
 
 
@@ -138,4 +138,4 @@ def evaluate_frozen(params, batches, k=10):
         rows = [batch_rank_metrics(
             forward_full(params, b, training=False, need_extension=False).logits.data,
             b.target_item, k) for b in batches]
-    return np.concatenate(rows, axis=0) if rows else np.zeros((0, 3))
+    return np.concatenate(rows, axis=0) if rows else np.zeros((0, 4))

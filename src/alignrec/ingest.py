@@ -141,13 +141,17 @@ class Batch:
     T has L+1 columns: column j holds the time gap ending at position j,
     with the row's first valid position set to 0 (no earlier event is
     known) and column L holding target_timestamp - last input timestamp.
-    t_elig marks the T columns that participate in the pairwise time loss.
     """
     items: np.ndarray             # (m, L) int64
     mask: np.ndarray              # (m, L) bool
     target_item: np.ndarray       # (m,) int64
     T: np.ndarray                 # (m, L+1) float64
-    t_elig: np.ndarray            # (m, L+1) bool
+
+    @property
+    def t_elig(self):
+        """(m, L+1) bool, [False | mask]: the T columns whose gap starts at
+        an input, which the pairwise time loss compares."""
+        return np.concatenate([np.zeros((self.size, 1), dtype=bool), self.mask], axis=1)
 
     @property
     def size(self):
@@ -463,8 +467,7 @@ def make_batches(examples, max_len, batch_size, pad_side="left"):
             batches.append(Batch(items=block.items[rows, cols].copy(),
                                  mask=block.mask[rows, cols].copy(),
                                  target_item=block.target_item[rows].copy(),
-                                 T=block.T[rows, cols].copy(),
-                                 t_elig=block.t_elig[rows, cols].copy()))
+                                 T=block.T[rows, cols].copy()))
     return batches
 
 
@@ -483,13 +486,10 @@ def _build_batch(chunk, max_len):
     pos = np.maximum(end[:, None] - L + np.arange(L), 0)   # padded slots read any event
     items = np.where(mask, chunk.items[pos], PAD_INDEX)
     T = np.zeros((len(chunk), L + 1), dtype=np.float64)
-    elig = np.zeros((len(chunk), L + 1), dtype=bool)
-    elig[:, 1:L] = mask[:, :-1]
     # gaps as integers first, float only afterwards
-    T[:, 1:L] = np.where(elig[:, 1:L], np.diff(chunk.times[pos], axis=1), 0)
+    T[:, 1:L] = np.where(mask[:, :-1], np.diff(chunk.times[pos], axis=1), 0)
     T[:, L] = target - last
-    elig[:, L] = True
-    return Batch(items=items, mask=mask, target_item=chunk.items[end], T=T, t_elig=elig)
+    return Batch(items=items, mask=mask, target_item=chunk.items[end], T=T)
 
 
 def segment_indices_by_time(examples, k):
@@ -503,15 +503,8 @@ def segment_indices_by_time(examples, k):
     if k > len(examples):
         raise IngestError(f"segment_indices_by_time: k={k} exceeds {len(examples)} examples")
     ex = Examples.of(examples)
-    order = np.argsort(ex.times[ex.end], kind="stable").tolist()
-    n = len(order)
-    base, rem = divmod(n, k)
-    groups, pos = [], 0
-    for g in range(k):
-        size = base + (1 if g < rem else 0)
-        groups.append(order[pos:pos + size])
-        pos += size
-    return groups
+    order = np.argsort(ex.times[ex.end], kind="stable")
+    return [g.tolist() for g in np.array_split(order, k)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Training and adaptation objectives.
 
-Three losses: next-item cross-entropy, a blocked pairwise hinge aligning the
-learned step sizes with observed time gaps, and a state-reconstruction loss
-comparing the final scan state with its forward-then-backward estimate. The
-bound evaluator gives an independent numeric ceiling for the state loss.
+Three losses: next-item cross-entropy, a blocked pairwise hinge over a band
+of pairs aligning the learned step sizes with observed time gaps, and a
+state-reconstruction loss (the final scan state against its forward-then-
+backward estimate) with an independent numeric ceiling from the bound.
 """
 
 from __future__ import annotations
@@ -69,6 +69,10 @@ def time_alignment_loss(delta_full, T, elig, lam, block_size):
     blocks of block_size; pairs never cross blocks. The result is the sum
     of hinge terms over the total number of valid pairs; with no valid
     pairs the loss is an exact zero with no gradient.
+
+    The pairs come from a band, not an (m, L+1, L+1) mask: each eligible
+    entry is compared with the next min(block_size, L+1) - 1 only, so time
+    and memory are O(m (L+1) block_size). Pairs come in (row, i, j) order.
     """
     elig = np.asarray(elig, dtype=bool)
     T = np.asarray(T, dtype=np.float64)
@@ -78,20 +82,21 @@ def time_alignment_loss(delta_full, T, elig, lam, block_size):
             f"time_alignment_loss: shapes delta {delta_full.data.shape}, "
             f"T {T.shape}, elig {elig.shape} do not agree")
 
-    # ordinal position of each eligible entry within its row -> block id
-    ordinal = np.cumsum(elig, axis=1) - 1
-    block_id = np.where(elig, ordinal // block_size, -1)
-
-    same = (block_id[:, :, None] == block_id[:, None, :]) & (block_id[:, :, None] >= 0)
-    iu = np.triu(np.ones((n_cols, n_cols), dtype=bool), k=1)
-    pair_mask = same & iu
-    rows, pi, pj = np.nonzero(pair_mask)
-    n_pairs = rows.size
+    # in row-major order the entries of one (row, block) key are consecutive,
+    # so entry a pairs with those of the next `width` entries sharing its key
+    entries = np.flatnonzero(elig)
+    width = min(block_size, n_cols) - 1
+    ordinal = np.cumsum(elig, axis=1).reshape(-1)[entries] - 1
+    key = entries // n_cols * n_cols + ordinal // block_size
+    ahead = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([key, np.full(width + 1, -1)]), width + 1)[:-1, 1:]
+    a, k = np.nonzero(ahead == key[:, None])
+    n_pairs = a.size
     if n_pairs == 0:
         return ag.constant(np.zeros((), dtype=delta_full.data.dtype)), 0
 
-    flat_i = rows * n_cols + pi
-    flat_j = rows * n_cols + pj
+    flat_i = entries[a]
+    flat_j = entries[a + k + 1]
     flat = ag.reshape(delta_full, (-1,))
     d_i = flat[flat_i]
     d_j = flat[flat_j]

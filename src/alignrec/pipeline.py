@@ -24,13 +24,13 @@ class PipelineError(RuntimeError):
     pass
 
 
-def load_dataset(cfg, seed=None):
+def load_dataset(cfg):
     """Materialize the dataset named by the config (file or generator)."""
     if cfg.data.path:
         ds = ingest.load_tsv(cfg.data.path)
     else:
         spec = generator_spec(cfg)
-        ds = ingest.synth_shift_generate(spec, seed=cfg.seed if seed is None else seed)
+        ds = ingest.synth_shift_generate(spec, seed=cfg.seed)
     if cfg.data.min_interactions:
         ds = ingest.filter_min_interactions(ds, cfg.data.min_interactions)
     return ds

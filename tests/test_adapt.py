@@ -184,6 +184,16 @@ class TestEvaluateWithAdaptation:
         poisoned, _ = adapt.adapt_and_predict(params, batch, cfg, weights)
         assert np.array_equal(ref, poisoned)
 
+    def test_no_batches_give_rows_of_the_same_width(self, setup):
+        params, _, batches, weights = setup
+        cfg = AdaptConfig(steps=1, lr=0.1)
+        frozen = adapt.evaluate_frozen(params, batches[:1])
+        adapted, _ = adapt.evaluate_with_adaptation(params, batches[:1], cfg, weights)
+        assert frozen.shape[1] == adapted.shape[1] == 4
+        empty, reports = adapt.evaluate_with_adaptation(params, [], cfg, weights)
+        assert empty.shape == adapt.evaluate_frozen(params, []).shape == (0, 4)
+        assert empty.dtype == frozen.dtype and reports == []
+
     def test_noop_config_reproduces_frozen_metrics(self, setup):
         params, _, batches, weights = setup
         frozen = adapt.evaluate_frozen(params, batches)

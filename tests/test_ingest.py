@@ -395,7 +395,7 @@ class TestBatches:
         exs = random_examples(rng, n_examples=30, max_len=8)
         for b in ingest.make_batches(exs, max_len=6, batch_size=7):
             assert np.all(b.T[b.t_elig] >= 0.0)
-            assert np.all(b.T[0 == b.t_elig.astype(int)] == 0.0) or True
+            assert np.all(b.T[~b.t_elig] == 0.0)
             # first valid position carries an explicit zero
             for i in range(b.size):
                 first = b.seq_len - int(b.mask[i].sum())
@@ -425,6 +425,17 @@ class TestSegments:
         segs = ingest.segment_indices_by_time(exs, 4)
         flat = [exs[i].target_timestamp for s in segs for i in s]
         assert flat == sorted(e.target_timestamp for e in exs)
+
+    def test_groups_are_contiguous_runs_of_the_sorted_order(self, rng):
+        for n in range(2, 24):
+            exs = self.mk(rng.integers(0, 50, n).tolist())
+            order = sorted(range(n), key=lambda i: exs[i].target_timestamp)
+            for k in range(2, n + 1):
+                segs = ingest.segment_indices_by_time(exs, k)
+                sizes = [n // k + (g < n % k) for g in range(k)]
+                starts = np.cumsum([0] + sizes).tolist()
+                assert segs == [order[a:b] for a, b in zip(starts, starts[1:])]
+                assert all(type(i) is int for s in segs for i in s)
 
     def test_k_larger_than_test_rejected(self):
         with pytest.raises(IngestError, match="segment_indices_by_time"):
@@ -821,6 +832,23 @@ class TestBlockBatches:
                     g, w = getattr(b, f.name), getattr(want, f.name)
                     assert g.dtype == w.dtype and np.array_equal(g, w), f.name
                     assert g.flags.c_contiguous and g.flags.owndata, f.name
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 7, 100, 255, 256, 257, 300])
+    @pytest.mark.parametrize("max_len", [1, 4, 50])
+    def test_time_loss_columns_are_false_then_mask(self, batch_size, max_len):
+        rng = np.random.default_rng(batch_size + max_len)
+        sp = random_split(rng, n_users=60, max_events=30, t_choices=[0, 1, 7, 300])
+        part = sp.train[rng.permutation(len(sp.train))]
+        got = ingest.make_batches(part, max_len=max_len, batch_size=batch_size)
+        for k, b in enumerate(got):
+            chunk = list(part[k * batch_size:(k + 1) * batch_size])
+            want = loop_build_batch(chunk, max_len)[4]
+            assert np.array_equal(b.t_elig, want)
+            assert np.array_equal(b.t_elig, np.hstack([np.zeros((b.size, 1), bool), b.mask]))
+
+    def test_batch_stores_four_arrays(self):
+        names = [f.name for f in dataclasses.fields(ingest.Batch)]
+        assert names == ["items", "mask", "target_item", "T"]
 
     def test_non_causal_message_names_the_first_offending_row_of_a_later_block(self):
         ok = [Example(f"u{i}", [1], [10], 2, 20) for i in range(ingest._BATCH_BLOCK_ROWS + 5)]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,25 @@ def brute_force_time_loss(delta, T, elig, lam, block_size):
                     total += max(0.0, term)
                     pairs += 1
     return (total / pairs if pairs else 0.0), pairs
+
+
+def mask_time_loss(delta_full, T, elig, lam, block_size):
+    """The time loss with its pairs from np.nonzero over an (m, n, n) mask of
+    same-block, upper-triangle pairs: the enumeration the band replaced."""
+    elig = np.asarray(elig, dtype=bool)
+    m, n_cols = elig.shape
+    ordinal = np.cumsum(elig, axis=1) - 1
+    block_id = np.where(elig, ordinal // block_size, -1)
+    same = (block_id[:, :, None] == block_id[:, None, :]) & (block_id[:, :, None] >= 0)
+    rows, pi, pj = np.nonzero(same & np.triu(np.ones((n_cols, n_cols), dtype=bool), k=1))
+    if rows.size == 0:
+        return ag.constant(np.zeros((), dtype=delta_full.data.dtype)), 0
+    flat_i, flat_j = rows * n_cols + pi, rows * n_cols + pj
+    flat = ag.reshape(delta_full, (-1,))
+    t_diff = (T.reshape(-1)[flat_i] - T.reshape(-1)[flat_j]) / lam
+    margin = ag.sub(1.0, ag.mul(ag.sub(flat[flat_i], flat[flat_j]), ag.constant(
+        t_diff.astype(delta_full.data.dtype))))
+    return ag.div(ag.reduce_sum(ag.relu(margin)), float(rows.size)), rows.size
 
 
 class TestRecLoss:
@@ -150,6 +171,84 @@ class TestTimeLoss:
         rep = ag.finite_diff_check(f, {"d": d}, eps=1e-6, tol=1e-5,
                                    n_samples=10, rng=rng)
         assert rep.ok, rep.failures
+
+
+class TestTimeLossBand:
+    @staticmethod
+    def loss_and_grad(fn, delta, T, elig, lam, block_size):
+        d = ag.parameter(delta)
+        loss, pairs = fn(d, T, elig, lam, block_size)
+        g = ag.grad(loss, {"d": d}).get("d")
+        return loss.data, g, pairs
+
+    def assert_bitwise_equal(self, delta, T, elig, lam, block_size):
+        got = self.loss_and_grad(losses.time_alignment_loss, delta, T, elig, lam, block_size)
+        want = self.loss_and_grad(mask_time_loss, delta, T, elig, lam, block_size)
+        assert got[2] == want[2]
+        assert got[0].dtype == want[0].dtype and got[0].tobytes() == want[0].tobytes()
+        if want[1] is None:
+            assert got[1] is None
+        else:
+            assert got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes()
+
+    def test_band_equals_the_mask_enumeration_bitwise(self):
+        rng = np.random.default_rng(2025)
+        for trial in range(500):
+            m = int(rng.integers(1, 5))
+            n = int(rng.integers(1, 30))
+            dtype = np.float32 if trial % 2 else np.float64
+            delta = rng.normal(size=(m, n)).astype(dtype)
+            T = rng.integers(0, 500, (m, n)).astype(float)
+            elig = rng.random((m, n)) > rng.uniform(0.0, 0.9)
+            elig[rng.random(m) < 0.2] = False        # rows with no eligible entry
+            block_size = int(rng.integers(2, n + 3)) if trial % 5 else 10**9
+            self.assert_bitwise_equal(delta, T, elig, float(rng.uniform(1, 100)), block_size)
+
+    @pytest.mark.parametrize("block_size", [2, 3, 10, 10**9])
+    def test_single_column_and_empty_rows(self, block_size, rng):
+        for elig in ([[True], [False], [True]], [[False, False], [False, False]],
+                     [[False] * 6, [True] * 6]):
+            elig = np.asarray(elig)
+            delta, T = rng.normal(size=elig.shape), rng.uniform(0, 50, elig.shape)
+            self.assert_bitwise_equal(delta, T, elig, 7.0, block_size)
+
+    def test_band_on_real_batches_with_a_huge_block(self, rng):
+        for n_examples, max_len in ((5, 6), (40, 12)):
+            batch = random_batch(rng, n_examples=n_examples, max_len=max_len)
+            delta = rng.uniform(0.1, 2.0, batch.T.shape)
+            for block_size in (2, 4, 10**9):
+                self.assert_bitwise_equal(delta, batch.T, batch.t_elig, 300.0, block_size)
+
+    @staticmethod
+    def traced_peak(m, L, block_size):
+        rng = np.random.default_rng(7)
+        delta = ag.parameter(rng.uniform(0.5, 1.5, (m, L + 1)).astype(np.float32))
+        T = rng.integers(0, 1000, (m, L + 1)).astype(float)
+        elig = np.arange(L + 1) > rng.integers(0, L // 2, (m, 1))
+        tracemalloc.start()
+        try:
+            loss, pairs = losses.time_alignment_loss(delta, T, elig, 100.0, block_size)
+            ag.grad(loss, {"d": delta})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pairs > 0
+        return peak
+
+    def test_peak_memory_is_linear_in_the_band(self):
+        m, L, block_size = 8, 400, 10
+        band = m * (L + 1) * block_size
+        peak = self.traced_peak(m, L, block_size)
+        assert peak <= 64 * band, f"{peak / band:.0f} B per band entry"
+
+    def test_band_width_stays_capped_at_the_row(self):
+        # a block wider than the row pairs each entry with the rest of its
+        # row only; 10**5 rather than 10**9, so that a band which did grow
+        # with block_size fails the bound instead of exhausting memory
+        m, L = 2, 60
+        band = m * (L + 1) * (L + 1)
+        peak = self.traced_peak(m, L, 10**5)
+        assert peak <= 64 * band, f"{peak / band:.0f} B per band entry"
 
 
 class TestBackwardProjection:

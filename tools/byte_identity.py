@@ -10,7 +10,8 @@ and read back with `ingest.load_tsv`, as the benchmark does, so the loader
 is compared too.
 For every shape it records the split (the shared `items` and `times` and
 each part's `first`, `end` and `user`), the resolved time-loss scale lam and
-the five arrays of each request batch, so that a loader, filter, split or
+the five arrays of each request batch (its four fields and the
+`t_elig` derived from its mask), so that a loader, filter, split or
 batching difference is named directly, in any batch. For every shape,
 adaptation config and request batch it records the adapted logits, their
 metric rows at k=10 (recall, reciprocal rank, NDCG, rank;
@@ -164,8 +165,8 @@ def worker(src, shapes, seed, out):
                 record[f"{shape}/split/{part}/{f}"] = getattr(getattr(split, part), f)
         record[f"{shape}/lam"] = np.asarray(weights.lam)
         for i, batch in enumerate(batches):
-            for f in dataclasses.fields(batch):
-                record[f"{shape}/batch/{i}/{f.name}"] = getattr(batch, f.name)
+            for name in ("items", "mask", "target_item", "T", "t_elig"):
+                record[f"{shape}/batch/{i}/{name}"] = getattr(batch, name)
             record[f"{shape}/frozen/{i}/rows"] = adapt.evaluate_frozen(params, [batch])
         for cname, over in CONFIGS.items():
             acfg = dataclasses.replace(base, **over)
