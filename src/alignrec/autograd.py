@@ -19,18 +19,17 @@ one scratch buffer, and `linear` adds its bias and applies its row mask in
 the product's own buffer, so neither a constant mask, a bias nor a
 convolution tap costs a full-size array.
 
-Work that repeats on every call is done once or in small pieces: `einsum`
-validates its spec, derives each operand's backward spec and finds numpy's
-optimize=True contraction paths once per spec and operand shapes, and the
-embedding gradient scatters rows through the table's flat view with a 1-D
-np.add.at whose index is built a block at a time. Both give the same bits
-as numpy's optimized einsum and the 2-D np.add.at.
+Every contraction the model composes is a batched `matmul`, with
+`transpose` and a broadcast `mul` around it: the scan's readouts and final
+state, the head and the state loss's outer products. numpy runs each as one
+call with no spec to parse. The embedding gradient scatters rows through
+the table's flat view with a 1-D np.add.at whose index is built a block at
+a time; it gives the same bits as the 2-D np.add.at.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 
 import numpy as np
@@ -38,12 +37,12 @@ import numpy as np
 __all__ = [
     "Tensor", "ShapeError", "DomainError",
     "constant", "parameter",
-    "add", "sub", "neg", "mul", "div", "matmul", "linear", "exp",
+    "add", "sub", "neg", "mul", "div", "matmul", "transpose", "linear", "exp",
     "softplus", "silu", "relu", "concat", "reshape",
     "reduce_sum", "clip_min", "stop_gradient", "embedding",
     "causal_conv1d", "layer_norm", "dropout",
     "softmax_cross_entropy", "frobenius_norm",
-    "einsum", "sequential_scan", "last_decay",
+    "sequential_scan", "last_decay",
     "grad", "no_grad", "finite_diff_check", "FiniteDiffReport",
 ]
 
@@ -221,21 +220,49 @@ def div(a, b):
     return _node(out_data, (a, b), bw)
 
 
+def _swap(x):
+    return np.swapaxes(x, -1, -2)
+
+
 def matmul(a, b):
-    """a @ b with a of rank >= 2 (batched allowed) and b of rank 2."""
+    """a @ b under numpy's rules for operands of rank >= 2: the last two axes
+    multiply as matrices and the leading axes broadcast.
+
+    Each gradient is again a batched matmul, summed back over the axes its
+    operand was broadcast along. A 2-D b, a weight shared by every row of a,
+    takes its gradient as one GEMM over a's rows flattened.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} vs {b.shape}")
-    out_data = a.data @ b.data
+    try:
+        if a.data.ndim < 2 or b.data.ndim < 2:
+            raise ValueError
+        out_data = a.data @ b.data   # numpy checks the inner and leading sizes
+    except ValueError:
+        raise ShapeError(f"matmul: incompatible shapes {a.shape} vs {b.shape}") from None
 
     def bw(g, acc):
         if a.requires_grad:
-            acc(a, g @ b.data.T)
+            acc(a, _unbroadcast(g @ _swap(b.data), a.data.shape))
         if b.requires_grad:
-            ga = a.data.reshape(-1, a.data.shape[-1])
-            acc(b, ga.T @ g.reshape(-1, g.shape[-1]))
+            if b.data.ndim == 2:
+                ga = a.data.reshape(-1, a.data.shape[-1])
+                acc(b, ga.T @ g.reshape(-1, g.shape[-1]))
+            else:
+                acc(b, _unbroadcast(_swap(a.data) @ g, b.data.shape))
 
     return _node(out_data, (a, b), bw)
+
+
+def transpose(a):
+    """a with its last two axes swapped, as a view."""
+    a = _as_tensor(a)
+    if a.data.ndim < 2:
+        raise ShapeError(f"transpose: needs rank >= 2, got {a.shape}")
+
+    def bw(g, acc):
+        acc(a, _swap(g))
+
+    return _node(_swap(a.data), (a,), bw)
 
 
 def linear(x, W, b, mask=None):
@@ -271,86 +298,6 @@ def linear(x, W, b, mask=None):
             acc(W, x.data.reshape(-1, x.data.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
 
     return _node(out_data, (x, W, b), bw)
-
-
-def _parse_einsum(spec, shapes):
-    """Split an explicit einsum spec into (input terms, output term) and
-    check it against the operand shapes; every failure is a ShapeError."""
-    if spec.count("->") != 1:
-        raise ShapeError(f"einsum: spec {spec!r} needs exactly one '->'")
-    lhs, out = spec.split("->")
-    terms = lhs.split(",")
-    if len(terms) != len(shapes):
-        raise ShapeError(
-            f"einsum: spec {spec!r} names {len(terms)} operands, got {len(shapes)}")
-    sizes = {}
-    for term, shape in zip(terms, shapes):
-        if not term.isalpha() or len(set(term)) != len(term):
-            raise ShapeError(
-                f"einsum: term {term!r} in {spec!r} must be distinct letters")
-        if len(term) != len(shape):
-            raise ShapeError(f"einsum: term {term!r} does not match shape {shape}")
-        for idx, n in zip(term, shape):
-            if sizes.setdefault(idx, n) != n:
-                raise ShapeError(f"einsum: index {idx!r} has sizes {sizes[idx]} and {n}")
-    if len(set(out)) != len(out) or not set(out) <= set(sizes):
-        raise ShapeError(f"einsum: output {out!r} in {spec!r} must be distinct input indices")
-    for i, term in enumerate(terms):
-        seen = set(out).union(*(t for j, t in enumerate(terms) if j != i))
-        lone = set(term) - seen
-        if lone:
-            raise ShapeError(
-                f"einsum: index {''.join(sorted(lone))!r} of term {term!r} is summed "
-                f"within one operand; reduce_sum it first")
-    return terms, out, tuple(sizes[idx] for idx in out)
-
-
-def _path(spec, shapes):
-    """np.einsum_path's optimize=True path for operands of these shapes, as
-    a tuple. The path depends on the shapes alone, so stride-0 views stand
-    in for the operands."""
-    stand_ins = (np.broadcast_to(np.empty((), np.int8), s) for s in shapes)
-    return tuple(np.einsum_path(spec, *stand_ins, optimize=True)[0])
-
-
-@functools.lru_cache(maxsize=256)
-def _einsum_plan(spec, shapes):
-    """(forward path, per-operand (backward spec, backward path)) of a valid
-    spec over operands of these shapes. A spec that fails validation raises
-    before anything is cached."""
-    terms, out, out_shape = _parse_einsum(spec, shapes)
-    backward = []
-    for i, term in enumerate(terms):
-        back = ",".join(terms[:i] + terms[i + 1:] + [out]) + "->" + term
-        backward.append((back, _path(back, shapes[:i] + shapes[i + 1:] + (out_shape,))))
-    return _path(spec, shapes), tuple(backward)
-
-
-def einsum(spec, *operands):
-    """Tensor contraction in explicit einsum notation, e.g. "mts,mks->mtk".
-
-    Each index is one letter, appears at most once per term, and every index
-    of an operand also appears in the output or in another operand. Under
-    those rules the gradient of each operand is again an einsum: the other
-    operands and the output gradient contracted back to its own term.
-
-    The checks, the backward specs and the contraction paths numpy's
-    optimize=True would choose are planned once per spec and operand shapes
-    and reused, so no call searches for a path again.
-    """
-    operands = tuple(_as_tensor(o) for o in operands)
-    path, backward = _einsum_plan(spec, tuple(o.data.shape for o in operands))
-    out_data = np.einsum(spec, *(o.data for o in operands), optimize=path)
-
-    def bw(g, acc):
-        for i, op in enumerate(operands):
-            if not op.requires_grad:
-                continue
-            back, back_path = backward[i]
-            acc(op, np.einsum(back, *(o.data for j, o in enumerate(operands) if j != i),
-                              g, optimize=back_path))
-
-    return _node(out_data, operands, bw)
 
 
 def exp(a):
@@ -665,10 +612,10 @@ def frobenius_norm(a, axis):
     out_data = np.sqrt(np.sum(a.data * a.data, axis=ax))
 
     def bw(g, acc):
-        denom = np.where(out_data > 0.0, out_data, 1.0)
-        gg = np.asarray(g * np.where(out_data > 0.0, 1.0, 0.0) / denom)
-        gg = np.expand_dims(gg, ax)
-        acc(a, gg * a.data)
+        # in the input's dtype: a bare 1.0 / 0.0 selector would be float64
+        pos = out_data > 0.0
+        gg = np.where(pos, g / np.where(pos, out_data, 1.0), 0.0)
+        acc(a, np.expand_dims(gg, ax) * a.data)
 
     return _node(out_data, (a,), bw)
 
@@ -736,11 +683,13 @@ def sequential_scan(abar, bbar, x, C, mask):
     masked columns zero) is last_decay with row t's mask ending at step t:
 
         Y       = (W o C bbar^T) x                      (m, L, d)
-        h_final = sum_k W[L-1, k] bbar_k (x) x_k        (m, s, d)
+        h_final = (W[L-1] o bbar)^T x                   (m, s, d)
 
-    Returns (Y, h_final). Memory is O(m L^2) beside the inputs: no (m, L, s, d)
-    state stack is formed, and the gradient is composed from last_decay's and
-    einsum's, O(m L^2) for the kernel.
+    with o broadcasting over the last axis of bbar. Both are batched matmuls
+    over m, as in Mamba-2's state-space duality. Returns (Y, h_final). Memory
+    is O(m L^2) beside the inputs: no (m, L, s, d) state stack is formed, and
+    the gradient is composed from those of last_decay, mul and matmul, O(m L^2)
+    for the kernel.
     """
     abar, bbar, x, C = (_as_tensor(v) for v in (abar, bbar, x, C))
     mask = np.asarray(mask, dtype=bool)
@@ -754,9 +703,9 @@ def sequential_scan(abar, bbar, x, C, mask):
             f"bbar {bbar.shape}, x {x.shape}, C {C.shape}, mask {mask.shape}")
 
     W = last_decay(reshape(abar, (m, 1, L)), np.tri(L, dtype=bool) & mask[:, None, :])
-    scores = mul(W, einsum("mts,mks->mtk", C, bbar))
-    Y = einsum("mtk,mkd->mtd", scores, x)
-    h_final = einsum("mk,mks,mkd->msd", W[:, -1], bbar, x)
+    scores = mul(W, matmul(C, transpose(bbar)))
+    Y = matmul(scores, x)
+    h_final = matmul(transpose(mul(bbar, reshape(W[:, -1], (m, L, 1)))), x)
     return Y, h_final
 
 

@@ -117,6 +117,11 @@ def backward_projection(params, x_last):
 DELTA_GUARD = 1e-8
 
 
+def _outer(u, v):
+    """Row-wise outer products (m, s) x (m, d) -> (m, s, d), a broadcast mul."""
+    return ag.mul(ag.reshape(u, u.shape + (1,)), ag.reshape(v, (v.shape[0], 1, -1)))
+
+
 def state_alignment_loss(params, trace):
     """Reconstruct the final state through one forward step and one backward
     step, and penalize the Frobenius distance, diluted by delta_next**2 (the
@@ -137,13 +142,13 @@ def state_alignment_loss(params, trace):
     abar_n = ag.exp(ag.mul(delta_n, A))                          # (m,)
     bbar_n = ag.mul(ext.B_next, ag.reshape(delta_n, (-1, 1)))    # (m, d_s)
     h_next = ag.add(ag.mul(ag.reshape(abar_n, (-1, 1, 1)), trace.h_final),
-                    ag.einsum("ms,md->msd", bbar_n, ext.x_next))
+                    _outer(bbar_n, ext.x_next))
 
     Q = backward_projection(params, trace.x_last)                # (m, d_s)
     p_bar = ag.neg(ag.div(1.0, A))                               # scalar, -1/A exactly
     q_bar = ag.mul(Q, ag.reshape(delta_n, (-1, 1)))              # (m, d_s)
     h_back = ag.add(ag.mul(ag.reshape(p_bar, (1, 1, 1)), h_next),
-                    ag.einsum("ms,md->msd", q_bar, trace.x_last))
+                    _outer(q_bar, trace.x_last))
 
     dist = ag.frobenius_norm(ag.sub(trace.h_final, h_back), axis=(1, 2))  # (m,)
     per_row = ag.div(ag.div(dist, delta_n), delta_n)

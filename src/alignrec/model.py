@@ -273,10 +273,7 @@ def predict(params, o_last):
     Softmax is deferred to the loss; ranking on raw logits is equivalent
     because softmax is monotone.
     """
-    E = params["E"]
-    Et = ag.Tensor(E.data.T, requires_grad=E.requires_grad, _parents=(E,),
-                   _backward=lambda g, acc: acc(E, g.T))
-    return ag.matmul(o_last, Et)
+    return ag.matmul(o_last, ag.transpose(params["E"]))
 
 
 def extend_step(params, o_last, history, block=0):
@@ -299,13 +296,13 @@ def forward_full(params, batch, rng=None, training=False, need_logits=True,
 
     Only each row's last output is read downstream (head, losses, extension),
     and everything after the last block's scan is position-wise. So the last
-    block computes only the final state, h_final = sum_k w_k bbar_k (x) x_k
-    with w = autograd.last_decay (O(m L), no (m, L, L) kernel), and reads its
-    output at the last position, L-1 in every row, as y_last = C[:, -1]
-    h_final. Its LayerNorm and FFN then run on (m, d) and give o_last, so its
-    dropout draws an (m, d) mask. Earlier blocks run the quadratic-form scan
-    and the tail on full sequences because the next block's transform reads
-    every position.
+    block computes only the final state, h_final = (w o bbar)^T X, one
+    batched matmul, with w = autograd.last_decay (O(m L), no (m, L, L)
+    kernel), and reads its output at the last position, L-1 in every row, as
+    y_last = C[:, -1] h_final. Its LayerNorm and FFN then run on (m, d) and
+    give o_last, so its dropout draws an (m, d) mask. Earlier blocks run the
+    quadratic-form scan and the tail on full sequences because the next
+    block's transform reads every position.
 
     The extension re-feeds o_last through the last block's transform after
     the trailing w-1 convolution channels, a slice of the last block's
@@ -331,9 +328,11 @@ def forward_full(params, batch, rng=None, training=False, need_logits=True,
             resid = ag.add(seq, Y)
         else:
             # masked steps carry the state, so the last output reads h_final
-            h_final = ag.einsum("mk,mks,mkd->msd", ag.last_decay(abar, mask), bbar, X)
-            y_last = ag.einsum("ms,msd->md", C[:, -1], h_final)
-            resid = ag.add(seq[:, -1], y_last)
+            m, L = mask.shape
+            w = ag.reshape(ag.last_decay(abar, mask), (m, L, 1))
+            h_final = ag.matmul(ag.transpose(ag.mul(bbar, w)), X)
+            y_last = ag.matmul(C[:, -1:], h_final)                # (m, 1, d)
+            resid = ag.add(seq[:, -1], ag.reshape(y_last, (m, -1)))
         wrapped = ag.layer_norm(resid, params[f"block{b}.ln_block_g"],
                                 params[f"block{b}.ln_block_b"])
         seq = ffn_and_norm(params, wrapped, rng=rng, training=training, block=b)

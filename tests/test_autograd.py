@@ -480,80 +480,82 @@ def test_last_decay_broadcasts_against_leading_mask_axes(rng):
         ag.last_decay(ag.constant(np.ones((2, 3, 4))), np.ones((2, 4), bool))
 
 
-def test_einsum_gradients_with_batch_index(rng):
-    a = ag.parameter(rng.normal(size=(2, 3, 4)))    # m t s
-    b = ag.parameter(rng.normal(size=(2, 5, 4)))    # m k s
-    c = ag.parameter(rng.normal(size=(2, 5)))       # m k
-    w2 = ag.constant(rng.normal(size=(2, 3, 5)))
-    w3 = ag.constant(rng.normal(size=(2, 3)))
-    out2 = ag.einsum("mts,mks->mtk", a, b)
-    assert np.allclose(out2.data, a.data @ b.data.transpose(0, 2, 1), atol=1e-14)
-    cases = [
-        lambda: ag.reduce_sum(ag.mul(ag.einsum("mts,mks->mtk", a, b), w2)),
-        lambda: ag.reduce_sum(ag.mul(ag.einsum("mk,mks,mts->mt", c, b, a), w3)),
-    ]
-    for f in cases:
-        rep = ag.finite_diff_check(f, {"a": a, "b": b, "c": c}, eps=1e-6,
-                                   tol=1e-6, n_samples=24, rng=rng)
-        assert rep.ok, rep.failures[:3]
+MATMUL_SHAPES = [((5, 6), (6, 7)),              # 2-D
+                 ((4, 5, 6), (4, 6, 7)),        # batched
+                 ((4, 5, 6), (6, 7)),           # a 2-D weight shared by every row
+                 ((5, 6), (4, 6, 7)),           # a broadcast against b's batch
+                 ((4, 1, 5, 6), (3, 6, 7))]     # broadcast leading axes
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_planned_einsum_is_bitwise_numpys_optimized_einsum(rng, dtype):
-    specs = [("mts,mks->mtk", [(6, 5, 4), (6, 7, 4)]),
-             ("mk,mks,mkd->msd", [(6, 7), (6, 7, 4), (6, 7, 3)]),
-             ("ms,md->msd", [(6, 4), (6, 3)])]
-    for spec, shapes in specs:
-        ops = [ag.parameter(rng.normal(size=s).astype(dtype)) for s in shapes]
-        terms, out = spec.split("->")
-        terms = terms.split(",")
-        for _ in range(3):
-            y = ag.einsum(spec, *ops)
-            assert y.data.tobytes() == np.einsum(
-                spec, *(o.data for o in ops), optimize=True).tobytes()
+def test_matmul_is_bitwise_numpys_matmul(rng, dtype):
+    for sa, sb in MATMUL_SHAPES:
+        a = ag.parameter(rng.normal(size=sa).astype(dtype))
+        b = ag.parameter(rng.normal(size=sb).astype(dtype))
+        y = ag.matmul(a, b)
+        assert y.dtype == dtype and y.data.tobytes() == (a.data @ b.data).tobytes()
+        if len(sb) == 2:
+            # one GEMM over a's rows flattened, and g @ b.T
             g = rng.normal(size=y.shape).astype(dtype)
             grads = {}
             y._backward(g, lambda node, x: grads.setdefault(id(node), x))
-            for i, op in enumerate(ops):
-                back = ",".join(terms[:i] + terms[i + 1:] + [out]) + "->" + terms[i]
-                ref = np.einsum(back, *(o.data for j, o in enumerate(ops) if j != i), g,
-                                optimize=True)
-                assert grads[id(op)].tobytes() == ref.tobytes()
+            assert grads[id(a)].tobytes() == (g @ b.data.T).tobytes()
+            ref = a.data.reshape(-1, sa[-1]).T @ g.reshape(-1, sb[-1])
+            assert grads[id(b)].tobytes() == ref.tobytes()
+    t = ag.transpose(a)
+    assert np.shares_memory(t.data, a.data)
+    assert np.array_equal(t.data, np.swapaxes(a.data, -1, -2))
 
 
-def test_einsum_plans_once_per_spec_and_shapes(rng):
-    spec = "xa,xb->xab"
-    ag._einsum_plan.cache_clear()
-    for _ in range(3):
-        ag.einsum(spec, rng.normal(size=(2, 3)), rng.normal(size=(2, 4)))
-    info = ag._einsum_plan.cache_info()
-    assert (info.currsize, info.hits) == (1, 2)
-    ag.einsum(spec, rng.normal(size=(5, 3)), rng.normal(size=(5, 4)))
-    assert ag._einsum_plan.cache_info().currsize == 2
-    with pytest.raises(ag.ShapeError, match="einsum"):
-        ag.einsum(spec, rng.normal(size=(2, 3)), rng.normal(size=(5, 4)))
-    with pytest.raises(ag.ShapeError, match="einsum"):
-        ag.einsum(spec, rng.normal(size=(2, 3, 1)), rng.normal(size=(2, 4)))
-    assert ag._einsum_plan.cache_info().currsize == 2
+def test_batched_matmul_and_transpose_gradients(rng):
+    for sa, sb in MATMUL_SHAPES:
+        a = ag.parameter(rng.normal(size=sa))
+        b = ag.parameter(rng.normal(size=sb))
+        w = ag.constant(rng.normal(size=(a.data @ b.data).shape))
+        rep = ag.finite_diff_check(lambda: ag.reduce_sum(ag.mul(ag.matmul(a, b), w)),
+                                   {"a": a, "b": b}, eps=1e-6, tol=1e-6, n_samples=24,
+                                   rng=rng)
+        assert rep.ok, (sa, sb, rep.failures[:3])
+    # the scan's C bbar^T: a transposed view on the right
+    c = ag.parameter(rng.normal(size=(2, 3, 4)))
+    bb = ag.parameter(rng.normal(size=(2, 5, 4)))
+    w = ag.constant(rng.normal(size=(2, 3, 5)))
+    rep = ag.finite_diff_check(
+        lambda: ag.reduce_sum(ag.mul(ag.matmul(c, ag.transpose(bb)), w)),
+        {"c": c, "bb": bb}, eps=1e-6, tol=1e-6, n_samples=24, rng=rng)
+    assert rep.ok, rep.failures[:3]
+    w = ag.constant(rng.normal(size=(2, 4, 3)))
+    rep = ag.finite_diff_check(lambda: ag.reduce_sum(ag.mul(ag.transpose(ag.silu(c)), w)),
+                               {"c": c}, eps=1e-6, tol=1e-6, n_samples=12, rng=rng)
+    assert rep.ok, rep.failures[:3]
 
 
-def test_einsum_rejects_specs_without_an_einsum_gradient():
-    x = ag.parameter(np.ones((2, 3)))
-    y = ag.parameter(np.ones((3, 4)))
-    bad = [
-        ("ij->i", (x,)),             # j is summed inside one operand
-        ("ij,jk->i", (x, y)),        # so is k
-        ("ii->i", (ag.constant(np.ones((3, 3))),)),   # repeated index
-        ("ij,jk", (x, y)),           # implicit output
-        ("ij,jk->ik", (x, x)),       # j is 3 in one operand, 2 in the other
-        ("ij,jk->ik", (x,)),         # operand count
-        ("ijk->ik", (x,)),           # rank
-        ("ij,jk->ikk", (x, y)),      # repeated output index
-        ("ij,jk->iz", (x, y)),       # output index from nowhere
-    ]
-    for spec, ops in bad:
-        with pytest.raises(ag.ShapeError, match="einsum"):
-            ag.einsum(spec, *ops)
+def test_matmul_and_transpose_reject_shapes_without_a_matrix_product():
+    bad = [((3,), (3, 4)),            # rank 1
+           ((2, 3), (3,)),
+           ((2, 3), (4, 5)),          # inner sizes 3 and 4
+           ((2, 2, 3), (2, 4, 5)),
+           ((2, 2, 3), (5, 3, 4))]    # batches 2 and 5 do not broadcast
+    for sa, sb in bad:
+        with pytest.raises(ag.ShapeError, match="matmul"):
+            ag.matmul(ag.constant(np.ones(sa)), ag.constant(np.ones(sb)))
+    with pytest.raises(ag.ShapeError, match="transpose"):
+        ag.transpose(ag.constant(np.ones(3)))
+
+
+def test_scan_contractions_equal_their_einsum_formulas(rng):
+    # float64: the scan's batched matmuls against np.einsum over the kernel
+    m, L, s, d = 3, 9, 4, 5
+    abar = rng.uniform(0.1, 1.0, (m, L))
+    mask = rng.random((m, L)) > 0.3
+    bbar, x, C = (rng.normal(size=(m, L, n)) for n in (s, d, s))
+    Y, hf = ag.sequential_scan(ag.constant(abar), ag.constant(bbar), ag.constant(x),
+                               ag.constant(C), mask)
+    W = ag.last_decay(abar[:, None, :], np.tri(L, dtype=bool) & mask[:, None, :]).data
+    assert np.allclose(Y.data, np.einsum("mtk,mts,mks,mkd->mtd", W, C, bbar, x),
+                       atol=1e-12, rtol=0)
+    assert np.allclose(hf.data, np.einsum("mk,mks,mkd->msd", W[:, -1], bbar, x),
+                       atol=1e-12, rtol=0)
 
 
 def test_grad_zeroes_parameters_an_earlier_loss_reached():
@@ -770,3 +772,54 @@ def test_scalar_operand_keeps_float32_dtype():
     x = ag.constant(np.ones(3, dtype=np.float32))
     assert ag.mul(x, 2.0).dtype == np.float32
     assert ag.add(x, 1).dtype == np.float32
+
+
+def float32_op_cases(rng):
+    """(name, closure building one node) for every differentiable op, on
+    float32 parameters."""
+    def p(*shape):
+        return ag.parameter(rng.uniform(0.5, 1.5, shape).astype(np.float32))
+
+    x, y, z3 = p(3, 4), p(3, 4), p(2, 5, 4)
+    W, bias, ker, E = p(4, 6), p(6), p(3, 4), p(7, 4)
+    abar, bbar, C, xs = p(2, 5), p(2, 5, 3), p(2, 5, 3), p(2, 5, 4)
+    mask = np.array([[True] * 5, [False, True, True, False, True]])
+    return [
+        ("add", lambda: ag.add(x, 1.0)), ("sub", lambda: ag.sub(1.0, y)),
+        ("neg", lambda: ag.neg(x)), ("mul", lambda: ag.mul(x, y)),
+        ("div", lambda: ag.div(x, y)), ("matmul", lambda: ag.matmul(z3, ag.transpose(x))),
+        ("transpose", lambda: ag.transpose(z3)),
+        ("linear", lambda: ag.linear(z3, W, bias, mask=mask)),
+        ("exp", lambda: ag.exp(x)), ("softplus", lambda: ag.softplus(x)),
+        ("silu", lambda: ag.silu(x)), ("relu", lambda: ag.relu(ag.sub(x, 1.0))),
+        ("concat", lambda: ag.concat([x, y], axis=1)),
+        ("reshape", lambda: ag.reshape(x, (4, 3))),
+        ("reduce_sum", lambda: ag.reduce_sum(z3, axis=1)),
+        ("clip_min", lambda: ag.clip_min(x, 1.0)),
+        ("getitem", lambda: x[:, 1:]), ("embedding", lambda: ag.embedding(E, [[1, 1, 6]])),
+        ("causal_conv1d", lambda: ag.causal_conv1d(z3, ker, W[0, :4])),
+        ("layer_norm", lambda: ag.layer_norm(z3, x[0], y[0])),
+        ("dropout", lambda: ag.dropout(x, 0.5, rng=rng, training=True)),
+        ("softmax_cross_entropy", lambda: ag.softmax_cross_entropy(x, [0, 3, 1])),
+        ("frobenius_norm", lambda: ag.frobenius_norm(      # one row of zeros
+            ag.mul(z3, np.array([[[0.0]], [[1.0]]], np.float32)), axis=(1, 2))),
+        ("last_decay", lambda: ag.last_decay(abar, mask)),
+        ("sequential_scan", lambda: ag.sequential_scan(abar, bbar, xs, C, mask)[1]),
+    ]
+
+
+def test_every_backward_hands_acc_its_inputs_dtype(rng):
+    # acc casts what it is handed, so a float64 gradient would only cost a
+    # full-size float64 buffer and a cast; check each closure directly
+    cases = float32_op_cases(rng)
+    untested = set(ag.__all__) - {name for name, _ in cases} - {
+        "Tensor", "ShapeError", "DomainError", "constant", "parameter",
+        "stop_gradient", "grad", "no_grad", "finite_diff_check", "FiniteDiffReport"}
+    assert not untested, untested
+    for name, build in cases:
+        out = build()
+        assert out.dtype == np.float32, name
+        handed = []
+        out._backward(np.ones_like(out.data),
+                      lambda node, g, key=...: handed.append(np.asarray(g).dtype))
+        assert handed and set(handed) == {np.dtype(np.float32)}, (name, handed)

@@ -304,8 +304,8 @@ def full_tail_reference(params, batch):
     """forward_full's blocks with the last block's LayerNorm and FFN run at
     every position and the last position sliced afterwards; returns
     (o_last, logits). The last block's Y at those positions is read through
-    the final state, as the model reads it; TestFinalStateReadout checks
-    that readout against the recurrence."""
+    the final state, written as numpy's optimized einsum over the arrays;
+    TestFinalStateReadout checks that readout against the recurrence."""
     maskf = ag.constant(batch.mask.astype(params.config.np_dtype))
     n_blocks = params.config.n_blocks
     seq = model.embed(params, batch.items)
@@ -315,9 +315,10 @@ def full_tail_reference(params, batch):
         Xz = ag.mul(X, ag.reshape(maskf, maskf.shape + (1,)))
         Y, _ = model.scan(abar, bbar, Xz, C, batch.mask)
         if b == n_blocks - 1:
-            h = ag.einsum("mk,mks,mkd->msd", ag.last_decay(abar, batch.mask), bbar, Xz)
+            w = ag.last_decay(abar, batch.mask).data
+            h = np.einsum("mk,mks,mkd->msd", w, bbar.data, Xz.data, optimize=True)
             Yd = Y.data.copy()
-            Yd[:, -1] = ag.einsum("ms,msd->md", C[:, -1], h).data
+            Yd[:, -1] = np.einsum("ms,msd->md", C.data[:, -1], h, optimize=True)
             Y = ag.constant(Yd)
         wrapped = ag.layer_norm(ag.add(seq, Y), params[f"block{b}.ln_block_g"],
                                 params[f"block{b}.ln_block_b"])
@@ -406,6 +407,36 @@ class TestFinalStateReadout:
         resid = calls[-2][0]
         y_last = resid - seq[:, -1]
         assert np.allclose(y_last, y, atol=1e-12, rtol=0)
+
+    def test_contractions_equal_their_einsum_formulas(self, rng, monkeypatch):
+        # float64: the final state, the last readout and the state loss's
+        # two outer products, each a batched matmul or a broadcast mul
+        params = tiny_params(seed=36)
+        batch = random_batch(rng, n_examples=6, max_len=9)
+        calls = []
+        layer_norm = ag.layer_norm
+
+        def recording(x, *args, **kw):
+            calls.append(x.data)
+            return layer_norm(x, *args, **kw)
+
+        monkeypatch.setattr(ag, "layer_norm", recording)
+        tr = model.forward_full(params, batch, training=False)
+        w = ag.last_decay(tr.abar, batch.mask).data
+        h = np.einsum("mk,mks,mkd->msd", w, tr.bbar.data, tr.X.data)
+        assert np.allclose(tr.h_final.data, h, atol=1e-12, rtol=0)
+        y_last = calls[0] - params["E"].data[batch.items][:, -1]
+        assert np.allclose(y_last, np.einsum("ms,msd->md", tr.C.data[:, -1], h),
+                           atol=1e-12, rtol=0)
+
+        _, inter = losses.state_alignment_loss(params, tr)
+        ext, A = tr.extension, float(tr.A.data)
+        dn = np.maximum(ext.delta_next.data, losses.DELTA_GUARD)[:, None]
+        Q = losses.backward_projection(params, tr.x_last).data
+        h_next = (np.exp(dn * A)[:, :, None] * tr.h_final.data
+                  + np.einsum("ms,md->msd", ext.B_next.data * dn, ext.x_next.data))
+        h_back = -1.0 / A * h_next + np.einsum("ms,md->msd", Q * dn, tr.x_last.data)
+        assert np.allclose(inter.h_back, h_back, atol=1e-12, rtol=0)
 
     @pytest.mark.parametrize("n_blocks", [1, 2])
     def test_only_earlier_blocks_run_the_quadratic_scan(self, rng, monkeypatch, n_blocks):

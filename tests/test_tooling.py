@@ -62,3 +62,18 @@ def test_byte_identity_compare_is_nan_aware_and_exact():
     assert bi.compare(a, {"x": a["x"].astype(np.float32), "n": np.array(3)}) == [
         "differs: x"]
     assert bi.compare(a, {"x": a["x"]}) == ["only in this checkout: n"]
+
+
+REQUEST_FAULTS = os.path.join(ROOT, "tools", "request_faults.py")
+
+
+def test_request_faults_reports_both_trees_per_seed():
+    res = subprocess.run([sys.executable, REQUEST_FAULTS, "--other", ROOT,
+                          "--workload", "adapt-long", "--seeds", "3", "--seconds", "0.1"],
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stdout + res.stderr
+    lines = res.stdout.splitlines()
+    assert [ln.split()[:4] for ln in lines] == [["adapt-long", "seed", "3", "this"],
+                                                ["adapt-long", "seed", "3", "other"]]
+    for ln in lines:
+        assert "adapted" in ln and "frozen" in ln and ln.count("faults (n=") == 2, ln
