@@ -500,9 +500,12 @@ def causal_conv1d(x, kernel, bias):
 
     Forward and backward take sequences in blocks of about _BLOCK_BYTES and
     write each tap's product into one block-sized scratch buffer, so no
-    full-size temporary is made per tap. Each output element adds the bias
-    and then the taps in order k = 0 .. w-1; the kernel gradient is summed
-    block by block.
+    full-size temporary is made per tap. The product is formed over the
+    whole block, one contiguous buffer, and its shifted part is added: the
+    shift rows no output reads cost less than walking a sliced buffer
+    sequence by sequence. Each output element adds the bias and then the
+    taps in order k = 0 .. w-1; the kernel gradient is summed block by
+    block.
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     if x.data.ndim != 3 or kernel.data.ndim != 2 or x.data.shape[2] != kernel.data.shape[1]:
@@ -516,12 +519,12 @@ def causal_conv1d(x, kernel, bias):
     scratch = np.empty((min(rows, m), L, C), dtype=x.data.dtype)
     for i in range(0, m, rows):
         xb, ob = x.data[i:i + rows], out_data[i:i + rows]
+        tap = scratch[:len(xb)]
         for k in range(w):
             shift = w - 1 - k  # how far back in time tap k looks
             if shift < L:
-                tap = scratch[:len(xb), :L - shift]
-                np.multiply(kernel.data[k], xb[:, :L - shift], out=tap)
-                ob[:, shift:] += tap
+                np.multiply(kernel.data[k], xb, out=tap)
+                ob[:, shift:] += tap[:, :L - shift]
 
     def bw(g, acc):
         gx = np.zeros_like(x.data)
@@ -529,12 +532,12 @@ def causal_conv1d(x, kernel, bias):
         scratch = np.empty((min(rows, m), L, C), dtype=x.data.dtype)
         for i in range(0, m, rows):
             gb, xb, gxb = g[i:i + rows], x.data[i:i + rows], gx[i:i + rows]
+            tap = scratch[:len(xb)]
             for k in range(w):
                 shift = w - 1 - k
                 if shift < L:
-                    tap = scratch[:len(xb), :L - shift]
-                    np.multiply(kernel.data[k], gb[:, shift:], out=tap)
-                    gxb[:, :L - shift] += tap
+                    np.multiply(kernel.data[k], gb, out=tap)
+                    gxb[:, :L - shift] += tap[:, shift:]
                     gk[k] += np.einsum("mlc,mlc->c", gb[:, shift:], xb[:, :L - shift])
         acc(x, gx)
         acc(kernel, gk)

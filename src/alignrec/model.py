@@ -11,10 +11,12 @@ output embedding after the sequence's trailing convolution window. The
 last block's output is read only at each row's last position, the one output
 the head, the losses and the extension read: its scan computes just the
 final state in linear time, and its LayerNorm and FFN run on that one row.
-Earlier blocks scan in the quadratic form, because the next block reads
-every position. Both forms take their decay weights from
-autograd.last_decay: the last block its final-state weights, an earlier
-block one row of weights per step.
+Its readout channels C are read only at that position too, so its transform
+convolves and activates C there only, and the X|B channels at every
+position. Earlier blocks convolve every channel and scan in the quadratic
+form, because the next block reads every position. Both forms take their
+decay weights from autograd.last_decay: the last block its final-state
+weights, an earlier block one row of weights per step.
 """
 
 from __future__ import annotations
@@ -186,7 +188,7 @@ class StepExtension:
 class ForwardTrace:
     """Intermediates retained for the losses and for verification."""
     X: Tensor             # (m, L, d) scan input; padded steps get zero scan weight
-    C: Tensor             # (m, L, d_s)
+    C: Tensor             # (m, 1, d_s) readout at the last position, the only one read
     delta: Tensor         # (m, L)
     abar: Tensor          # (m, L)
     bbar: Tensor          # (m, L, d_s)
@@ -206,32 +208,49 @@ def embed(params, items, rng=None, training=False):
 
 def transform(params, seq, mask=None, block=0, history=None):
     """Map a (m, L, d) sequence to scan inputs (X, B, C, delta) and the
-    convolution's input channels.
+    extension's convolution context.
 
     The linear projection output is zeroed at masked positions before the
     causal convolution so padding behaves exactly like the conv's own zero
-    history; `ag.linear` does both in one output buffer. With `history`, a
-    (m, <= w-1, d+2d_s) convolution context, seq is the one (m, d) step after
-    it and every output is that step's row.
+    history; `ag.linear` does both in one output buffer. Each input below is
+    one slice of that projection.
+
+    The channels are X|B|C: d, d_s and d_s wide. An earlier block
+    (block < n_blocks - 1) convolves and activates all of them: its scan
+    reads C at every position. The last block reads C only at the last
+    position, so it convolves and activates the X|B channels at every
+    position and gets C, (m, 1, d_s), as the last row of the convolution
+    over the projection's last w rows of C channels: the same bits as the
+    whole convolution's last row. It also returns the extension's context,
+    the projection's last w-1 rows of all d + 2d_s channels (fewer when
+    L < w-1); an earlier block returns None there.
+
+    With `history`, such a (m, <= w-1, d+2d_s) context, seq is the one (m, d)
+    step after it, and X, B and delta are that step's rows. Nothing reads the
+    step's C, so only X|B of its convolution's last row is activated, and C
+    and the context are None.
     """
     cfg = params.config
     pre = f"block{block}."
+    d, xb, w = cfg.d, cfg.d + cfg.d_s, cfg.conv_width
+    inner = xb + cfg.d_s
     proj = ag.linear(seq, params[pre + "W1"], params[pre + "b1"], mask=mask)
-    inner = cfg.d + 2 * cfg.d_s
-    chan = proj[..., :inner]
-    dpre = proj[..., inner]
     kernel, bias = params[pre + "conv_kernel"], params[pre + "conv_bias"]
-    if history is None:
-        conv = ag.causal_conv1d(chan, kernel, bias)
-    else:
-        step = ag.reshape(chan, (chan.shape[0], 1, inner))
-        conv = ag.causal_conv1d(ag.concat([history, step], axis=1), kernel, bias)[:, -1, :]
-    act = ag.silu(conv)
-    X = act[..., :cfg.d]
-    B = act[..., cfg.d:cfg.d + cfg.d_s]
-    C = act[..., cfg.d + cfg.d_s:]
-    delta = ag.softplus(dpre)
-    return X, B, C, delta, chan
+    delta = ag.softplus(proj[..., inner])
+    if history is not None:
+        window = ag.concat([history, proj[:, None, :inner]], axis=1)
+        act = ag.silu(ag.causal_conv1d(window, kernel, bias)[:, -1, :xb])
+        return act[:, :d], act[:, d:], None, delta, None
+    if block < cfg.n_blocks - 1:
+        act = ag.silu(ag.causal_conv1d(proj[..., :inner], kernel, bias))
+        return act[..., :d], act[..., d:xb], act[..., xb:], delta, None
+    L = proj.shape[1]
+    act = ag.silu(ag.causal_conv1d(proj[..., :xb], kernel[:, :xb], bias[:xb]))
+    c_conv = ag.causal_conv1d(proj[:, max(0, L - w):, xb:inner], kernel[:, xb:], bias[xb:])
+    C = ag.silu(c_conv[:, -1:])
+    # not [:, -(w-1):], which at conv_width 1 is the whole sequence
+    context = proj[:, max(0, L - (w - 1)):, :inner]
+    return act[..., :d], act[..., d:], C, delta, context
 
 
 def discretize(delta, A, B):
@@ -299,16 +318,18 @@ def forward_full(params, batch, rng=None, training=False, need_logits=True,
     block computes only the final state, h_final = (w o bbar)^T X, one
     batched matmul, with w = autograd.last_decay (O(m L), no (m, L, L)
     kernel), and reads its output at the last position, L-1 in every row, as
-    y_last = C[:, -1] h_final. Its LayerNorm and FFN then run on (m, d) and
-    give o_last, so its dropout draws an (m, d) mask. Earlier blocks run the
-    quadratic-form scan and the tail on full sequences because the next
-    block's transform reads every position.
+    y_last = C h_final, C being the (m, 1, d_s) readout that the transform
+    convolves at that position only. Its LayerNorm and FFN then run on
+    (m, d) and give o_last, so its dropout draws an (m, d) mask. Earlier
+    blocks convolve C at every position and run the quadratic-form scan and
+    the tail on full sequences because the next block's transform reads
+    every position.
 
     The extension re-feeds o_last through the last block's transform after
-    the trailing w-1 convolution channels, a slice of the last block's
-    channels (empty at conv_width 1). Padded positions of those channels are
-    zero, and a batch shorter than w-1 gets the convolution's own zero
-    history, so a short row's window is zeros before its start.
+    the trailing w-1 rows of its projection's convolution channels, which
+    the transform returns (empty at conv_width 1). Padded positions of those
+    channels are zero, and a batch shorter than w-1 gets the convolution's
+    own zero history, so a short row's window is zeros before its start.
 
     need_logits=False skips the prediction head (the adaptation steps only
     need the alignment intermediates); need_extension=False skips the
@@ -320,7 +341,7 @@ def forward_full(params, batch, rng=None, training=False, need_logits=True,
 
     seq = embed(params, batch.items, rng=rng, training=training)
     for b in range(cfg.n_blocks):   # n_blocks >= 1: the last block's values stay bound
-        X, B, C, delta, chan = transform(params, seq, mask=mask, block=b)
+        X, B, C, delta, context = transform(params, seq, mask=mask, block=b)
         A = params.decay(b)
         abar, bbar = discretize(delta, A, B)
         if b < align_block:
@@ -331,7 +352,7 @@ def forward_full(params, batch, rng=None, training=False, need_logits=True,
             m, L = mask.shape
             w = ag.reshape(ag.last_decay(abar, mask), (m, L, 1))
             h_final = ag.matmul(ag.transpose(ag.mul(bbar, w)), X)
-            y_last = ag.matmul(C[:, -1:], h_final)                # (m, 1, d)
+            y_last = ag.matmul(C, h_final)                        # (m, 1, d)
             resid = ag.add(seq[:, -1], ag.reshape(y_last, (m, -1)))
         wrapped = ag.layer_norm(resid, params[f"block{b}.ln_block_g"],
                                 params[f"block{b}.ln_block_b"])
@@ -343,9 +364,7 @@ def forward_full(params, batch, rng=None, training=False, need_logits=True,
 
     ext = None
     if need_extension:
-        # not chan[:, -(w-1):], which at conv_width 1 is the whole sequence
-        hist = chan[:, max(0, batch.seq_len - (cfg.conv_width - 1)):]
-        ext = extend_step(params, o_last, hist, block=align_block)
+        ext = extend_step(params, o_last, context, block=align_block)
 
     return ForwardTrace(X=X, C=C, delta=delta, abar=abar, bbar=bbar,
                         h_final=h_final, o_last=o_last,

@@ -198,6 +198,51 @@ class TestConfig:
         assert one_line_error(capsys, ["gen", "--config", path]) == 2
         assert not (tmp_path / "run" / "dataset.tsv").exists()
 
+    @pytest.mark.parametrize("command, section, field, value", [
+        ("train", "model", "d", 2**63),
+        ("train", "model", "d_s", 2**63),
+        ("train", "data", "max_len", 10**30),
+        ("gen", "generator", "n_items", 2**63),
+        ("train", "model", "d", -2**63 - 1),
+    ], ids=["train-d", "train-d_s", "train-max-len", "gen-n-items", "train-negative-d"])
+    def test_int_outside_int64_is_config_error(self, tmp_path, capsys, command, section,
+                                               field, value):
+        # each used to end in a TypeError, ValueError, OverflowError or
+        # MemoryError traceback with exit 1
+        cfg = base_config(tmp_path)
+        (cfg["data"]["generator"] if section == "generator" else cfg[section])[field] = value
+        path = write_config(tmp_path, cfg)
+        capsys.readouterr()
+        assert cli.main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"{field} must be in [-2**63, 2**63), got {value}" in err
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+        assert not (tmp_path / "run" / "dataset.tsv").exists()
+
+    @pytest.mark.parametrize("section, field", [
+        ("train", "lr"), ("losses", "lam"), ("adapt", "mu2_test"),
+        ("generator", "gap_mean_pre"),
+    ])
+    def test_int_beyond_float_range_is_config_error(self, tmp_path, capsys, section, field):
+        # math.isfinite in the range checks used to raise OverflowError
+        cfg = base_config(tmp_path)
+        (cfg["data"]["generator"] if section == "generator" else cfg[section])[field] = 10**400
+        path = write_config(tmp_path, cfg)
+        capsys.readouterr()
+        assert cli.main(["train", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"{field} must be " in err and "finite number, got 1000" in err
+
+    def test_int64_bounds_are_inclusive_below_exclusive_above(self):
+        assert TrainConfig(epochs=2**63 - 1).epochs == 2**63 - 1
+        assert RunConfig(seed=2**63 - 1).seed == 2**63 - 1
+        with pytest.raises(ValueError, match=r"seed must be in \[-2\*\*63, 2\*\*63\)"):
+            RunConfig(seed=2**63)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            RunConfig(seed=-2**63)
+
 
 class TestGen:
     def test_deterministic_output(self, tmp_path):

@@ -24,6 +24,24 @@ def zero_history(params, m):
     return ag.constant(np.zeros((m, cfg.conv_width - 1, cfg.d + 2 * cfg.d_s)))
 
 
+def whole_channel_transform(params, seq, mask=None, block=0):
+    """(X, B, C, delta, chan) with all d + 2d_s channels convolved and
+    activated at every position, as model.transform does for an earlier
+    block: C is (m, L, d_s) and chan the (m, L, d + 2d_s) pre-activation
+    channels. The reference for the last block, which convolves C at its
+    last position only."""
+    cfg = params.config
+    pre = f"block{block}."
+    xb = cfg.d + cfg.d_s
+    inner = xb + cfg.d_s
+    proj = ag.linear(seq, params[pre + "W1"], params[pre + "b1"], mask=mask)
+    chan = proj[..., :inner]
+    act = ag.silu(ag.causal_conv1d(chan, params[pre + "conv_kernel"],
+                                   params[pre + "conv_bias"]))
+    return (act[..., :cfg.d], act[..., cfg.d:xb], act[..., xb:],
+            ag.softplus(proj[..., inner]), chan)
+
+
 def straight_line_row(params, items):
     """Independent single-row recomputation of the whole forward pass."""
     cfg = params.config
@@ -116,8 +134,12 @@ class TestTransform:
         X, B, C, delta, _ = model.transform(params, seq)
         assert np.allclose(X.data[0], ref["X"], atol=1e-12)
         assert np.allclose(B.data[0], ref["B"], atol=1e-12)
-        assert np.allclose(C.data[0], ref["C"], atol=1e-12)
+        # the last block reads C at the last position only
+        assert C.shape == (1, 1, params.config.d_s)
+        assert np.allclose(C.data[0], ref["C"][-1:], atol=1e-12)
         assert np.allclose(delta.data[0], ref["delta"], atol=1e-12)
+        C_all = whole_channel_transform(params, seq)[2]
+        assert np.allclose(C_all.data[0], ref["C"], atol=1e-12)
 
 
 class TestDiscretize:
@@ -231,6 +253,135 @@ class TestFfnAndPredict:
             assert brute == mine.tolist()
 
 
+TRANSFORM = model.transform
+
+# (n_blocks, conv_width, max_len): left-padded rows of mixed length, a batch
+# shorter than the extension's w-1 context, conv_width 1, and two blocks
+READOUT_CASES = [(1, 4, 7), (1, 4, 2), (1, 1, 6), (2, 3, 7)]
+READOUT_IDS = ["left-padded", "shorter-than-context", "width-1", "two-blocks"]
+
+
+def readout_batch(rng, max_len):
+    """A batch with one full-length row and one row of length 1."""
+    exs = (random_examples(rng, n_examples=1, min_len=max_len, max_len=max_len)
+           + random_examples(rng, n_examples=1, min_len=1, max_len=1)
+           + random_examples(rng, n_examples=4, min_len=1, max_len=max_len))
+    return ingest.make_batches(exs, max_len=max_len, batch_size=8)[0]
+
+
+def whole_channel_last_block(params, seq, mask=None, block=0, history=None):
+    """model.transform with the last block's outputs taken from the
+    whole-channel transform: C sliced at the last position and the
+    extension's context sliced from the pre-activation channels."""
+    cfg = params.config
+    if history is not None or block < cfg.n_blocks - 1:
+        return TRANSFORM(params, seq, mask=mask, block=block, history=history)
+    X, B, C, delta, chan = whole_channel_transform(params, seq, mask=mask, block=block)
+    L = chan.shape[1]
+    return X, B, C[:, -1:], delta, chan[:, max(0, L - (cfg.conv_width - 1)):]
+
+
+def graph_nodes(*roots):
+    seen, stack, nodes = set(), list(roots), []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def made_by(node, op):
+    return node._backward is not None and node._backward.__qualname__.startswith(op + ".")
+
+
+class TestLastBlockReadout:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("n_blocks, conv_width, max_len", READOUT_CASES, ids=READOUT_IDS)
+    def test_equals_whole_channel_transform_bitwise(self, rng, dtype, n_blocks, conv_width,
+                                                    max_len):
+        params = tiny_params(seed=41, n_blocks=n_blocks, conv_width=conv_width, dtype=dtype)
+        batch = readout_batch(rng, max_len)
+        L = batch.seq_len
+        seq = model.embed(params, batch.items)
+        last = n_blocks - 1
+        X, B, C, delta, context = model.transform(params, seq, mask=batch.mask, block=last)
+        Xr, Br, Cr, dr, chan = whole_channel_transform(params, seq, mask=batch.mask, block=last)
+        assert C.shape == (batch.size, 1, params.config.d_s)
+        pairs = [(X, Xr), (B, Br), (C, Cr[:, -1:]), (delta, dr),
+                 (context, chan[:, max(0, L - (conv_width - 1)):])]
+        for got, want in pairs:
+            assert got.dtype == np.dtype(dtype) and got.shape == want.shape
+            assert np.array_equal(got.data, want.data)
+        if n_blocks > 1:
+            # an earlier block's scan reads C at every position
+            got = model.transform(params, seq, mask=batch.mask, block=0)
+            want = whole_channel_transform(params, seq, mask=batch.mask, block=0)
+            for a, b in zip(got[:4], want[:4]):
+                assert np.array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("n_blocks, conv_width, max_len", READOUT_CASES, ids=READOUT_IDS)
+    def test_forward_equals_whole_channel_forward_bitwise(self, rng, monkeypatch, dtype,
+                                                          n_blocks, conv_width, max_len):
+        params = tiny_params(seed=42, n_blocks=n_blocks, conv_width=conv_width, dtype=dtype)
+        batch = readout_batch(rng, max_len)
+        tr = model.forward_full(params, batch, training=False)
+        monkeypatch.setattr(model, "transform", whole_channel_last_block)
+        ref = model.forward_full(params, batch, training=False)
+        for name in ("X", "C", "delta", "h_final", "o_last", "logits"):
+            assert np.array_equal(getattr(tr, name).data, getattr(ref, name).data), name
+        for name in ("x_next", "B_next", "delta_next"):
+            assert np.array_equal(getattr(tr.extension, name).data,
+                                  getattr(ref.extension, name).data), name
+
+    @pytest.mark.parametrize("n_blocks, conv_width, max_len", READOUT_CASES, ids=READOUT_IDS)
+    def test_adaptation_gradients_match_whole_channel_forward(self, rng, monkeypatch,
+                                                              small_weights, n_blocks,
+                                                              conv_width, max_len):
+        # float64; the kernel's gradient sums over other rows, so it may
+        # differ in the last bits
+        params = tiny_params(seed=43, n_blocks=n_blocks, conv_width=conv_width)
+        batch = readout_batch(rng, max_len)
+
+        def adaptation_grads():
+            tr = model.forward_full(params, batch, training=False, need_logits=False)
+            t_loss, s_loss, _ = losses.alignment_losses(params, tr, batch, small_weights,
+                                                        1e-2, 1e-1)
+            total = ag.add(ag.mul(t_loss, 1e-2), ag.mul(s_loss, 1e-1))
+            return total.data, ag.grad(total, params.as_dict())
+
+        loss, got = adaptation_grads()
+        monkeypatch.setattr(model, "transform", whole_channel_last_block)
+        loss_ref, want = adaptation_grads()
+        assert np.array_equal(loss, loss_ref)
+        assert sorted(got) == sorted(want)
+        assert {"E", f"block{n_blocks - 1}.conv_kernel", f"block{n_blocks - 1}.W1"} <= set(want)
+        for name in want:
+            scale = max(np.abs(want[name]).max(), 1e-300)
+            assert np.abs(got[name] - want[name]).max() <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("n_blocks", [1, 2])
+    def test_last_block_convolves_no_whole_channel_array(self, rng, small_weights, n_blocks):
+        params = tiny_params(seed=44, n_blocks=n_blocks)
+        cfg = params.config
+        batch = readout_batch(rng, 7)
+        m, L = batch.mask.shape
+        assert L > cfg.conv_width
+        tr = model.forward_full(params, batch, training=False)
+        t_loss, s_loss, _ = losses.alignment_losses(params, tr, batch, small_weights, 1.0, 1.0)
+        nodes = graph_nodes(tr.logits, t_loss, s_loss)
+        whole = (m, L, cfg.d + 2 * cfg.d_s)
+        # only an earlier block convolves and activates every channel at
+        # every position
+        for op in ("causal_conv1d", "silu"):
+            shapes = [n.shape for n in nodes if made_by(n, op)]
+            assert shapes.count(whole) == n_blocks - 1, (op, shapes)
+        assert tr.C.shape == (m, 1, cfg.d_s)
+        assert not any(made_by(n, "silu") and n.shape == (m, L, cfg.d_s) for n in nodes)
+
+
 class TestExtension:
     def test_detach_blocks_gradient_into_o(self, rng):
         o = ag.parameter(rng.normal(size=(2, 8)))
@@ -310,7 +461,7 @@ def full_tail_reference(params, batch):
     n_blocks = params.config.n_blocks
     seq = model.embed(params, batch.items)
     for b in range(n_blocks):
-        X, B, C, delta, _ = model.transform(params, seq, mask=batch.mask, block=b)
+        X, B, C, delta, _ = whole_channel_transform(params, seq, mask=batch.mask, block=b)
         abar, bbar = model.discretize(delta, params.decay(b), B)
         Xz = ag.mul(X, ag.reshape(maskf, maskf.shape + (1,)))
         Y, _ = model.scan(abar, bbar, Xz, C, batch.mask)
@@ -535,7 +686,9 @@ class TestForwardFull:
         batch = random_batch(rng, n_examples=3, max_len=6)
         tr = model.forward_full(params, batch, training=False)
         Xz = ag.constant(tr.X.data * batch.mask[..., None])
-        H = prefix_states(tr.abar, tr.bbar, Xz, tr.C, batch.mask)
+        # the states do not read C; the scan only wants one of full length
+        C = ag.constant(np.zeros_like(tr.bbar.data))
+        H = prefix_states(tr.abar, tr.bbar, Xz, C, batch.mask)
         for i in range(batch.size):
             prev = 0.0
             for t in range(batch.seq_len):

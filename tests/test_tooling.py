@@ -49,7 +49,7 @@ def test_byte_identity_passes_against_this_checkout():
     assert "tiny-f32: 300 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
     assert "tiny-f64: 300 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
     assert "tiny-w1: 300 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
-    assert "tiny-stop: 300 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
+    assert "tiny-stop: 301 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
 
 
 def test_byte_identity_compare_is_nan_aware_and_exact():

@@ -8,6 +8,9 @@ each in its own subprocess that imports alignrec from that tree's `src/`.
 Each shape's data is generated, written as a TSV in a temporary directory
 and read back with `ingest.load_tsv`, as the benchmark does, so the loader
 is compared too.
+A shape whose model is trained records its parameter digest right after
+training (`<shape>/trained/digest`), so a change that alters only the
+trained bits is named as such: every difference downstream of it follows.
 For every shape it records the split (the shared `items` and `times` and
 each part's `first`, `end` and `user`), the resolved time-loss scale lam and
 the five arrays of each request batch (its four fields and the
@@ -99,8 +102,9 @@ def _write_data(generator, seed, tmp):
 
 
 def _load_shape(name, seed, tmp):
-    """(params, weights, split, request batches, adaptation config) of one
-    shape, its data read from a TSV written under `tmp`."""
+    """(params, weights, split, request batches, adaptation config, whether
+    the params were trained) of one shape, its data read from a TSV written
+    under `tmp`."""
     from alignrec import ingest, pipeline
     from alignrec.config import load_config
 
@@ -110,7 +114,8 @@ def _load_shape(name, seed, tmp):
             "seed": seed, "data": {"path": _write_data(shift["data"]["generator"], seed, tmp)},
             "train": {"epochs": 1, "eval_every": 1}})
         params, weights, split, _ = pipeline.train_model(cfg)
-        return params, weights, split, pipeline.test_batches(cfg, split)[:N_BATCHES], cfg.adapt
+        batches = pipeline.test_batches(cfg, split)[:N_BATCHES]
+        return params, weights, split, batches, cfg.adapt, True
 
     if name in SMOKE_SHAPES:
         w = SMOKE_SHAPES[name]
@@ -136,7 +141,7 @@ def _load_shape(name, seed, tmp):
         weights = pipeline.resolve_weights(cfg, split.train)
         params = pipeline.build_model(cfg, ds.vocab_size, np.random.default_rng(seed))
     batches = pipeline.test_batches(cfg, split)[:N_BATCHES]
-    return params, weights, split, batches, cfg.adapt
+    return params, weights, split, batches, cfg.adapt, "train" in w
 
 
 def worker(src, shapes, seed, out):
@@ -152,7 +157,9 @@ def worker(src, shapes, seed, out):
     record = {}
     for shape in shapes:
         with tempfile.TemporaryDirectory() as tmp:
-            params, weights, split, batches, base = _load_shape(shape, seed, tmp)
+            params, weights, split, batches, base, trained = _load_shape(shape, seed, tmp)
+        if trained:
+            record[f"{shape}/trained/digest"] = np.asarray(model.checkpoint_digest(params))
         E = params["E"].data
         top = np.finfo(E.dtype).max * ABORT_FRACTION
         bad = params.overlay()
@@ -235,7 +242,9 @@ def main(argv=None):
         keys = [k for k in mine if k.startswith(shape + "/")]
         aborted = sum(bool(mine[k]) for k in keys if k.endswith("/aborted"))
         bad = sum(1 for q in problems if f" {shape}/" in q)
-        print(f"{shape}: {len(keys)} arrays, {bad} differ, {aborted} requests aborted")
+        trained = f"differs: {shape}/trained/digest" in problems
+        print(f"{shape}: {len(keys)} arrays, {bad} differ, {aborted} requests aborted"
+              + (", trained parameters differ" if trained else ""))
     for q in problems[:20]:
         print(f"  {q}")
     return 1 if problems else 0
