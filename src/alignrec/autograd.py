@@ -17,14 +17,17 @@ buffer. A backward computes no product for an operand that takes no
 gradient, the causal convolution works through sequences in blocks with
 one scratch buffer, and `linear` adds its bias and applies its row mask in
 the product's own buffer, so neither a constant mask, a bias nor a
-convolution tap costs a full-size array.
+convolution tap costs a full-size array. A reader of the convolution's last
+row alone takes it from `causal_conv1d_last`, which computes that row with
+the whole convolution's float operations and nothing else.
 
 Every contraction the model composes is a batched `matmul`, with
 `transpose` and a broadcast `mul` around it: the scan's readouts and final
-state, the head and the state loss's outer products. numpy runs each as one
-call with no spec to parse. The embedding gradient scatters rows through
-the table's flat view with a 1-D np.add.at whose index is built a block at
-a time; it gives the same bits as the 2-D np.add.at.
+state and the head. The state loss's rank-2 product is a `sub_matmul`, which
+subtracts it from the scaled state in the product's own buffer. numpy runs
+each as one call with no spec to parse. The embedding gradient scatters
+rows through the table's flat view with a 1-D np.add.at whose index is
+built a block at a time; it gives the same bits as the 2-D np.add.at.
 """
 
 from __future__ import annotations
@@ -37,10 +40,11 @@ import numpy as np
 __all__ = [
     "Tensor", "ShapeError", "DomainError",
     "constant", "parameter",
-    "add", "sub", "neg", "mul", "div", "matmul", "transpose", "linear", "exp",
+    "add", "sub", "neg", "mul", "div", "matmul", "sub_matmul", "transpose",
+    "linear", "exp",
     "softplus", "silu", "relu", "concat", "reshape",
     "reduce_sum", "clip_min", "stop_gradient", "embedding",
-    "causal_conv1d", "layer_norm", "dropout",
+    "causal_conv1d", "causal_conv1d_last", "layer_norm", "dropout",
     "softmax_cross_entropy", "frobenius_norm",
     "sequential_scan", "last_decay",
     "grad", "no_grad", "finite_diff_check", "FiniteDiffReport",
@@ -251,6 +255,39 @@ def matmul(a, b):
                 acc(b, _unbroadcast(_swap(a.data) @ g, b.data.shape))
 
     return _node(out_data, (a, b), bw)
+
+
+def sub_matmul(a, u, v):
+    """a - u @ v, the product subtracted in its own buffer. u: (..., n, r),
+    v: (..., r, p), a: the product's shape; for a low rank r the product
+    costs little beside a.
+
+    The values and gradients are those of sub(a, matmul(u, v)), but the
+    graph keeps one output array where those two keep two, and a's gradient
+    is g itself.
+    """
+    a, u, v = _as_tensor(a), _as_tensor(u), _as_tensor(v)
+    try:
+        if u.data.ndim < 2 or v.data.ndim < 2:
+            raise ValueError
+        out_data = u.data @ v.data
+        if out_data.shape != a.data.shape:
+            raise ValueError
+    except ValueError:
+        raise ShapeError(f"sub_matmul: incompatible shapes {a.shape} - "
+                         f"{u.shape} @ {v.shape}") from None
+    np.subtract(a.data, out_data, out=out_data)
+
+    def bw(g, acc):
+        acc(a, g)
+        if u.requires_grad:
+            gu = g @ _swap(v.data)
+            acc(u, _unbroadcast(np.negative(gu, out=gu), u.data.shape))
+        if v.requires_grad:
+            gv = _swap(u.data) @ g
+            acc(v, _unbroadcast(np.negative(gv, out=gv), v.data.shape))
+
+    return _node(out_data, (a, u, v), bw)
 
 
 def transpose(a):
@@ -542,6 +579,47 @@ def causal_conv1d(x, kernel, bias):
         acc(x, gx)
         acc(kernel, gk)
         acc(bias, np.sum(g, axis=(0, 1)))
+
+    return _node(out_data, (x, kernel, bias), bw)
+
+
+def causal_conv1d_last(x, kernel, bias):
+    """The last row of causal_conv1d(x, kernel, bias), as an (m, 1, C)
+    sequence of one step, for a reader of that row only.
+
+    x: (m, n, C); kernel: (w, C); bias: (C,). The row is the bias plus tap
+    k's product with x[:, n-w+k], added in order k = 0 .. w-1; a tap before
+    x's first row reads the zero history and is skipped. These are the float
+    operations causal_conv1d makes for that row, in the same order, so the
+    bits are the same. Only the last min(n, w) rows of x are read, and only
+    they receive a gradient.
+    """
+    x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
+    if x.data.ndim != 3 or kernel.data.ndim != 2 or x.data.shape[2] != kernel.data.shape[1]:
+        raise ShapeError(
+            f"causal_conv1d_last: incompatible shapes {x.shape} vs kernel {kernel.shape}")
+    m, n, C = x.data.shape
+    w = kernel.data.shape[0]
+    t = min(n, w)   # rows read: x[:, n-t:] meets kernel[w-t:]
+    out_data = np.empty((m, 1, C), dtype=x.data.dtype)
+    out_data[...] = bias.data
+    row = out_data[:, 0]
+    tap = np.empty((m, C), dtype=x.data.dtype)
+    for k in range(w - t, w):
+        np.multiply(kernel.data[k], x.data[:, n - w + k], out=tap)
+        row += tap
+
+    def bw(g, acc):
+        g = g[:, 0]
+        if x.requires_grad:
+            gx = np.zeros_like(x.data)
+            np.multiply(g[:, None], kernel.data[w - t:], out=gx[:, n - t:])
+            acc(x, gx)
+        if kernel.requires_grad:
+            gk = np.zeros_like(kernel.data)
+            gk[w - t:] = np.einsum("mc,mtc->tc", g, x.data[:, n - t:])
+            acc(kernel, gk)
+        acc(bias, np.sum(g, axis=0))
 
     return _node(out_data, (x, kernel, bias), bw)
 

@@ -3,7 +3,10 @@
 Three losses: next-item cross-entropy, a blocked pairwise hinge over a band
 of pairs aligning the learned step sizes with observed time gaps, and a
 state-reconstruction loss (the final scan state against its forward-then-
-backward estimate) with an independent numeric ceiling from the bound.
+backward estimate) with an independent numeric ceiling from the bound. The
+state loss computes its reconstruction gap as the expansion state_loss_bound
+starts from, a scaled copy of the final state less a rank-2 product, and
+never forms the stepped or the reconstructed state.
 """
 
 from __future__ import annotations
@@ -47,10 +50,16 @@ class StateAlignIntermediates:
     """Values produced on the way to the state loss, kept for the bound."""
     P: np.ndarray            # (m,) log(-1/A) / delta_next
     P_bar: float             # -1/A, exact
-    h_back: np.ndarray       # (m, d_s, d) reconstructed final state
+    h_final: np.ndarray      # (m, d_s, d) final scan state
+    gap: np.ndarray          # (m, d_s, d) h_final - h_back, the reconstruction gap
     eps_n: np.ndarray        # (m, d_s) Q - B_next / A, the projection residual
     per_row: np.ndarray      # (m,) per-sequence loss values
     clamp_warnings: int      # rows where delta_next hit the division guard
+
+    @property
+    def h_back(self):
+        """(m, d_s, d) reconstructed final state, formed when read."""
+        return self.h_final - self.gap
 
 
 def rec_loss(logits, target):
@@ -117,48 +126,54 @@ def backward_projection(params, x_last):
 DELTA_GUARD = 1e-8
 
 
-def _outer(u, v):
-    """Row-wise outer products (m, s) x (m, d) -> (m, s, d), a broadcast mul."""
-    return ag.mul(ag.reshape(u, u.shape + (1,)), ag.reshape(v, (v.shape[0], 1, -1)))
-
-
 def state_alignment_loss(params, trace):
     """Reconstruct the final state through one forward step and one backward
     step, and penalize the Frobenius distance, diluted by delta_next**2 (the
     power state_loss_bound holds for).
 
-    Returns (scalar loss tensor, StateAlignIntermediates). The backward
-    decay is the exact value exp(delta * log(-1/A) / delta) = -1/A.
+    The forward step is h_next = abar_n h_n + delta_n B_next (x) x_next and
+    the backward step h_back = p_bar h_next + delta_n Q (x) x_n, with the
+    exact backward decay p_bar = exp(delta * log(-1/A) / delta) = -1/A.
+    Neither state is formed: the gap is computed as the expansion
+    state_loss_bound starts from (p_bar abar_n = -A^-1 e^{dA}),
+
+        h_n - h_back = (1 - p_bar abar_n) h_n - U V,
+        U = delta_n [p_bar B_next | Q]  (m, d_s, 2),  V = [x_next; x_n]  (m, 2, d),
+
+    a scaled copy of h_n less a rank-2 product, so the graph holds two
+    (m, d_s, d) arrays. The intermediates' h_back is h_n - gap, formed only
+    when read. Returns (scalar loss tensor, StateAlignIntermediates).
     """
     ext = trace.extension
     A = trace.A
     a_val = float(A.data)
     if a_val >= 0:
         raise LossError("state_alignment_loss: decay A must be negative")
+    m = ext.delta_next.shape[0]
 
     clamp_warnings = int(np.sum(ext.delta_next.data < DELTA_GUARD))
     delta_n = ag.clip_min(ext.delta_next, DELTA_GUARD)           # (m,)
 
-    abar_n = ag.exp(ag.mul(delta_n, A))                          # (m,)
-    bbar_n = ag.mul(ext.B_next, ag.reshape(delta_n, (-1, 1)))    # (m, d_s)
-    h_next = ag.add(ag.mul(ag.reshape(abar_n, (-1, 1, 1)), trace.h_final),
-                    _outer(bbar_n, ext.x_next))
-
     Q = backward_projection(params, trace.x_last)                # (m, d_s)
     p_bar = ag.neg(ag.div(1.0, A))                               # scalar, -1/A exactly
-    q_bar = ag.mul(Q, ag.reshape(delta_n, (-1, 1)))              # (m, d_s)
-    h_back = ag.add(ag.mul(ag.reshape(p_bar, (1, 1, 1)), h_next),
-                    _outer(q_bar, trace.x_last))
+    coef = ag.sub(1.0, ag.mul(p_bar, ag.exp(ag.mul(delta_n, A))))  # (m,)
+    U = ag.mul(ag.concat([ag.reshape(ag.mul(ext.B_next, p_bar), (m, -1, 1)),
+                          ag.reshape(Q, (m, -1, 1))], axis=2),
+               ag.reshape(delta_n, (m, 1, 1)))
+    V = ag.concat([ag.reshape(ext.x_next, (m, 1, -1)),
+                   ag.reshape(trace.x_last, (m, 1, -1))], axis=1)
+    gap = ag.sub_matmul(ag.mul(ag.reshape(coef, (m, 1, 1)), trace.h_final), U, V)
 
-    dist = ag.frobenius_norm(ag.sub(trace.h_final, h_back), axis=(1, 2))  # (m,)
+    dist = ag.frobenius_norm(gap, axis=(1, 2))                   # (m,)
     per_row = ag.div(ag.div(dist, delta_n), delta_n)
-    loss = ag.div(ag.reduce_sum(per_row), per_row.data.shape[0])
+    loss = ag.div(ag.reduce_sum(per_row), m)
 
     dval = delta_n.data
     inter = StateAlignIntermediates(
         P=np.log(-1.0 / a_val) / dval,
         P_bar=-1.0 / a_val,
-        h_back=h_back.data,
+        h_final=trace.h_final.data,
+        gap=gap.data,
         eps_n=Q.data - ext.B_next.data / a_val,
         per_row=per_row.data,
         clamp_warnings=clamp_warnings,
@@ -178,7 +193,9 @@ def state_loss_bound(trace, ext, inter):
                        - d (Q - A^-1 B_next) (x) x_n
                        + d A^-1 B_next (x) (x_n - x_next),
     so the bound is that expansion under the triangle inequality, divided
-    by d^2 as the loss is; the first coefficient satisfies
+    by d^2 as the loss is (the loss computes the gap from the same
+    expansion, its last two terms grouped as one rank-2 product); the first
+    coefficient satisfies
     |1 + A^-1 e^{dA}| <= 1 whenever A <= -1.
     """
     a_val = float(trace.A.data)

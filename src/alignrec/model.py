@@ -12,8 +12,9 @@ last block's output is read only at each row's last position, the one output
 the head, the losses and the extension read: its scan computes just the
 final state in linear time, and its LayerNorm and FFN run on that one row.
 Its readout channels C are read only at that position too, so its transform
-convolves and activates C there only, and the X|B channels at every
-position. Earlier blocks convolve every channel and scan in the quadratic
+convolves and activates C there only, one row computed by itself, and the
+X|B channels at every position; the extension convolves one row of X|B
+channels. Earlier blocks convolve every channel and scan in the quadratic
 form, because the next block reads every position. Both forms take their
 decay weights from autograd.last_decay: the last block its final-state
 weights, an earlier block one row of weights per step.
@@ -219,16 +220,17 @@ def transform(params, seq, mask=None, block=0, history=None):
     (block < n_blocks - 1) convolves and activates all of them: its scan
     reads C at every position. The last block reads C only at the last
     position, so it convolves and activates the X|B channels at every
-    position and gets C, (m, 1, d_s), as the last row of the convolution
-    over the projection's last w rows of C channels: the same bits as the
-    whole convolution's last row. It also returns the extension's context,
-    the projection's last w-1 rows of all d + 2d_s channels (fewer when
-    L < w-1); an earlier block returns None there.
+    position and gets C, (m, 1, d_s), as the convolution's last row alone
+    (`ag.causal_conv1d_last` over the projection's last w rows of C
+    channels): the bias plus the w taps in the whole convolution's order,
+    so the same bits as its last row. It also returns the extension's
+    context, the projection's last w-1 rows of the d + d_s X|B channels
+    (fewer when L < w-1); an earlier block returns None there.
 
-    With `history`, such a (m, <= w-1, d+2d_s) context, seq is the one (m, d)
+    With `history`, such a (m, <= w-1, d+d_s) context, seq is the one (m, d)
     step after it, and X, B and delta are that step's rows. Nothing reads the
-    step's C, so only X|B of its convolution's last row is activated, and C
-    and the context are None.
+    step's C, so only the X|B channels of the step are convolved, as the one
+    row over the window of context and step, and C and the context are None.
     """
     cfg = params.config
     pre = f"block{block}."
@@ -238,18 +240,18 @@ def transform(params, seq, mask=None, block=0, history=None):
     kernel, bias = params[pre + "conv_kernel"], params[pre + "conv_bias"]
     delta = ag.softplus(proj[..., inner])
     if history is not None:
-        window = ag.concat([history, proj[:, None, :inner]], axis=1)
-        act = ag.silu(ag.causal_conv1d(window, kernel, bias)[:, -1, :xb])
-        return act[:, :d], act[:, d:], None, delta, None
+        window = ag.concat([history, proj[:, None, :xb]], axis=1)
+        act = ag.silu(ag.causal_conv1d_last(window, kernel[:, :xb], bias[:xb]))
+        return act[:, 0, :d], act[:, 0, d:], None, delta, None
     if block < cfg.n_blocks - 1:
         act = ag.silu(ag.causal_conv1d(proj[..., :inner], kernel, bias))
         return act[..., :d], act[..., d:xb], act[..., xb:], delta, None
     L = proj.shape[1]
     act = ag.silu(ag.causal_conv1d(proj[..., :xb], kernel[:, :xb], bias[:xb]))
-    c_conv = ag.causal_conv1d(proj[:, max(0, L - w):, xb:inner], kernel[:, xb:], bias[xb:])
-    C = ag.silu(c_conv[:, -1:])
+    C = ag.silu(ag.causal_conv1d_last(proj[:, max(0, L - w):, xb:inner],
+                                      kernel[:, xb:], bias[xb:]))
     # not [:, -(w-1):], which at conv_width 1 is the whole sequence
-    context = proj[:, max(0, L - (w - 1)):, :inner]
+    context = proj[:, max(0, L - (w - 1)):, :xb]
     return act[..., :d], act[..., d:], C, delta, context
 
 
@@ -298,8 +300,10 @@ def predict(params, o_last):
 def extend_step(params, o_last, history, block=0):
     """The alignment block's transform one position past the end: the final
     output embedding o_last (m, d) re-fed as the step after `history`, the
-    (m, <= w-1, d+2d_s) trailing pre-activation channels; a shorter history
-    is preceded by the convolution's zero history. The gradient into
+    (m, <= w-1, d+d_s) trailing pre-activation X|B channels; a shorter
+    history is preceded by the convolution's zero history. The step's X|B
+    channels are convolved at its own row only, over that window; its C
+    channels are not convolved, since nothing reads them. The gradient into
     o_last stops when the config's detach_extension is set.
     """
     o_in = ag.stop_gradient(o_last) if params.config.detach_extension else o_last
@@ -319,17 +323,18 @@ def forward_full(params, batch, rng=None, training=False, need_logits=True,
     batched matmul, with w = autograd.last_decay (O(m L), no (m, L, L)
     kernel), and reads its output at the last position, L-1 in every row, as
     y_last = C h_final, C being the (m, 1, d_s) readout that the transform
-    convolves at that position only. Its LayerNorm and FFN then run on
-    (m, d) and give o_last, so its dropout draws an (m, d) mask. Earlier
+    convolves at that position only, as one row. Its LayerNorm and FFN then
+    run on (m, d) and give o_last, so its dropout draws an (m, d) mask. Earlier
     blocks convolve C at every position and run the quadratic-form scan and
     the tail on full sequences because the next block's transform reads
     every position.
 
     The extension re-feeds o_last through the last block's transform after
-    the trailing w-1 rows of its projection's convolution channels, which
-    the transform returns (empty at conv_width 1). Padded positions of those
-    channels are zero, and a batch shorter than w-1 gets the convolution's
-    own zero history, so a short row's window is zeros before its start.
+    the trailing w-1 rows of its projection's X|B convolution channels,
+    which the transform returns (empty at conv_width 1), and convolves the
+    step's one row. Padded positions of those channels are zero, and a batch
+    shorter than w-1 gets the convolution's own zero history, so a short
+    row's window is zeros before its start.
 
     need_logits=False skips the prediction head (the adaptation steps only
     need the alignment intermediates); need_extension=False skips the

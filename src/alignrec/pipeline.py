@@ -63,7 +63,9 @@ def train_model(cfg, progress=None):
     ds = load_dataset(cfg)
     split = ingest.leave_one_out_split(ds)
     if not split.train:
-        raise PipelineError("no training examples after splitting")
+        # the data leaves nothing to train on: an input-data error, not a
+        # numeric failure
+        raise ingest.IngestError("no training examples after splitting")
     weights = resolve_weights(cfg, split.train)
 
     params = build_model(cfg, ds.vocab_size, rng)

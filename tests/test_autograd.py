@@ -691,6 +691,62 @@ def test_blocked_conv_gradients_match_the_unblocked_formula(rng, monkeypatch, bl
     assert rep.ok, rep.failures[:3]
 
 
+# (m, n, C, w): n > w, n = w (the extension's window), n < w (a window of
+# max_len 2), n = 1, and w = 1
+LAST_ROW_CASES = [(7, 6, 3, 4), (7, 4, 3, 4), (7, 2, 3, 4), (7, 1, 3, 4), (7, 5, 3, 1)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("m, n, C, w", LAST_ROW_CASES)
+def test_conv_last_row_equals_the_whole_convolutions_last_row(rng, dtype, m, n, C, w):
+    x, k, b = _conv_inputs(rng, m, n, C, w, dtype)
+    x[:3, :n - 1] = 0.0   # left-padded rows: zeros before their first step
+    want = ag.causal_conv1d(ag.constant(x), ag.constant(k), ag.constant(b)).data[:, -1:]
+    got = ag.causal_conv1d_last(ag.constant(x), ag.constant(k), ag.constant(b))
+    assert got.dtype == dtype and got.shape == (m, 1, C)
+    assert np.array_equal(got.data, want)
+
+
+@pytest.mark.parametrize("m, n, C, w", LAST_ROW_CASES)
+def test_conv_last_row_gradients(rng, m, n, C, w):
+    x, k, b = (ag.parameter(v) for v in _conv_inputs(rng, m, n, C, w, np.float64))
+    G = np.zeros((m, n, C))
+    G[:, -1] = rng.normal(size=(m, C))
+
+    def f():
+        return ag.reduce_sum(ag.mul(ag.causal_conv1d_last(x, k, b), ag.constant(G[:, -1:])))
+
+    params = {"x": x, "k": k, "b": b}
+    got = ag.grad(f(), params)
+    # the whole convolution under a gradient that reads its last row only
+    for name, ref in zip(("x", "k", "b"), conv_reference_grads(x.data, k.data, G)):
+        np.testing.assert_allclose(got[name], ref, rtol=1e-12, atol=1e-12)
+    rep = ag.finite_diff_check(f, params, eps=1e-6, tol=1e-6, n_samples=30, rng=rng)
+    assert rep.ok, rep.failures[:3]
+
+
+def test_sub_matmul_equals_sub_of_matmul(rng):
+    a, u, v = (ag.parameter(rng.normal(size=s)) for s in ((4, 5, 6), (4, 5, 2), (4, 2, 6)))
+    got = ag.sub_matmul(a, u, v)
+    assert np.array_equal(got.data, ag.sub(a, ag.matmul(u, v)).data)
+    G = ag.constant(rng.normal(size=(4, 5, 6)))
+    params = {"a": a, "u": u, "v": v}
+    want = ag.grad(ag.reduce_sum(ag.mul(ag.sub(a, ag.matmul(u, v)), G)), params)
+
+    def f():
+        return ag.reduce_sum(ag.mul(ag.sub_matmul(a, u, v), G))
+
+    got = ag.grad(f(), params)
+    for name in params:
+        np.testing.assert_allclose(got[name], want[name], rtol=1e-14, atol=1e-14)
+    rep = ag.finite_diff_check(f, params, eps=1e-6, tol=1e-6, n_samples=30, rng=rng)
+    assert rep.ok, rep.failures[:3]
+    with pytest.raises(ag.ShapeError, match="sub_matmul"):
+        ag.sub_matmul(a, u, ag.transpose(v))
+    with pytest.raises(ag.ShapeError, match="sub_matmul"):
+        ag.sub_matmul(a[:, :4], u, v)
+
+
 def test_structured_primitive_gradients(rng):
     # conv, layer_norm, embedding and integer-array indexing (one step per
     # row, repeated flat indices) under one scalar head
@@ -788,6 +844,8 @@ def float32_op_cases(rng):
         ("add", lambda: ag.add(x, 1.0)), ("sub", lambda: ag.sub(1.0, y)),
         ("neg", lambda: ag.neg(x)), ("mul", lambda: ag.mul(x, y)),
         ("div", lambda: ag.div(x, y)), ("matmul", lambda: ag.matmul(z3, ag.transpose(x))),
+        ("sub_matmul", lambda: ag.sub_matmul(ag.matmul(z3, ag.transpose(x)),
+                                             z3[:, :, :2], x[:2, :3])),
         ("transpose", lambda: ag.transpose(z3)),
         ("linear", lambda: ag.linear(z3, W, bias, mask=mask)),
         ("exp", lambda: ag.exp(x)), ("softplus", lambda: ag.softplus(x)),
@@ -798,6 +856,7 @@ def float32_op_cases(rng):
         ("clip_min", lambda: ag.clip_min(x, 1.0)),
         ("getitem", lambda: x[:, 1:]), ("embedding", lambda: ag.embedding(E, [[1, 1, 6]])),
         ("causal_conv1d", lambda: ag.causal_conv1d(z3, ker, W[0, :4])),
+        ("causal_conv1d_last", lambda: ag.causal_conv1d_last(z3, ker, W[0, :4])),
         ("layer_norm", lambda: ag.layer_norm(z3, x[0], y[0])),
         ("dropout", lambda: ag.dropout(x, 0.5, rng=rng, training=True)),
         ("softmax_cross_entropy", lambda: ag.softmax_cross_entropy(x, [0, 3, 1])),

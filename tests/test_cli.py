@@ -506,6 +506,20 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert f"{tsv}:6:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [["train"], ["sweep", "--grid", "0.1"]],
+                             ids=["train", "sweep"])
+    def test_split_with_no_training_examples_is_config_error(self, tmp_path, capsys, argv):
+        # three events per user: leave-one-out keeps each user's sequence
+        # for validation and test, and no training example is left
+        tsv = tmp_path / "data.tsv"
+        tsv.write_text("user_id\titem_id\ttimestamp\n"
+                       + "".join(f"u{u}\ti{k}\t{10 * k}\n" for u in (1, 2)
+                                 for k in range(1, 4)))
+        path = write_config(tmp_path, base_config(tmp_path, data={"path": str(tsv)}))
+        capsys.readouterr()
+        assert cli.main(argv + ["--config", path]) == 2
+        assert capsys.readouterr().err == "error: no training examples after splitting\n"
+
     @pytest.mark.parametrize("command", ["gen", "train"])
     def test_negative_seed_in_config_is_config_error(self, tmp_path, capsys, command):
         path = write_config(tmp_path, base_config(tmp_path, seed=-1))

@@ -363,6 +363,55 @@ class TestStateLoss:
         assert abs(float(loss.data) - np.mean(refs)) < 1e-12
 
 
+    @pytest.mark.parametrize("a_raw", [0.0, 0.3, 0.9, np.log(4.0)],
+                             ids=["A=-1", "A=-1.35", "A=-2.46", "A=-4"])
+    def test_rank_two_gap_matches_two_step_reconstruction(self, rng, a_raw):
+        # float64; delta from the division guard up, and one row under it
+        params = tiny_params(seed=21, d=6, d_s=3)
+        m = 8
+        dn = np.array([losses.DELTA_GUARD * 1e-3, losses.DELTA_GUARD, 1e-6, 1e-3,
+                       0.1, 0.7, 1.5, 3.0])
+        h, x, xn, B = (rng.normal(size=s) for s in ((m, 3, 6), (m, 6), (m, 6), (m, 3)))
+        trace = fabricate(params, h, x, xn, B, dn, a_raw=a_raw)
+        _, inter = losses.state_alignment_loss(params, trace)
+
+        A = -np.exp(a_raw)
+        d = np.maximum(dn, losses.DELTA_GUARD)[:, None, None]
+        Q = x @ params["block0.W2"].data + params["block0.b2"].data
+        h_next = np.exp(d * A) * h + d * B[:, :, None] * xn[:, None, :]
+        h_back = (-1.0 / A) * h_next + d * Q[:, :, None] * x[:, None, :]
+        scale = np.abs(h_back).max()
+        assert np.abs(inter.h_back - h_back).max() <= 1e-12 * scale
+        assert np.abs(inter.gap - (h - h_back)).max() <= 1e-12 * scale
+        # where the gap is not itself a cancellation, the loss agrees closely
+        big = dn >= 0.1
+        ref = np.linalg.norm((h - h_back).reshape(m, -1), axis=1) / d[:, 0, 0] ** 2
+        np.testing.assert_allclose(inter.per_row[big], ref[big], rtol=1e-10)
+
+    def test_builds_at_most_two_full_size_arrays(self, rng):
+        # the (m, d_s, d) arrays of the graph besides h_final itself
+        params = tiny_params(seed=22, d=6, d_s=3)
+        m = 5
+        trace = fabricate(params, *(rng.normal(size=s) for s in
+                                    ((m, 3, 6), (m, 6), (m, 6), (m, 3))),
+                          rng.uniform(0.1, 1.0, m))
+        for name in ("h_final", "x_last"):
+            setattr(trace, name, ag.parameter(getattr(trace, name).data))
+        ext = trace.extension
+        for name in ("x_next", "B_next", "delta_next"):
+            setattr(ext, name, ag.parameter(getattr(ext, name).data))
+        loss, _ = losses.state_alignment_loss(params, trace)
+        seen, stack, full = set(), [loss], []
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node._parents)
+                if node.shape == (m, 3, 6) and node is not trace.h_final:
+                    full.append(node)
+        assert len(full) <= 2, [n._backward.__qualname__ for n in full]
+
+
 class TestTheoremBound:
     def test_zero_gap_zero_bound(self):
         params = tiny_params(d=6, d_s=3)

@@ -19,9 +19,9 @@ def layer_norm_np(x, g, b, eps=1e-5):
 
 
 def zero_history(params, m):
-    """An all-zero (m, w-1, d+2d_s) convolution context for extend_step."""
+    """An all-zero (m, w-1, d+d_s) convolution context for extend_step."""
     cfg = params.config
-    return ag.constant(np.zeros((m, cfg.conv_width - 1, cfg.d + 2 * cfg.d_s)))
+    return ag.constant(np.zeros((m, cfg.conv_width - 1, cfg.d + cfg.d_s)))
 
 
 def whole_channel_transform(params, seq, mask=None, block=0):
@@ -123,7 +123,8 @@ class TestTransform:
         X, B, C, delta, chan = model.transform(params, ag.constant(row))
         K = params["block0.conv_kernel"].data
         cb = params["block0.conv_bias"].data
-        ref = silu_np(K[-1] * chan.data[0, 0] + cb)
+        xb = params.config.d + params.config.d_s
+        ref = silu_np(K[-1, :xb] * chan.data[0, 0] + cb[:xb])
         assert np.allclose(X.data[0, 0], ref[:8], atol=1e-12)
 
     def test_matches_straight_line_oracle(self, rng):
@@ -272,13 +273,23 @@ def readout_batch(rng, max_len):
 def whole_channel_last_block(params, seq, mask=None, block=0, history=None):
     """model.transform with the last block's outputs taken from the
     whole-channel transform: C sliced at the last position and the
-    extension's context sliced from the pre-activation channels."""
+    extension's context sliced from the pre-activation X|B channels; with
+    `history`, the extension's row is the whole-channel convolution's last
+    row over the window."""
     cfg = params.config
-    if history is not None or block < cfg.n_blocks - 1:
-        return TRANSFORM(params, seq, mask=mask, block=block, history=history)
+    xb = cfg.d + cfg.d_s
+    if history is not None:
+        pre = f"block{block}."
+        proj = ag.linear(seq, params[pre + "W1"], params[pre + "b1"])
+        window = ag.concat([history, proj[:, None, :xb]], axis=1)
+        act = ag.silu(ag.causal_conv1d(window, params[pre + "conv_kernel"][:, :xb],
+                                       params[pre + "conv_bias"][:xb])[:, -1])
+        return act[:, :cfg.d], act[:, cfg.d:], None, ag.softplus(proj[:, -1]), None
+    if block < cfg.n_blocks - 1:
+        return TRANSFORM(params, seq, mask=mask, block=block)
     X, B, C, delta, chan = whole_channel_transform(params, seq, mask=mask, block=block)
     L = chan.shape[1]
-    return X, B, C[:, -1:], delta, chan[:, max(0, L - (cfg.conv_width - 1)):]
+    return X, B, C[:, -1:], delta, chan[:, max(0, L - (cfg.conv_width - 1)):, :xb]
 
 
 def graph_nodes(*roots):
@@ -309,8 +320,9 @@ class TestLastBlockReadout:
         X, B, C, delta, context = model.transform(params, seq, mask=batch.mask, block=last)
         Xr, Br, Cr, dr, chan = whole_channel_transform(params, seq, mask=batch.mask, block=last)
         assert C.shape == (batch.size, 1, params.config.d_s)
+        xb = params.config.d + params.config.d_s
         pairs = [(X, Xr), (B, Br), (C, Cr[:, -1:]), (delta, dr),
-                 (context, chan[:, max(0, L - (conv_width - 1)):])]
+                 (context, chan[:, max(0, L - (conv_width - 1)):, :xb])]
         for got, want in pairs:
             assert got.dtype == np.dtype(dtype) and got.shape == want.shape
             assert np.array_equal(got.data, want.data)
@@ -380,6 +392,24 @@ class TestLastBlockReadout:
             assert shapes.count(whole) == n_blocks - 1, (op, shapes)
         assert tr.C.shape == (m, 1, cfg.d_s)
         assert not any(made_by(n, "silu") and n.shape == (m, L, cfg.d_s) for n in nodes)
+
+    @pytest.mark.parametrize("n_blocks", [1, 2])
+    def test_readout_and_extension_convolve_one_row(self, rng, small_weights, n_blocks):
+        params = tiny_params(seed=45, n_blocks=n_blocks)
+        cfg = params.config
+        batch = readout_batch(rng, 7)
+        m, L = batch.mask.shape
+        tr = model.forward_full(params, batch, training=False)
+        t_loss, s_loss, _ = losses.alignment_losses(params, tr, batch, small_weights, 1.0, 1.0)
+        nodes = graph_nodes(tr.logits, t_loss, s_loss)
+        convs = [n.shape for n in nodes
+                 if made_by(n, "causal_conv1d") or made_by(n, "causal_conv1d_last")]
+        # a convolution output of more than one row is the last block's X|B
+        # channels or an earlier block's every channel, at every position
+        xb = cfg.d + cfg.d_s
+        assert sorted(s for s in convs if s[1] > 1) == sorted(
+            [(m, L, xb)] + [(m, L, xb + cfg.d_s)] * (n_blocks - 1)), convs
+        assert sorted(s for s in convs if s[1] == 1) == [(m, 1, cfg.d_s), (m, 1, xb)], convs
 
 
 class TestExtension:

@@ -43,13 +43,13 @@ def test_byte_identity_passes_against_this_checkout():
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stdout + res.stderr
     assert "overflow encountered" not in res.stderr, res.stderr   # the abort table is finite
-    assert "tiny: 300 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
-    assert "tiny-2block: 300 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
-    assert "tiny-short: 300 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
-    assert "tiny-f32: 300 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
-    assert "tiny-f64: 300 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
-    assert "tiny-w1: 300 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
-    assert "tiny-stop: 301 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
+    assert "tiny: 306 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
+    assert "tiny-2block: 306 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
+    assert "tiny-short: 306 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
+    assert "tiny-f32: 306 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
+    assert "tiny-f64: 306 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
+    assert "tiny-w1: 306 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
+    assert "tiny-stop: 307 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
 
 
 def test_byte_identity_compare_is_nan_aware_and_exact():

@@ -20,9 +20,10 @@ adaptation config and request batch it records the adapted logits, their
 metric rows at k=10 (recall, reciprocal rank, NDCG, rank;
 `evaluation.batch_rank_metrics`), the AdaptReport's per-step losses, clamp
 warnings and abort flag, and the checkpoint digest after the request.
-Every request batch's frozen metric rows (`adapt.evaluate_frozen`) are
-recorded once per shape, so a change to the ranking shows even where
-adaptation aborts. The two record sets are
+Every request batch's frozen logits (the prediction pass that
+`adapt.evaluate_frozen` ranks) and frozen metric rows are recorded once per
+shape, so a change to the frozen forward is named directly, and a change to
+the ranking shows even where adaptation aborts. The two record sets are
 compared array by array (NaN equals NaN); exit 0 when all are identical, 1
 otherwise.
 
@@ -174,6 +175,9 @@ def worker(src, shapes, seed, out):
         for i, batch in enumerate(batches):
             for name in ("items", "mask", "target_item", "T", "t_elig"):
                 record[f"{shape}/batch/{i}/{name}"] = getattr(batch, name)
+            with ag.no_grad():
+                record[f"{shape}/frozen/{i}/logits"] = model.forward_full(
+                    params, batch, training=False, need_extension=False).logits.data
             record[f"{shape}/frozen/{i}/rows"] = adapt.evaluate_frozen(params, [batch])
         for cname, over in CONFIGS.items():
             acfg = dataclasses.replace(base, **over)
