@@ -67,29 +67,38 @@ def rec_loss(logits, target):
     return ag.softmax_cross_entropy(logits, np.asarray(target))
 
 
-def time_alignment_loss(delta_full, T, elig, lam, block_size):
-    """Blocked pairwise hinge between predicted step sizes and time gaps.
+@dataclass(frozen=True)
+class TimePairs:
+    """The pairs the time loss compares in one batch, fixed by its gaps, its
+    padding, lam and block_size: flat indices into the (m, L+1) step-size
+    matrix and each pair's time difference over lam, in (row, i, j) order."""
+    shape: tuple             # (m, L+1)
+    flat_i: np.ndarray       # (n_pairs,) int64
+    flat_j: np.ndarray       # (n_pairs,) int64
+    t_diff: np.ndarray       # (n_pairs,) (T_i - T_j) / lam, in the step sizes' dtype
 
-    delta_full: (m, L+1) tensor, the per-position step sizes with the
-    extension step in the final column. T: matching gap matrix (plain
-    float array). elig: boolean matrix marking the positions that carry a
-    real gap (the first valid position and padding are excluded). Within
-    each row the eligible positions are chunked, in order, into consecutive
-    blocks of block_size; pairs never cross blocks. The result is the sum
-    of hinge terms over the total number of valid pairs; with no valid
-    pairs the loss is an exact zero with no gradient.
+    @property
+    def n_pairs(self):
+        return self.flat_i.size
 
-    The pairs come from a band, not an (m, L+1, L+1) mask: each eligible
-    entry is compared with the next min(block_size, L+1) - 1 only, so time
-    and memory are O(m (L+1) block_size). Pairs come in (row, i, j) order.
+
+def time_pairs(T, elig, lam, block_size, dtype):
+    """The band of pairs time_alignment_loss compares, built once per batch.
+
+    T: (m, L+1) gap matrix. elig: boolean matrix marking the positions that
+    carry a real gap (the first valid position and padding are excluded).
+    Within each row the eligible positions are chunked, in order, into
+    consecutive blocks of block_size; pairs never cross blocks. Each
+    eligible entry is compared with the next min(block_size, L+1) - 1 only,
+    not through an (m, L+1, L+1) mask, so time and memory are
+    O(m (L+1) block_size). The time differences are formed in float64 and
+    stored in `dtype`, the dtype of the step sizes they will multiply.
     """
     elig = np.asarray(elig, dtype=bool)
     T = np.asarray(T, dtype=np.float64)
     m, n_cols = elig.shape
-    if delta_full.data.shape != (m, n_cols) or T.shape != (m, n_cols):
-        raise LossError(
-            f"time_alignment_loss: shapes delta {delta_full.data.shape}, "
-            f"T {T.shape}, elig {elig.shape} do not agree")
+    if T.shape != (m, n_cols):
+        raise LossError(f"time_pairs: shapes T {T.shape}, elig {elig.shape} do not agree")
 
     # in row-major order the entries of one (row, block) key are consecutive,
     # so entry a pairs with those of the next `width` entries sharing its key
@@ -100,20 +109,43 @@ def time_alignment_loss(delta_full, T, elig, lam, block_size):
     ahead = np.lib.stride_tricks.sliding_window_view(
         np.concatenate([key, np.full(width + 1, -1)]), width + 1)[:-1, 1:]
     a, k = np.nonzero(ahead == key[:, None])
-    n_pairs = a.size
+    flat_i = entries[a]
+    flat_j = entries[a + k + 1]
+    t_diff = (T.reshape(-1)[flat_i] - T.reshape(-1)[flat_j]) / lam
+    return TimePairs((m, n_cols), flat_i, flat_j, t_diff.astype(dtype))
+
+
+def _pair_hinge(delta_full, pairs):
+    """Sum of hinge terms over the pairs over their number; with no pairs an
+    exact zero with no gradient. Returns (loss, n_pairs)."""
+    if delta_full.data.shape != pairs.shape:
+        raise LossError(
+            f"time_alignment_loss: step sizes {delta_full.data.shape} do not "
+            f"match the pairs' shape {pairs.shape}")
+    n_pairs = pairs.n_pairs
     if n_pairs == 0:
         return ag.constant(np.zeros((), dtype=delta_full.data.dtype)), 0
 
-    flat_i = entries[a]
-    flat_j = entries[a + k + 1]
     flat = ag.reshape(delta_full, (-1,))
-    d_i = flat[flat_i]
-    d_j = flat[flat_j]
-    t_diff = (T.reshape(-1)[flat_i] - T.reshape(-1)[flat_j]) / lam
+    d_i = flat[pairs.flat_i]
+    d_j = flat[pairs.flat_j]
     margin = ag.sub(1.0, ag.mul(ag.sub(d_i, d_j), ag.constant(
-        t_diff.astype(delta_full.data.dtype))))
+        pairs.t_diff.astype(delta_full.data.dtype, copy=False))))
     loss = ag.div(ag.reduce_sum(ag.relu(margin)), float(n_pairs))
     return loss, n_pairs
+
+
+def time_alignment_loss(delta_full, T, elig, lam, block_size):
+    """Blocked pairwise hinge between predicted step sizes and time gaps.
+
+    delta_full: (m, L+1) tensor, the per-position step sizes with the
+    extension step in the final column; T, elig, lam and block_size choose
+    the pairs as time_pairs does. The result is the sum of hinge terms over
+    the total number of valid pairs; with no valid pairs the loss is an
+    exact zero with no gradient. Returns (loss, n_pairs).
+    """
+    return _pair_hinge(delta_full, time_pairs(T, elig, lam, block_size,
+                                              delta_full.data.dtype))
 
 
 def backward_projection(params, x_last):
@@ -232,26 +264,31 @@ def total_loss(rec, time, state, weights, phase):
     return out
 
 
-def alignment_losses(params, trace, batch, weights, mu_time, mu_state):
+def alignment_losses(params, trace, batch, weights, mu_time, mu_state, pairs=None):
     """The time and state alignment losses whose weight is non-zero.
 
     Returns (time loss or None, state loss or None, clamp warnings); a term
-    with weight zero is not computed.
+    with weight zero is not computed. `pairs`, the batch's time_pairs, is
+    built here when not given.
     """
     t_loss = s_loss = None
     clamp_warnings = 0
     if mu_time:
-        t_loss, _ = batch_time_loss(params, trace, batch, weights)
+        t_loss, _ = batch_time_loss(params, trace, batch, weights, pairs)
     if mu_state:
         s_loss, inter = state_alignment_loss(params, trace)
         clamp_warnings = inter.clamp_warnings
     return t_loss, s_loss, clamp_warnings
 
 
-def batch_time_loss(params, trace, batch, weights):
-    """Convenience wrapper building delta_full from a trace and batch."""
+def batch_time_loss(params, trace, batch, weights, pairs=None):
+    """The time loss of a trace over its batch: delta_full from the trace,
+    the pairs from `pairs` or, when not given, from the batch's gaps.
+    Returns (loss, n_pairs)."""
     m = batch.size
     delta_full = ag.concat(
         [trace.delta, ag.reshape(trace.extension.delta_next, (m, 1))], axis=1)
-    return time_alignment_loss(delta_full, batch.T, batch.t_elig,
-                               weights.lam, weights.block_size)
+    if pairs is None:
+        pairs = time_pairs(batch.T, batch.t_elig, weights.lam, weights.block_size,
+                           delta_full.data.dtype)
+    return _pair_hinge(delta_full, pairs)

@@ -1,7 +1,10 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
-from alignrec import adapt, ingest, model, optim, pipeline
+from alignrec import adapt, evaluation, ingest, model, optim, pipeline
 from alignrec import autograd as ag
 from alignrec import losses as L
 from alignrec.adapt import AdaptConfig
@@ -261,3 +264,178 @@ def test_trained_and_reloaded_parameters_adapt_alike(tmp_path):
     trained = adapt.adapt_and_predict(params, batch, cfg.adapt, weights)[0]
     reloaded = adapt.adapt_and_predict(loaded, batch, cfg.adapt, weights)[0]
     assert np.array_equal(trained, reloaded)
+
+
+class TestStartStepPredict:
+    """adapt_and_predict is start, M steps, then predict; one step's graph
+    is alive at a time."""
+
+    def test_adapt_and_predict_is_start_steps_predict(self, setup):
+        params, _, batches, weights = setup
+        cfg = AdaptConfig(steps=3, lr=0.5)
+        logits, rep = adapt.adapt_and_predict(params, batches[0], cfg, weights)
+        state = adapt.start(params, batches[0])
+        records = []
+        for k in range(cfg.steps):
+            assert state.n_steps == k
+            state, rec = adapt.step(state, cfg, weights)
+            records.append(rec)
+        assert not rep.aborted and not any(r.abort_reason for r in records)
+        assert np.array_equal(adapt.predict(state, batches[0]), logits)
+        assert rep.time_losses == [r.time_loss for r in records]
+        assert rep.state_losses == [r.state_loss for r in records]
+        assert rep.clamp_warnings == sum(r.clamp_warnings for r in records)
+
+    def test_zero_steps_predicts_the_frozen_logits(self, setup):
+        params, _, batches, _ = setup
+        for batch in batches:
+            assert np.array_equal(adapt.predict(adapt.start(params, batch), batch),
+                                  frozen_logits(params, batch))
+
+    def test_step_writes_neither_the_checkpoint_nor_its_input_state(self, setup):
+        params, _, batches, weights = setup
+        before = {n: params[n].data.copy() for n in params.names()}
+        arrays = {n: params[n].data for n in params.names()}
+        state = adapt.start(params, batches[0])
+        for _ in range(2):
+            held = {n: state.params[n].data.copy() for n in state.params.names()}
+            new, rec = adapt.step(state, AdaptConfig(steps=2, lr=0.5), weights)
+            assert not rec.abort_reason and new.n_steps == state.n_steps + 1
+            assert new.params is not state.params
+            for n in state.params.names():
+                assert np.array_equal(state.params[n].data, held[n]), n
+            state = new
+        for n in params.names():
+            assert params[n].data is arrays[n], n
+            assert np.array_equal(params[n].data, before[n]), n
+        assert not np.array_equal(state.params["E"].data,
+                                  params["E"].data[state.rows])
+
+    def test_each_steps_graph_is_freed_before_the_next_forward(self, setup, monkeypatch):
+        params, _, batches, weights = setup
+        losses_seen = []       # weakrefs to each step's total loss array
+        dead_at = []           # (call, how many losses are dead, how many seen)
+        total_loss, forward = L.total_loss, adapt.forward_full
+
+        def tracked_total(*args, **kwargs):
+            out = total_loss(*args, **kwargs)
+            losses_seen.append(weakref.ref(out.data))
+            return out
+
+        def tracked_forward(*args, **kwargs):
+            predicting = kwargs.get("need_extension") is False
+            if predicting:
+                dead_at.append(("predict", sum(r() is None for r in losses_seen),
+                                len(losses_seen)))
+            out = forward(*args, **kwargs)
+            if not predicting:
+                dead_at.append(("step", sum(r() is None for r in losses_seen),
+                                len(losses_seen)))
+            return out
+
+        monkeypatch.setattr(L, "total_loss", tracked_total)
+        monkeypatch.setattr(adapt, "forward_full", tracked_forward)
+        _, rep = adapt.adapt_and_predict(params, batches[0],
+                                         AdaptConfig(steps=3, lr=0.2), weights)
+        assert not rep.aborted and len(losses_seen) == 3
+        # after step k+1's forward, steps 0..k have dead losses
+        assert dead_at == [("step", 0, 0), ("step", 1, 1), ("step", 2, 2),
+                           ("predict", 3, 3)]
+
+    def test_traced_peak_does_not_grow_with_the_step_count(self):
+        rng = np.random.default_rng(4)
+        params = tiny_params(seed=4, vocab_size=21, d=32, d_s=16)
+        exs = random_examples(rng, n_examples=64, max_len=16, min_len=8)
+        batch = ingest.make_batches(exs, max_len=16, batch_size=64)[0]
+        weights = LossWeights(lam=800.0, block_size=4)
+
+        def peak(steps):
+            cfg = AdaptConfig(steps=steps, lr=0.05)
+            adapt.adapt_and_predict(params, batch, cfg, weights)   # warm-up
+            tracemalloc.start()
+            try:
+                _, rep = adapt.adapt_and_predict(params, batch, cfg, weights)
+                traced = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert not rep.aborted
+            return traced
+
+        one, three = peak(1), peak(3)
+        assert three <= 1.1 * one, (one, three)
+
+
+def test_time_pairs_are_built_once_per_request(setup, monkeypatch):
+    params, _, batches, weights = setup
+    calls = []
+    build = L.time_pairs
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(L, "time_pairs", counted)
+    _, rep = adapt.adapt_and_predict(params, batches[0], AdaptConfig(steps=2, lr=0.2),
+                                     weights)
+    assert not rep.aborted and len(rep.time_losses) == 2 and len(calls) == 1
+    adapt.adapt_and_predict(params, batches[0],
+                            AdaptConfig(steps=2, lr=0.2, mu1_test=0.0), weights)
+    assert len(calls) == 1     # no time loss, no pairs
+
+
+class TestStepFailureAbortsItsBatch:
+    """A failure at any step predicts that batch from the unadapted
+    parameters and names the failure; it never leaves adapt_and_predict."""
+
+    @staticmethod
+    def fail_on_call(monkeypatch, owner, name, n, error):
+        real = getattr(owner, name)
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == n:
+                raise error
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, failing)
+
+    @pytest.mark.parametrize("where, error", [
+        ("discretize", model.ModelError("stability violated: decay A must be negative")),
+        ("state_alignment_loss", L.LossError("state_alignment_loss: decay A must be negative")),
+    ])
+    def test_failure_at_step_two(self, setup, monkeypatch, where, error):
+        params, _, batches, weights = setup
+        digest = model.checkpoint_digest(params)
+        frozen = frozen_logits(params, batches[0])
+        owner = model if where == "discretize" else L
+        self.fail_on_call(monkeypatch, owner, where, 3, error)    # step 2 of 0..4
+        cfg = AdaptConfig(steps=5, lr=0.2)
+        logits, rep = adapt.adapt_and_predict(params, batches[0], cfg, weights)
+        assert rep.aborted
+        assert rep.abort_reason == f"step 2: {type(error).__name__}: {error}"
+        assert "\n" not in rep.abort_reason
+        assert len(rep.time_losses) == len(rep.state_losses) == 2
+        assert np.array_equal(logits, frozen)
+        assert model.checkpoint_digest(params) == digest
+
+    def test_the_next_batch_adapts_as_if_alone(self, setup, monkeypatch):
+        params, _, batches, weights = setup
+        cfg = AdaptConfig(steps=3, lr=0.2)
+        alone, _ = adapt.adapt_and_predict(params, batches[1], cfg, weights)
+        self.fail_on_call(monkeypatch, model, "discretize", 2,
+                          model.ModelError("stability violated: decay A must be negative"))
+        rows, reports = adapt.evaluate_with_adaptation(params, batches[:2], cfg, weights)
+        assert [r.aborted for r in reports] == [True, False]
+        assert reports[1].abort_reason == ""
+        assert np.array_equal(rows[batches[0].size:], evaluation.batch_rank_metrics(
+            alone, batches[1].target_item, 10))
+
+    def test_non_finite_loss_names_its_step(self, setup):
+        params, _, batches, weights = setup
+        params["E"].data = params["E"].data * 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, rep = adapt.adapt_and_predict(params, batches[0],
+                                             AdaptConfig(steps=2, lr=0.1), weights)
+        assert rep.aborted
+        assert rep.abort_reason == "step 0: AdaptError: non-finite adaptation loss"

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from alignrec import cli
+from alignrec import cli, pipeline
 from alignrec.adapt import AdaptConfig
 from alignrec.config import ConfigError, DataConfig, RunConfig, TrainConfig, load_config
 from alignrec.ingest import GeneratorSpec
@@ -455,6 +455,27 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+def test_diverging_adaptation_aborts_its_batch_not_the_run(tmp_path, capsys):
+    # the shift model at seed 0, adapted at lr 2 with both test weights 1:
+    # the loss jumps to about 6e7 at step 2, a_raw goes to about -6e7, A
+    # underflows to -0.0 and step 3's discretize fails
+    cfg = json.loads(json.dumps(pipeline.SHIFT_EXPERIMENT_CONFIG))
+    cfg.update(seed=0, out_dir=str(tmp_path / "run"))
+    assert cli.main(["train", "--config", write_config(tmp_path, cfg)]) == 0
+    cfg["adapt"].update(steps=5, lr=2.0, mu1_test=1.0, mu2_test=1.0)
+    path = write_config(tmp_path, cfg, name="eval.json")
+    capsys.readouterr()
+    assert cli.main(["eval", "--config", path, "--checkpoint",
+                     str(tmp_path / "run" / "checkpoint.bin"), "--ttt", "on"]) == 0
+    assert capsys.readouterr().err == ""
+    reports = [json.loads(line) for line in
+               open(tmp_path / "run" / "adapt_reports_ttt.jsonl", encoding="utf-8")]
+    assert [r["aborted"] for r in reports] == [True]
+    assert reports[0]["abort_reason"] == (
+        "step 3: ModelError: stability violated: decay A must be negative")
+    assert len(reports[0]["time_losses"]) == 3
 
 
 class TestExitCodes:

@@ -159,6 +159,31 @@ class TestTimeLoss:
         g = ag.grad(loss, params.as_dict())
         assert all(np.all(np.isfinite(v)) for v in g.values())
 
+    def test_given_pairs_equal_pairs_built_from_the_batch(self, rng):
+        params = tiny_params(seed=3)
+        batch = random_batch(rng, n_examples=6, max_len=6)
+        trace = model.forward_full(params, batch, training=False)
+        w = LossWeights(lam=100.0, block_size=3)
+        pairs = losses.time_pairs(batch.T, batch.t_elig, w.lam, w.block_size,
+                                  trace.delta.data.dtype)
+        built, n_built = losses.batch_time_loss(params, trace, batch, w)
+        given, n_given = losses.batch_time_loss(params, trace, batch, w, pairs)
+        assert n_built == n_given == pairs.n_pairs > 0
+        assert built.data.tobytes() == given.data.tobytes()
+        gb = ag.grad(built, params.as_dict())
+        gg = ag.grad(given, params.as_dict())
+        assert gb.keys() == gg.keys()
+        assert all(gb[k].tobytes() == gg[k].tobytes() for k in gb)
+
+    def test_pairs_of_another_shape_are_refused(self, rng):
+        params = tiny_params(seed=3)
+        batch = random_batch(rng, n_examples=4, max_len=6)
+        trace = model.forward_full(params, batch, training=False)
+        pairs = losses.time_pairs(np.zeros((2, 4)), np.ones((2, 4), bool), 1.0, 3,
+                                  np.float64)
+        with pytest.raises(losses.LossError, match="do not match"):
+            losses.batch_time_loss(params, trace, batch, LossWeights(), pairs)
+
     def test_gradient_matches_finite_differences(self, rng):
         d = ag.parameter(rng.normal(size=(2, 5)))
         T = rng.integers(0, 60, (2, 5)).astype(float)

@@ -77,3 +77,5 @@ def test_request_faults_reports_both_trees_per_seed():
                                                 ["adapt-long", "seed", "3", "other"]]
     for ln in lines:
         assert "adapted" in ln and "frozen" in ln and ln.count("faults (n=") == 2, ln
+        peak = ln.split("peak")[-1].split()
+        assert peak[1] == "MB" and float(peak[0]) > 0, ln

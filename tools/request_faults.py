@@ -13,8 +13,9 @@ bracketed by the process's `getrusage` minor page-fault count. The
 correctness checks and the warm-up stay outside the bracket.
 
 Prints one line per seed and tree: the median minor faults and the median
-milliseconds of the adapted and of the frozen requests, and how many of each
-ran. A request that faults pages has asked the kernel for memory: a heap that
+milliseconds of the adapted and of the frozen requests, how many of each
+ran, and the run's peak resident set size in MB, the `ru_maxrss` that
+perfbench reports as `peak_rss_mb`. A request that faults pages has asked the kernel for memory: a heap that
 returned its top pages to the system, or a large allocation mapped afresh.
 Exit 0 when every operation of every run succeeded, 1 otherwise.
 """
@@ -42,7 +43,8 @@ def _minflt():
 
 def worker(tree, workload, seed, seconds):
     """Run the workload with alignrec and the workloads imported from `tree`;
-    print the per-request (seconds, minor faults) of each kind as JSON."""
+    print the per-request (seconds, minor faults) of each kind and the run's
+    peak RSS as JSON."""
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
     import alignrec
     import workloads
@@ -63,10 +65,11 @@ def worker(tree, workload, seed, seconds):
     workloads.Requests._serve = counted
     with tempfile.TemporaryDirectory() as work:
         if workload == "train-shift":
-            _, ops = workloads.run_train_shift(seed, seconds, work)
+            out, ops = workloads.run_train_shift(seed, seconds, work)
         else:
-            _, ops = workloads.run_adapt(workload, seed, seconds, work)
-    print(json.dumps({"requests": record, "failed": ops.failed, "errors": ops.errors}))
+            out, ops = workloads.run_adapt(workload, seed, seconds, work)
+    print(json.dumps({"requests": record, "peak_rss_mb": out["peak_rss_mb"],
+                      "failed": ops.failed, "errors": ops.errors}))
 
 
 def _run_tree(tree, workload, seed, seconds):
@@ -111,7 +114,8 @@ def main(argv=None):
         for name in trees:
             res = results[name]
             cols = "  ".join(f"{kind} {summary(res['requests'][kind])}" for kind in KINDS)
-            print(f"{args.workload} seed {seed} {name:5s}  {cols}", flush=True)
+            print(f"{args.workload} seed {seed} {name:5s}  {cols}  "
+                  f"peak {res['peak_rss_mb']:6.1f} MB", flush=True)
             failed += res["failed"]
             for e in res["errors"]:
                 print(f"  failed: {e}")
