@@ -28,7 +28,10 @@ state carries them to the next.
 A failed step (a non-finite loss or gradient, a decay A that is no longer
 negative, or any other model, loss or domain error) ends that batch's
 adaptation only: the batch is predicted from the unadapted parameters, and
-its report names the failure in `abort_reason`.
+its report names the failure in `abort_reason` ("step k: ..."). The same
+holds when the last step succeeds but the prediction pass fails on the
+adapted parameters ("predict: ..."); a failure of the unadapted prediction
+propagates.
 """
 
 from __future__ import annotations
@@ -108,8 +111,14 @@ class StepRecord:
     abort_reason: str = ""           # one line; empty unless the step failed
 
 
-# the failures of a step that end its batch's adaptation, never the run
+# the failures of a step, or of the adapted prediction, that end its batch's
+# adaptation, never the run
 _STEP_FAILURES = (AdaptError, optim.OptimError, ag.DomainError, ModelError, L.LossError)
+
+
+def _reason(where, e):
+    """One-line abort reason: where it failed, the error's type and text."""
+    return " ".join(f"{where}: {type(e).__name__}: {e}".split())
 
 
 def start(params, batch):
@@ -148,8 +157,7 @@ def step(state, cfg, weights):
         new = live.overlay()
         optim.sgd_step(new, grads, cfg.lr)
     except _STEP_FAILURES as e:
-        reason = " ".join(f"step {state.n_steps}: {type(e).__name__}: {e}".split())
-        return state, StepRecord(*measured, abort_reason=reason)
+        return state, StepRecord(*measured, abort_reason=_reason(f"step {state.n_steps}", e))
     return (replace(state, params=new, n_steps=state.n_steps + 1, pairs=pairs),
             StepRecord(*measured))
 
@@ -173,9 +181,10 @@ def adapt_and_predict(params, batch, cfg, weights):
     """Algorithm: start, M self-supervised gradient steps, then predict.
     Returns (logits, AdaptReport).
 
-    A failed step aborts adaptation: the prediction comes from the
-    unadapted parameters, with the report flagged and the reason recorded.
-    An item id outside the table raises `DomainError`.
+    A failed step, or a failed prediction from the adapted parameters,
+    aborts adaptation: the prediction comes from the unadapted parameters,
+    with the report flagged and the reason recorded. An item id outside the
+    table raises `DomainError`.
     """
     report = AdaptReport()
     steps = cfg.steps if (cfg.mu1_test or cfg.mu2_test) else 0
@@ -195,7 +204,13 @@ def adapt_and_predict(params, batch, cfg, weights):
     report.seconds_adapt = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    logits = predict(state, batch)
+    try:
+        logits = predict(state, batch)
+    except _STEP_FAILURES as e:
+        if not state.n_steps:
+            raise
+        report.aborted, report.abort_reason = True, _reason("predict", e)
+        logits = predict(unadapted, batch)
     report.seconds_predict = time.perf_counter() - t1
     return logits, report
 

@@ -2,8 +2,9 @@
 
 Subcommands: gen (synthesize a dataset), train, eval, gradcheck, sweep.
 Exit codes: 0 success; 2 configuration or input-data error, including a
-missing or unreadable config or data file; 3 numeric failure or unreadable
-checkpoint. Each error prints one line.
+missing or unreadable config or data file and a config too large for the
+memory at hand; 3 numeric failure or unreadable checkpoint. Each error
+prints one line.
 """
 
 from __future__ import annotations
@@ -289,6 +290,10 @@ def main(argv=None):
         return EXIT_NUMERIC
     except ingest.IngestError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as e:   # sizes the config asks for that cannot be allocated
+        detail = " ".join(str(e).split())   # empty when Python itself ran out
+        print(f"error: out of memory{': ' + detail if detail else ''}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -59,9 +59,6 @@ class DataConfig:
 @dataclass
 class TrainConfig:
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs: int = 500
     batch_size: int = 4096
     eval_every: int = 10
@@ -70,10 +67,8 @@ class TrainConfig:
     def __post_init__(self):
         p = type_problems(type(self), vars(self))
         if not p:
-            p = [f"{n} must be a positive finite number, got {getattr(self, n)}"
-                 for n in ("lr", "eps") if not positive(getattr(self, n))]
-            p += [f"{n} must be in [0, 1), got {getattr(self, n)}"
-                  for n in ("beta1", "beta2") if not 0.0 <= getattr(self, n) < 1.0]
+            if not positive(self.lr):
+                p.append(f"lr must be a positive finite number, got {self.lr}")
             p += [f"{n} must be >= 1" for n in ("epochs", "batch_size", "eval_every", "patience")
                   if getattr(self, n) < 1]
         if p:

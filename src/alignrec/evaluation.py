@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-PAD_INDEX = 0
+from . import ingest   # called through the module, where perfbench/tracing.py wraps it
+from .ingest import PAD_INDEX
 
 
 @dataclass
@@ -131,13 +132,11 @@ def segment_analysis(examples, rows, k_segments=4, k=10, baseline_rows=None):
     rows (and baseline_rows) hold one metric row [recall, rr, ndcg, ...]
     per example, in the order of `examples`.
     """
-    from .ingest import segment_indices_by_time
-
     rows = np.asarray(rows, dtype=np.float64)
     base_rows = None
     if baseline_rows is not None:
         base_rows = np.asarray(baseline_rows, dtype=np.float64)
-    groups = segment_indices_by_time(examples, k_segments)
+    groups = ingest.segment_indices_by_time(examples, k_segments)
 
     segments = []
     for gi, grp in enumerate(groups):

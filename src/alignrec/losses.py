@@ -62,9 +62,8 @@ class StateAlignIntermediates:
         return self.h_final - self.gap
 
 
-def rec_loss(logits, target):
-    """Mean cross-entropy of the true next item under softmax(logits)."""
-    return ag.softmax_cross_entropy(logits, np.asarray(target))
+# mean cross-entropy of the true next item; perfbench/tracing.py wraps losses.rec_loss
+rec_loss = ag.softmax_cross_entropy
 
 
 @dataclass(frozen=True)

@@ -264,14 +264,8 @@ def discretize(delta, A, B):
     return abar, bbar
 
 
-def scan(abar, bbar, X, C, mask):
-    """Run the recurrence in its quadratic (state-space-dual) form; returns
-    per-step outputs Y and the final state. Masked steps carry the state
-    unchanged. The decay kernel is last_decay's weights for every prefix;
-    time and memory are O(m L^2), and no per-step state stack is built.
-    forward_full runs it for every block but the last, whose outputs the
-    next block reads at every position."""
-    return ag.sequential_scan(abar, bbar, X, C, mask)
+# the quadratic-form masked scan, O(m L^2); perfbench/tracing.py wraps model.scan
+scan = ag.sequential_scan
 
 
 def ffn_and_norm(params, Y, rng=None, training=False, block=0):

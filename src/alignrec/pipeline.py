@@ -69,11 +69,9 @@ def train_model(cfg, progress=None):
     weights = resolve_weights(cfg, split.train)
 
     params = build_model(cfg, ds.vocab_size, rng)
-    adam = optim.Adam(params, lr=cfg.train.lr, beta1=cfg.train.beta1,
-                      beta2=cfg.train.beta2, eps=cfg.train.eps)
+    adam = optim.Adam(params, lr=cfg.train.lr)
     valid_batches = ingest.make_batches(split.valid, cfg.data.max_len,
-                                        max(1, cfg.train.batch_size),
-                                        cfg.data.pad_side)
+                                        cfg.train.batch_size, cfg.data.pad_side)
     pdict = params.as_dict()
     best = optim.snapshot(params)
     best_ndcg = -1.0

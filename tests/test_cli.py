@@ -1,14 +1,18 @@
+import itertools
 import json
 import os
 import re
+import resource
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from alignrec import cli, pipeline
+from alignrec import adapt, cli, ingest, model, pipeline
+from alignrec import autograd as ag
 from alignrec.adapt import AdaptConfig
 from alignrec.config import ConfigError, DataConfig, RunConfig, TrainConfig, load_config
 from alignrec.ingest import GeneratorSpec
@@ -124,11 +128,13 @@ class TestConfig:
         {"model": {"extension_history": "foo"}},
         {"model": {"extension_history": "batch"}},
         {"data": {"pad_side": "right"}},
+        {"train": {"beta1": 0.9}},
     ], ids=["negative-d_ff", "zero-adapt-batch", "float-steps",
             "float-dilution-power", "float-max-len", "string-dropout",
             "string-epochs", "list-lam", "unknown-generator-key",
             "string-generator-users", "unknown-extension-history",
-            "removed-extension-history-field", "right-pad-side"])
+            "removed-extension-history-field", "right-pad-side",
+            "removed-adam-beta1"])
     def test_bad_field_is_config_error(self, tmp_path, capsys, over):
         path = write_config(tmp_path, base_config(tmp_path, **over))
         assert one_line_error(capsys, ["train", "--config", path]) == 2
@@ -171,9 +177,9 @@ class TestConfig:
         {"adapt": {"lr": float("nan")}},
         {"losses": {"lam": float("nan")}},
         {"losses": {"mu2_train": float("nan")}},
-        {"train": {"eps": float("inf")}},
+        {"train": {"lr": float("inf")}},
     ], ids=["nan-train-lr", "inf-adapt-lr", "nan-adapt-lr", "nan-lam",
-            "nan-mu2-train", "inf-eps"])
+            "nan-mu2-train", "inf-train-lr"])
     def test_non_finite_number_is_config_error(self, tmp_path, capsys, over):
         path = write_config(tmp_path, base_config(tmp_path, **over))
         assert one_line_error(capsys, ["train", "--config", path]) == 2
@@ -331,6 +337,16 @@ class TestEvalCommand:
         for key in ("recall_at_k", "mrr_at_k", "ndcg_at_k"):
             assert ttt[key] == frozen[key]
 
+    @pytest.mark.parametrize("ttt, tag", [("on", "ttt"), ("off", "frozen")])
+    def test_throughput_report_written(self, trained, ttt, tag):
+        path, ck, tmp = trained
+        assert cli.main(["eval", "--config", path, "--checkpoint", ck,
+                         "--ttt", ttt, "--throughput"]) == 0
+        rep = json.load(open(tmp / "run" / f"throughput_{tag}.json"))
+        assert rep["adaptation_enabled"] == (ttt == "on")
+        assert rep["n_batches"] == 1 and len(rep["rep_seconds"]) == rep["reps"] == 3
+        assert rep["iterations_per_second"] > 0
+
     def test_segment_report_written(self, trained):
         path, ck, tmp = trained
         cli.main(["eval", "--config", path, "--checkpoint", ck, "--ttt", "on"])
@@ -457,18 +473,43 @@ class TestEvalCommand:
         assert "Traceback" not in err
 
 
-def test_diverging_adaptation_aborts_its_batch_not_the_run(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def shift_checkpoint(tmp_path_factory):
+    """The shift experiment's model at seed 0, trained once by the CLI:
+    (its config, the checkpoint path)."""
+    tmp = tmp_path_factory.mktemp("shift")
+    cfg = json.loads(json.dumps(pipeline.SHIFT_EXPERIMENT_CONFIG))
+    cfg.update(seed=0, out_dir=str(tmp / "run"))
+    assert cli.main(["train", "--config", write_config(tmp, cfg)]) == 0
+    return cfg, str(tmp / "run" / "checkpoint.bin")
+
+
+def shift_test_batches(shift_checkpoint):
+    """(params, weights, test batches, frozen logits per batch) of the
+    shift checkpoint, as `alignrec eval` builds them."""
+    cfg_dict, ck = shift_checkpoint
+    cfg = load_config(cfg_dict)
+    params, extra = model.load_checkpoint(ck)
+    split = ingest.leave_one_out_split(pipeline.load_dataset(cfg))
+    weights = replace(pipeline.resolve_weights(cfg, split.train), lam=extra["lam"])
+    batches = pipeline.test_batches(cfg, split)
+    with ag.no_grad():
+        frozen = [model.forward_full(params, b, training=False,
+                                     need_extension=False).logits.data for b in batches]
+    return params, weights, batches, frozen
+
+
+def test_diverging_adaptation_aborts_its_batch_not_the_run(shift_checkpoint, tmp_path, capsys):
     # the shift model at seed 0, adapted at lr 2 with both test weights 1:
     # the loss jumps to about 6e7 at step 2, a_raw goes to about -6e7, A
     # underflows to -0.0 and step 3's discretize fails
-    cfg = json.loads(json.dumps(pipeline.SHIFT_EXPERIMENT_CONFIG))
-    cfg.update(seed=0, out_dir=str(tmp_path / "run"))
-    assert cli.main(["train", "--config", write_config(tmp_path, cfg)]) == 0
+    trained, ck = shift_checkpoint
+    cfg = json.loads(json.dumps(trained))
+    cfg["out_dir"] = str(tmp_path / "run")
     cfg["adapt"].update(steps=5, lr=2.0, mu1_test=1.0, mu2_test=1.0)
     path = write_config(tmp_path, cfg, name="eval.json")
     capsys.readouterr()
-    assert cli.main(["eval", "--config", path, "--checkpoint",
-                     str(tmp_path / "run" / "checkpoint.bin"), "--ttt", "on"]) == 0
+    assert cli.main(["eval", "--config", path, "--checkpoint", ck, "--ttt", "on"]) == 0
     assert capsys.readouterr().err == ""
     reports = [json.loads(line) for line in
                open(tmp_path / "run" / "adapt_reports_ttt.jsonl", encoding="utf-8")]
@@ -476,6 +517,44 @@ def test_diverging_adaptation_aborts_its_batch_not_the_run(tmp_path, capsys):
     assert reports[0]["abort_reason"] == (
         "step 3: ModelError: stability violated: decay A must be negative")
     assert len(reports[0]["time_losses"]) == 3
+
+    # at 3 steps every step succeeds, and the prediction pass's discretize
+    # fails on the adapted parameters instead
+    cfg["adapt"]["steps"] = 3
+    path = write_config(tmp_path, cfg, name="eval3.json")
+    assert cli.main(["eval", "--config", path, "--checkpoint", ck, "--ttt", "on"]) == 0
+    assert capsys.readouterr().err == ""
+    reports = [json.loads(line) for line in
+               open(tmp_path / "run" / "adapt_reports_ttt.jsonl", encoding="utf-8")]
+    assert [r["aborted"] for r in reports] == [True]
+    assert reports[0]["abort_reason"] == (
+        "predict: ModelError: stability violated: decay A must be negative")
+    assert len(reports[0]["time_losses"]) == 3
+    params, weights, batches, frozen = shift_test_batches(shift_checkpoint)
+    logits, report = adapt.adapt_and_predict(params, batches[0], load_config(cfg).adapt,
+                                             weights)
+    assert report.aborted and logits.tobytes() == frozen[0].tobytes()
+
+
+def test_adaptation_grid_aborts_batches_never_the_run(shift_checkpoint):
+    # steps, lr and test weights up to settings that diverge: none may
+    # raise, an aborted batch predicts the frozen logits, and a batch that
+    # is not aborted predicts finite ones
+    params, weights, batches, frozen = shift_test_batches(shift_checkpoint)
+    base = load_config(shift_checkpoint[0]).adapt
+    aborted = 0
+    for steps, lr, (mu1, mu2) in itertools.product(
+            (1, 3), (0.5, 2.0), ((1.0, 1.0), (0.01, 0.1))):
+        cfg = replace(base, steps=steps, lr=lr, mu1_test=mu1, mu2_test=mu2)
+        for batch, z in zip(batches, frozen):
+            with np.errstate(all="ignore"):   # diverging steps overflow on purpose
+                logits, report = adapt.adapt_and_predict(params, batch, cfg, weights)
+            if report.aborted:
+                aborted += 1
+                assert logits.tobytes() == z.tobytes(), (cfg, report.abort_reason)
+            else:
+                assert np.isfinite(logits).all(), cfg
+    assert aborted >= 1   # the lr 2, weights 1, 3-step setting aborts
 
 
 class TestExitCodes:
@@ -552,6 +631,18 @@ class TestExitCodes:
         path = write_config(tmp_path, base_config(tmp_path))
         assert one_line_error(capsys, [command, "--config", path, "--seed", "-5"]) == 2
         assert not (tmp_path / "run").exists()
+
+    def test_non_finite_training_loss_is_numeric_error(self, tmp_path, capsys):
+        # the first Adam step moves every parameter by about lr = 1e10, so the
+        # next batch's forward overflows
+        path = write_config(tmp_path, base_config(tmp_path, train={"lr": 1e10}))
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            assert cli.main(["train", "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite training loss at epoch 1:"), err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
     def test_empty_out_dir_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(tmp_path, out_dir=""))
@@ -651,3 +742,19 @@ def test_runs_without_scipy():
     with open(os.path.join(ROOT, "pyproject.toml")) as f:
         deps = re.search(r"^dependencies = (\[.*\])$", f.read(), re.M).group(1)
     assert [d.split(">")[0] for d in json.loads(deps)] == ["numpy"], deps
+
+
+def test_oversized_model_is_config_error(tmp_path):
+    # model.d 10**6 asks 7.28 TiB for W1; the child's address space is capped
+    # at 2 GiB, so the allocation fails at once and never pages the machine
+    path = write_config(tmp_path, base_config(tmp_path, model={"d": 10**6}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run(
+        [sys.executable, "-m", "alignrec.cli", "train", "--config", path],
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
+        env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: out of memory: ") and res.stderr.count("\n") == 1, \
+        res.stderr
+    assert not (tmp_path / "run" / "checkpoint.bin").exists()

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from alignrec import model, pipeline
+from alignrec import ingest, model, pipeline
 from alignrec.config import load_config
 
 
@@ -90,3 +90,16 @@ def test_epochs_between_evaluations_do_not_count(monkeypatch, patience):
     _, _, _, history = pipeline.train_model(
         small_config(epochs=10, patience=patience, eval_every=2))
     assert len(calls) == patience + 1 and len(history) == 2 * (patience + 1)
+
+
+def test_min_interactions_filters_the_loaded_dataset():
+    # 150 items over about 300 events: some items occur fewer than 3 times
+    cfg = small_config()
+    data = replace(cfg.data, generator={**cfg.data.generator, "n_items": 150})
+    raw = pipeline.load_dataset(replace(cfg, data=data))
+    got = pipeline.load_dataset(replace(cfg, data=replace(data, min_interactions=3)))
+    want = ingest.filter_min_interactions(raw, 3)
+    assert len(want.items) < len(raw.items)
+    assert got.user_ids == want.user_ids and got.vocab == want.vocab
+    for name in ("items", "times", "counts"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
