@@ -26,11 +26,11 @@ pairs depend on the batch alone, so the first step builds them and the
 state carries them to the next.
 
 A failed step (a non-finite loss or gradient, a decay A that is no longer
-negative, or any other model, loss or domain error) ends that batch's
-adaptation only: the batch is predicted from the unadapted parameters, and
-its report names the failure in `abort_reason` ("step k: ..."). The same
-holds when the last step succeeds but the prediction pass fails on the
-adapted parameters ("predict: ..."); a failure of the unadapted prediction
+negative, or any other `checks.NumericError`) ends that batch's adaptation
+only: the batch is predicted from the unadapted parameters, and its report
+names the failure in `abort_reason` ("step k: ..."). The same holds when
+the last step succeeds but the prediction pass fails on the adapted
+parameters ("predict: ..."); a failure of the unadapted prediction
 propagates.
 """
 
@@ -44,20 +44,20 @@ import numpy as np
 from . import autograd as ag
 from . import losses as L
 from . import optim
-from .checks import non_negative, type_problems
+from .checks import Checked, NumericError, non_negative
 # ranked_items is unused here but stays importable: perfbench/tracing.py
 # wraps adapt.ranked_items by name.
 from .evaluation import batch_rank_metrics, ranked_items  # noqa: F401
 from .ingest import Batch
-from .model import ModelError, ModelParams, forward_full
+from .model import ModelParams, forward_full
 
 
-class AdaptError(RuntimeError):
+class AdaptError(NumericError):
     pass
 
 
 @dataclass
-class AdaptConfig:
+class AdaptConfig(Checked):
     steps: int = 1                   # M
     lr: float = 0.005                # alpha
     mu1_test: float = 1e-2           # time-loss weight; 0 leaves the term out
@@ -65,17 +65,14 @@ class AdaptConfig:
     batch_policy: str = "whole"      # "whole" | "fixed"
     batch_size: int = 256            # used by the "fixed" policy
 
-    def __post_init__(self):
-        p = type_problems(type(self), vars(self))
-        if not p:
-            p = [f"{n} must be a non-negative finite number, got {getattr(self, n)}"
-                 for n in ("lr", "mu1_test", "mu2_test") if not non_negative(getattr(self, n))]
-            p += [f"{n} must be >= {lo}, got {getattr(self, n)}"
-                  for n, lo in (("steps", 0), ("batch_size", 1)) if getattr(self, n) < lo]
-            if self.batch_policy not in ("whole", "fixed"):
-                p.append(f"batch_policy must be whole|fixed, got {self.batch_policy!r}")
-        if p:
-            raise ValueError("; ".join(p))
+    def _range_problems(self):
+        p = [f"{n} must be a non-negative finite number, got {getattr(self, n)}"
+             for n in ("lr", "mu1_test", "mu2_test") if not non_negative(getattr(self, n))]
+        p += [f"{n} must be >= {lo}, got {getattr(self, n)}"
+              for n, lo in (("steps", 0), ("batch_size", 1)) if getattr(self, n) < lo]
+        if self.batch_policy not in ("whole", "fixed"):
+            p.append(f"batch_policy must be whole|fixed, got {self.batch_policy!r}")
+        return p
 
 
 @dataclass
@@ -109,11 +106,6 @@ class StepRecord:
     state_loss: float | None
     clamp_warnings: int
     abort_reason: str = ""           # one line; empty unless the step failed
-
-
-# the failures of a step, or of the adapted prediction, that end its batch's
-# adaptation, never the run
-_STEP_FAILURES = (AdaptError, optim.OptimError, ag.DomainError, ModelError, L.LossError)
 
 
 def _reason(where, e):
@@ -156,7 +148,7 @@ def step(state, cfg, weights):
         grads = ag.grad(total, live.as_dict())
         new = live.overlay()
         optim.sgd_step(new, grads, cfg.lr)
-    except _STEP_FAILURES as e:
+    except NumericError as e:
         return state, StepRecord(*measured, abort_reason=_reason(f"step {state.n_steps}", e))
     return (replace(state, params=new, n_steps=state.n_steps + 1, pairs=pairs),
             StepRecord(*measured))
@@ -206,7 +198,7 @@ def adapt_and_predict(params, batch, cfg, weights):
     t1 = time.perf_counter()
     try:
         logits = predict(state, batch)
-    except _STEP_FAILURES as e:
+    except NumericError as e:
         if not state.n_steps:
             raise
         report.aborted, report.abort_reason = True, _reason("predict", e)

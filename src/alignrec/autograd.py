@@ -37,6 +37,8 @@ import math
 
 import numpy as np
 
+from .checks import NumericError
+
 __all__ = [
     "Tensor", "ShapeError", "DomainError",
     "constant", "parameter",
@@ -55,7 +57,7 @@ class ShapeError(ValueError):
     """Raised when operands of a primitive are not shape-compatible."""
 
 
-class DomainError(ValueError):
+class DomainError(NumericError):
     """Raised when an input leaves the mathematical domain of a primitive."""
 
 

@@ -1,4 +1,4 @@
-"""Field checks shared by the configuration dataclasses.
+"""Field checks shared by the config dataclasses, and the two error categories.
 
 Each dataclass states its own ranges with these helpers, so a rule is
 written once and holds wherever the type is built: from a run config, from
@@ -10,6 +10,15 @@ from __future__ import annotations
 import math
 from dataclasses import fields
 
+
+class InputError(ValueError):
+    """The config or the data is wrong; the CLI exits 2."""
+
+
+class NumericError(ValueError):
+    """A numeric failure or an unreadable checkpoint; the CLI exits 3."""
+
+
 # annotation -> accepted types; bool is never an int or a float here
 _TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
           "list": list, "dict": dict}
@@ -17,10 +26,6 @@ _TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
 
 # an int field holds a value numpy can size, index and add as an int64
 INT_RANGE = (-2**63, 2**63)
-
-
-def _want(annotation):
-    return _TYPES.get(getattr(annotation, "__name__", annotation))
 
 
 def _type_ok(value, want):
@@ -32,7 +37,7 @@ def _type_ok(value, want):
 
 
 def _problem(name, value, annotation):
-    want = _want(annotation)
+    want = _TYPES.get(getattr(annotation, "__name__", annotation))
     if not _type_ok(value, want):
         return f"{name} must be of type {annotation}, got {value!r}"
     if isinstance(value, bool) or not isinstance(value, int):
@@ -40,11 +45,8 @@ def _problem(name, value, annotation):
     lo, hi = INT_RANGE
     if want is int and not lo <= value < hi:
         return f"{name} must be in [-2**63, 2**63), got {value}"
-    if want is _TYPES["float"]:
-        try:
-            float(value)
-        except OverflowError:
-            return f"{name} must be a finite number, got {value}"
+    if want is _TYPES["float"] and not _finite(value):
+        return f"{name} must be a finite number, got {value}"
     return None
 
 
@@ -58,6 +60,23 @@ def type_problems(cls, values):
     found = (_problem(name, value, types[name])
              for name, value in values.items() if name in types)
     return [p for p in found if p is not None]
+
+
+class Checked:
+    """Base of the config dataclasses: building one checks every field's type,
+    then, if all fit, its `_range_problems`, and raises `error` on any."""
+
+    error = ValueError
+
+    def __post_init__(self):
+        p = type_problems(type(self), vars(self)) or self._range_problems()
+        p += self._untyped_problems()
+        if p:
+            raise self.error("; ".join(p))
+
+    def _untyped_problems(self):
+        """Problems of `object` fields, checked whatever the typed ones hold."""
+        return []
 
 
 def is_number(x):

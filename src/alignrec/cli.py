@@ -1,9 +1,11 @@
 """Command-line entry points.
 
 Subcommands: gen (synthesize a dataset), train, eval, gradcheck, sweep.
-Exit codes: 0 success; 2 configuration or input-data error, including a
-missing or unreadable config or data file and a config too large for the
-memory at hand; 3 numeric failure or unreadable checkpoint. Each error
+Exit codes follow the two error categories of `checks`: 0 success; 2 an
+`InputError` (a configuration or input-data error, including a missing or
+unreadable config or data file) or a config too large for the memory at
+hand; 3 a `NumericError` (a numeric failure, such as a non-finite loss,
+training gradient or Adam moment, or an unreadable checkpoint). Each error
 prints one line.
 """
 
@@ -20,6 +22,7 @@ import numpy as np
 from . import adapt as adapt_mod
 from . import autograd as ag
 from . import evaluation, ingest, losses as L, model, pipeline
+from .checks import InputError, NumericError, is_number, positive
 from .config import ABLATIONS, ConfigError, generator_spec, load_config
 
 EXIT_OK = 0
@@ -149,14 +152,10 @@ def cmd_eval(args):
     split = ingest.leave_one_out_split(ds)
     weights = pipeline.resolve_weights(cfg, split.train)
     if "lam" in extra:
-        lam = extra["lam"]
-        try:
-            if isinstance(lam, str):   # training stores lam resolved to seconds
-                raise L.LossError(lam)
-            weights = replace(weights, lam=lam)
-        except L.LossError:
-            raise model.ModelError(
-                f"checkpoint lam must be a positive finite number, got {lam!r}") from None
+        lam = extra["lam"]   # training stores lam resolved to seconds
+        if not (is_number(lam) and positive(lam)):
+            raise model.ModelError(f"checkpoint lam must be a positive finite number, got {lam!r}")
+        weights = replace(weights, lam=lam)
 
     ttt = args.ttt == "on"
     report, adapt_reports, per_example = pipeline.evaluate_run(
@@ -281,16 +280,9 @@ def main(argv=None):
                 "gradcheck": cmd_gradcheck, "sweep": cmd_sweep}
     try:
         return handlers[args.command](args)
-    except ConfigError as e:
+    except (InputError, NumericError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (pipeline.PipelineError, ag.DomainError, model.ModelError,
-            adapt_mod.AdaptError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ingest.IngestError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_CONFIG if isinstance(e, InputError) else EXIT_NUMERIC
     except MemoryError as e:   # sizes the config asks for that cannot be allocated
         detail = " ".join(str(e).split())   # empty when Python itself ran out
         print(f"error: out of memory{': ' + detail if detail else ''}", file=sys.stderr)

@@ -15,68 +15,61 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 
 from .adapt import AdaptConfig
-from .checks import positive, type_problems
+from .checks import Checked, InputError, positive
 from .ingest import GeneratorSpec, IngestError
 from .losses import LossWeights
 from .model import DTYPES, Architecture
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     def __init__(self, problems):
         self.problems = list(problems)
         super().__init__("invalid configuration: " + "; ".join(self.problems))
 
 
 @dataclass
-class DataConfig:
+class DataConfig(Checked):
     path: str = ""                   # TSV path; empty means use the generator
     generator: dict = field(default_factory=dict)
     max_len: int = 50
     min_interactions: int = 10       # 0 disables filtering
     pad_side: str = "left"           # the only layout; perfbench/workloads.py reads it
 
-    def __post_init__(self):
-        p = type_problems(type(self), vars(self))
-        if not p:
-            if self.max_len < 1:
-                p.append(f"max_len must be >= 1, got {self.max_len}")
-            if self.pad_side != "left":
-                p.append(f"pad_side must be left, got {self.pad_side!r}")
-            if self.min_interactions != 0 and self.min_interactions < 3:
-                p.append("min_interactions must be 0 (off) or >= 3")
-            known = {f.name for f in fields(GeneratorSpec)}
-            unknown = [k for k in self.generator if k not in known]
-            p += [f"generator has unknown field {k!r}" for k in unknown]
-            if self.generator and not unknown:
-                try:
-                    GeneratorSpec(**self.generator)
-                except IngestError as e:
-                    p += [f"generator.{q}" for q in str(e).split("; ")]
-        if p:
-            raise ValueError("; ".join(p))
+    def _range_problems(self):
+        p = []
+        if self.max_len < 1:
+            p.append(f"max_len must be >= 1, got {self.max_len}")
+        if self.pad_side != "left":
+            p.append(f"pad_side must be left, got {self.pad_side!r}")
+        if self.min_interactions != 0 and self.min_interactions < 3:
+            p.append("min_interactions must be 0 (off) or >= 3")
+        known = {f.name for f in fields(GeneratorSpec)}
+        unknown = [k for k in self.generator if k not in known]
+        p += [f"generator has unknown field {k!r}" for k in unknown]
+        if self.generator and not unknown:
+            try:
+                GeneratorSpec(**self.generator)
+            except IngestError as e:
+                p += [f"generator.{q}" for q in str(e).split("; ")]
+        return p
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Checked):
     lr: float = 0.001
     epochs: int = 500
     batch_size: int = 4096
     eval_every: int = 10
     patience: int = 3
 
-    def __post_init__(self):
-        p = type_problems(type(self), vars(self))
-        if not p:
-            if not positive(self.lr):
-                p.append(f"lr must be a positive finite number, got {self.lr}")
-            p += [f"{n} must be >= 1" for n in ("epochs", "batch_size", "eval_every", "patience")
-                  if getattr(self, n) < 1]
-        if p:
-            raise ValueError("; ".join(p))
+    def _range_problems(self):
+        p = [] if positive(self.lr) else [f"lr must be a positive finite number, got {self.lr}"]
+        return p + [f"{n} must be >= 1" for n in ("epochs", "batch_size", "eval_every", "patience")
+                    if getattr(self, n) < 1]
 
 
 @dataclass
-class RunConfig:
+class RunConfig(Checked):
     seed: int = 0
     precision: str = "float32"       # dtype of the models a run builds; a checkpoint keeps its own
     out_dir: str = "runs/out"
@@ -86,17 +79,15 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     adapt: AdaptConfig = field(default_factory=AdaptConfig)
 
-    def __post_init__(self):
-        p = type_problems(type(self), vars(self))
-        if not p:
-            if self.seed < 0:
-                p.append(f"seed must be >= 0, got {self.seed}")
-            if self.precision not in DTYPES:
-                p.append(f"precision must be {'|'.join(DTYPES)}, got {self.precision!r}")
-            if not self.out_dir:
-                p.append("out_dir must not be empty")
-        if p:
-            raise ValueError("; ".join(p))
+    def _range_problems(self):
+        p = []
+        if self.seed < 0:
+            p.append(f"seed must be >= 0, got {self.seed}")
+        if self.precision not in DTYPES:
+            p.append(f"precision must be {'|'.join(DTYPES)}, got {self.precision!r}")
+        if not self.out_dir:
+            p.append("out_dir must not be empty")
+        return p
 
 
 PRESETS = {

@@ -12,12 +12,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .checks import is_number, non_negative, positive, type_problems
+from .checks import Checked, InputError, is_number, non_negative, positive
 
 PAD_INDEX = 0
 
 
-class IngestError(ValueError):
+class IngestError(InputError):
     pass
 
 
@@ -512,7 +512,7 @@ def segment_indices_by_time(examples, k):
 
 
 @dataclass
-class GeneratorSpec:
+class GeneratorSpec(Checked):
     """Configuration for the synthetic interest-shift dataset.
 
     Items are partitioned into n_clusters equal groups. Before the global
@@ -535,33 +535,31 @@ class GeneratorSpec:
     noise_rate: float = 0.05
     walk_persistence: float = 0.9
 
-    def __post_init__(self):
-        p = type_problems(type(self), vars(self))
-        if not p:
-            p = [f"{n} must be >= 1, got {getattr(self, n)}"
-                 for n in ("n_users", "n_items", "n_clusters", "horizon", "min_events")
-                 if getattr(self, n) < 1]
-            if self.n_items < self.n_clusters:
-                p.append(f"n_items ({self.n_items}) must be >= n_clusters ({self.n_clusters})")
-            if self.max_events < self.min_events:
-                p.append(f"max_events ({self.max_events}) must be >= "
-                         f"min_events ({self.min_events})")
-            p += [f"{n} must be in [0, 1], got {getattr(self, n)}"
-                  for n in ("switch_frac", "noise_rate", "walk_persistence")
-                  if not 0.0 <= getattr(self, n) <= 1.0]
-            p += [f"{n} must be a positive finite number, got {getattr(self, n)}"
-                  for n in ("gap_mean_pre", "gap_mean_post") if not positive(getattr(self, n))]
-            if len(self.regime_weights) != 2:
-                p.append(f"regime_weights needs exactly two regimes, got {self.regime_weights!r}")
-            for r, w in enumerate(self.regime_weights):
-                if w is not None and not (
-                        isinstance(w, list) and len(w) == self.n_clusters
-                        and all(is_number(v) and non_negative(v) for v in w)
-                        and sum(w) > 0):
-                    p.append(f"regime_weights[{r}] must be null or {self.n_clusters} "
-                             f"non-negative finite numbers with a positive sum, got {w!r}")
-        if p:
-            raise IngestError("; ".join(p))
+    error = IngestError
+
+    def _range_problems(self):
+        p = [f"{n} must be >= 1, got {getattr(self, n)}"
+             for n in ("n_users", "n_items", "n_clusters", "horizon", "min_events")
+             if getattr(self, n) < 1]
+        if self.n_items < self.n_clusters:
+            p.append(f"n_items ({self.n_items}) must be >= n_clusters ({self.n_clusters})")
+        if self.max_events < self.min_events:
+            p.append(f"max_events ({self.max_events}) must be >= min_events ({self.min_events})")
+        p += [f"{n} must be in [0, 1], got {getattr(self, n)}"
+              for n in ("switch_frac", "noise_rate", "walk_persistence")
+              if not 0.0 <= getattr(self, n) <= 1.0]
+        p += [f"{n} must be a positive finite number, got {getattr(self, n)}"
+              for n in ("gap_mean_pre", "gap_mean_post") if not positive(getattr(self, n))]
+        if len(self.regime_weights) != 2:
+            p.append(f"regime_weights needs exactly two regimes, got {self.regime_weights!r}")
+        for r, w in enumerate(self.regime_weights):
+            if w is not None and not (
+                    isinstance(w, list) and len(w) == self.n_clusters
+                    and all(is_number(v) and non_negative(v) for v in w)
+                    and sum(w) > 0):
+                p.append(f"regime_weights[{r}] must be null or {self.n_clusters} "
+                         f"non-negative finite numbers with a positive sum, got {w!r}")
+        return p
 
 
 def synth_shift_generate(spec, seed):

@@ -16,15 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
-from .checks import is_number, non_negative, positive, type_problems
+from .checks import Checked, NumericError, is_number, non_negative, positive
 
 
-class LossError(ValueError):
+class LossError(NumericError):
     pass
 
 
 @dataclass
-class LossWeights:
+class LossWeights(Checked):
     mu1_train: float = 0.1
     mu2_train: float = 1.0
     # seconds; scale for time-gap differences. A run config may hold "median",
@@ -32,17 +32,19 @@ class LossWeights:
     lam: object = 1.0
     block_size: int = 10
 
-    def __post_init__(self):
-        p = type_problems(type(self), vars(self))
-        if not p:
-            p = [f"{n} must be a non-negative finite number, got {getattr(self, n)}"
-                 for n in ("mu1_train", "mu2_train") if not non_negative(getattr(self, n))]
-            if self.block_size < 2:
-                p.append(f"block_size must be >= 2, got {self.block_size}")
-        if self.lam != "median" and not (is_number(self.lam) and positive(self.lam)):
-            p.append(f'lam must be "median" or a positive finite number, got {self.lam!r}')
-        if p:
-            raise LossError("; ".join(p))
+    error = LossError
+
+    def _range_problems(self):
+        p = [f"{n} must be a non-negative finite number, got {getattr(self, n)}"
+             for n in ("mu1_train", "mu2_train") if not non_negative(getattr(self, n))]
+        if self.block_size < 2:
+            p.append(f"block_size must be >= 2, got {self.block_size}")
+        return p
+
+    def _untyped_problems(self):
+        if self.lam == "median" or (is_number(self.lam) and positive(self.lam)):
+            return []
+        return [f'lam must be "median" or a positive finite number, got {self.lam!r}']
 
 
 @dataclass

@@ -35,10 +35,10 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .checks import type_problems
+from .checks import Checked, NumericError
 
 
-class ModelError(ValueError):
+class ModelError(NumericError):
     pass
 
 
@@ -46,7 +46,7 @@ DTYPES = ("float64", "float32")
 
 
 @dataclass
-class Architecture:
+class Architecture(Checked):
     """The model section of a run config: every ModelConfig field that does
     not depend on the data."""
     d: int = 64
@@ -57,10 +57,7 @@ class Architecture:
     n_blocks: int = 1
     detach_extension: bool = True
 
-    def __post_init__(self):
-        p = type_problems(type(self), vars(self)) or self._range_problems()
-        if p:
-            raise ModelError("; ".join(p))
+    error = ModelError
 
     def _range_problems(self):
         p = [f"{n} must be >= 1, got {getattr(self, n)}"
@@ -110,8 +107,10 @@ def parameter_layout(config):
             (pre + "conv_bias", (inner,), "zeros"),
             # decay A = -exp(a_raw) stays negative by construction
             (pre + "a_raw", (), "zeros"),
-            (pre + "W2", (d, ds), 1.0 / np.sqrt(d)),
-            (pre + "b2", (ds,), "zeros"),
+        ]
+        if b == config.n_blocks - 1:   # only the alignment block projects back
+            layout += [(pre + "W2", (d, ds), 1.0 / np.sqrt(d)), (pre + "b2", (ds,), "zeros")]
+        layout += [
             (pre + "Wf1", (d, dff), 1.0 / np.sqrt(d)),
             (pre + "bf1", (dff,), "zeros"),
             (pre + "Wf2", (dff, d), 1.0 / np.sqrt(dff)),

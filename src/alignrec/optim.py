@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .checks import NumericError
 
-class OptimError(ValueError):
+
+class OptimError(NumericError):
     pass
 
 
@@ -24,23 +26,26 @@ class Adam:
         self.v = {n: np.zeros_like(params[n].data) for n in params.names()}
 
     def step(self, grads):
-        for name, g in grads.items():
-            if not np.all(np.isfinite(g)):
-                raise OptimError(f"adam_step: non-finite gradient for {name!r}")
-        self.step_count += 1
-        t = self.step_count
-        c1 = 1.0 - self.beta1 ** t
-        c2 = 1.0 - self.beta2 ** t
+        """One update. A non-finite gradient, or one whose square overflows the
+        second moment, raises OptimError before any parameter or moment moves."""
+        moments = {}
         for name in self.params.names():
             g = grads.get(name)
             if g is None:
                 g = np.zeros_like(self.params[name].data)
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[name] / c1
-            v_hat = self.v[name] / c2
+            v = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
+            if not np.all(np.isfinite(v)):
+                raise OptimError(f"adam_step: non-finite gradient for {name!r}"
+                                 if not np.all(np.isfinite(g)) else
+                                 f"adam_step: second moment of {name!r} overflows")
+            moments[name] = (self.beta1 * self.m[name] + (1.0 - self.beta1) * g, v)
+        self.step_count += 1
+        c1 = 1.0 - self.beta1 ** self.step_count
+        c2 = 1.0 - self.beta2 ** self.step_count
+        for name, (m, v) in moments.items():
+            self.m[name], self.v[name] = m, v
             self.params[name].data = self.params[name].data - \
-                self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 def sgd_step(params, grads, lr):

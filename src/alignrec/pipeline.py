@@ -17,10 +17,11 @@ import numpy as np
 from . import adapt as adapt_mod
 from . import autograd as ag
 from . import evaluation, ingest, losses as L, model, optim
+from .checks import NumericError
 from .config import generator_spec
 
 
-class PipelineError(RuntimeError):
+class PipelineError(NumericError):
     pass
 
 
@@ -62,9 +63,7 @@ def train_model(cfg, progress=None):
     rng = np.random.default_rng(cfg.seed)
     ds = load_dataset(cfg)
     split = ingest.leave_one_out_split(ds)
-    if not split.train:
-        # the data leaves nothing to train on: an input-data error, not a
-        # numeric failure
+    if not split.train:   # the data leaves nothing to train on: an input error
         raise ingest.IngestError("no training examples after splitting")
     weights = resolve_weights(cfg, split.train)
 

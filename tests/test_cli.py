@@ -1,6 +1,9 @@
+import importlib
+import inspect
 import itertools
 import json
 import os
+import pkgutil
 import re
 import resource
 import struct
@@ -11,9 +14,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import alignrec
 from alignrec import adapt, cli, ingest, model, pipeline
 from alignrec import autograd as ag
 from alignrec.adapt import AdaptConfig
+from alignrec.checks import InputError, NumericError
 from alignrec.config import ConfigError, DataConfig, RunConfig, TrainConfig, load_config
 from alignrec.ingest import GeneratorSpec
 from alignrec.losses import LossWeights
@@ -644,6 +649,20 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
+    @pytest.mark.parametrize("weights, message", [
+        ({"mu2_train": 1e38}, "adam_step: non-finite gradient for 'E'"),
+        ({"mu1_train": 1e38}, "adam_step: second moment of 'E' overflows"),
+    ], ids=["non-finite-gradient", "overflowing-second-moment"])
+    def test_overflowing_training_gradient_is_numeric_error(self, tmp_path, capsys,
+                                                            weights, message):
+        path = write_config(tmp_path, base_config(tmp_path, losses=weights))
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            assert cli.main(["train", "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n", err
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
     def test_empty_out_dir_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(tmp_path, out_dir=""))
         assert one_line_error(capsys, ["gen", "--config", path]) == 2
@@ -710,6 +729,20 @@ class TestReproducibilityPipeline:
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_every_error_class_belongs_to_one_category():
+    # the category alone decides the exit code and whether an adaptation
+    # step's failure ends only its batch; ShapeError is a programming error
+    found = set()
+    for info in pkgutil.iter_modules(alignrec.__path__):
+        module = importlib.import_module(f"alignrec.{info.name}")
+        found |= {cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                  if issubclass(cls, BaseException) and cls.__module__.startswith("alignrec")}
+    assert {ag.ShapeError, ConfigError, ingest.IngestError, pipeline.PipelineError} <= found
+    for cls in found:
+        categories = [c for c in (InputError, NumericError) if issubclass(cls, c)]
+        assert len(categories) == (cls is not ag.ShapeError), (cls, categories)
 
 
 def test_runs_without_scipy():

@@ -911,6 +911,21 @@ class TestCheckpoint:
         assert [(n, s) for n, s, _ in model.parameter_layout(params.config)] == [
             (n, params[n].data.shape) for n in params.names()]
 
+    def test_only_the_alignment_block_holds_W2_and_b2(self):
+        names = [n for n, _, _ in model.parameter_layout(tiny_params(n_blocks=3).config)]
+        assert [n for n in names if n.endswith((".W2", ".b2"))] == ["block2.W2", "block2.b2"]
+
+    def test_checkpoint_with_an_earlier_blocks_W2_is_refused(self, tmp_path):
+        # two-block checkpoints written while every block held W2 and b2
+        params = tiny_params(seed=30, n_blocks=2)
+        cfg = params.config
+        params.tensors["block0.W2"] = ag.Tensor(np.zeros((cfg.d, cfg.d_s), cfg.np_dtype))
+        params.tensors["block0.b2"] = ag.Tensor(np.zeros(cfg.d_s, cfg.np_dtype))
+        path = str(tmp_path / "ck.bin")
+        model.save_checkpoint(path, params)
+        with pytest.raises(model.ModelError, match="unknown tensor 'block0.W2'"):
+            model.load_checkpoint(path)
+
     def test_forward_identical_after_reload(self, tmp_path, rng):
         params = tiny_params(seed=22)
         batch = random_batch(rng)

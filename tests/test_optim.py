@@ -71,6 +71,21 @@ class TestAdam:
         for n in params.names():  # nothing mutated
             assert np.array_equal(params[n].data, before[n])
 
+    def test_overflowing_second_moment_aborts_before_any_update(self):
+        # g * g beyond the float range: v would become inf and freeze the entry
+        params = tiny_params(dtype="float32")
+        g = {n: np.ones_like(params[n].data) for n in params.names()}
+        g["block0.Wf1"][0, 0] = 2 * np.sqrt(np.finfo(np.float32).max)
+        before = {n: params[n].data.copy() for n in params.names()}
+        opt = Adam(params)
+        with np.errstate(over="ignore"), \
+                pytest.raises(optim.OptimError, match="second moment of 'block0.Wf1'"):
+            opt.step(g)
+        assert opt.step_count == 0
+        for n in params.names():  # nothing mutated, E and block0.W1 included
+            assert np.array_equal(params[n].data, before[n])
+            assert not opt.m[n].any() and not opt.v[n].any()
+
     def test_zero_learning_rate_is_noop(self, rng):
         params = tiny_params()
         before = {n: params[n].data.copy() for n in params.names()}

@@ -44,7 +44,8 @@ def test_byte_identity_passes_against_this_checkout():
     assert res.returncode == 0, res.stdout + res.stderr
     assert "overflow encountered" not in res.stderr, res.stderr   # the abort table is finite
     assert "tiny: 306 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
-    assert "tiny-2block: 306 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
+    # the aggressive M=3, lr 0.5 config also diverges on one two-block request
+    assert "tiny-2block: 306 arrays, 0 differ, 7 requests aborted" in res.stdout, res.stdout
     assert "tiny-short: 306 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
     assert "tiny-f32: 306 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
     assert "tiny-f64: 306 arrays, 0 differ, 6 requests aborted" in res.stdout, res.stdout
